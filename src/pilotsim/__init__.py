@@ -64,7 +64,6 @@ from .profiler import (
     ProfileParseError,
     SinkClosed,
     load_profile,
-    record,
 )
 from .analysis import (
     CATEGORIES,
@@ -73,6 +72,7 @@ from .analysis import (
     Interval,
     OverheadReport,
     OverheadStats,
+    TaskTable,
     UtilizationBreakdown,
     aggregate_overhead,
     component_overheads,

@@ -12,6 +12,20 @@ pilot's lifetime [pilot_start, pilot_stop] into eleven categories, from
 agent-node reservation through startup, scheduling warmup, submission
 wait, runtime slivers, payload execution, draining and teardown, down
 to units that idle through the whole run (unused GPUs, spare cores).
+
+Every metric derives from one table, built in a single pass over the
+events (`TaskTable.from_events`). It holds numpy columns with one row
+per task: the timestamp of each lifecycle event, NaN where the event is
+missing. It also holds the run marks, and one row per (task, resource
+unit) pair that expands each task's slot. TTX and the overhead intervals
+are column arithmetic; an interval union is a sort plus a running
+maximum. Utilization and the timeline share one set of weighted
+category segments: a task's segments count once per unit it held, the
+warmup and draining gaps come from each unit's visits in schedule
+order, and units that no task used are counted in bulk, so the cost
+grows with the number of tasks and not with the pool. The timeline
+integrates each category's coverage at the bucket edges. Every public
+function accepts either the events or a prebuilt table.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,22 +106,30 @@ class Interval:
         return self.end_s - self.start_s
 
 
+def _union_span(start: np.ndarray, end: np.ndarray) -> tuple[float, float]:
+    """(union_s, span_s) of intervals given as start and end arrays."""
+    if not len(start):
+        return (0.0, 0.0)
+    order = np.argsort(start, kind="stable")
+    start, end = start[order], end[order]
+    reach = np.maximum.accumulate(end)
+    # a block of overlapping (or touching) intervals ends where the next
+    # start lies beyond everything reached so far
+    new_block = np.empty(len(start), dtype=bool)
+    new_block[0] = True
+    np.greater(start[1:], reach[:-1], out=new_block[1:])
+    firsts = np.flatnonzero(new_block)
+    lasts = np.append(firsts[1:] - 1, len(start) - 1)
+    union = float(np.sum(reach[lasts] - start[firsts]))
+    return (union, float(reach[-1] - start[0]))
+
+
 def aggregate_overhead(intervals: Sequence[Interval]) -> tuple[float, float]:
     """(union_s, span_s) of an interval set; empty input gives (0, 0)."""
-    if not intervals:
-        return (0.0, 0.0)
-    ordered = sorted(intervals, key=lambda iv: iv.start_s)
-    union = 0.0
-    cur_lo, cur_hi = ordered[0].start_s, ordered[0].end_s
-    for iv in ordered[1:]:
-        if iv.start_s <= cur_hi:
-            cur_hi = max(cur_hi, iv.end_s)
-        else:
-            union += cur_hi - cur_lo
-            cur_lo, cur_hi = iv.start_s, iv.end_s
-    union += cur_hi - cur_lo
-    span = max(iv.end_s for iv in ordered) - ordered[0].start_s
-    return (union, span)
+    return _union_span(
+        np.array([iv.start_s for iv in intervals], dtype=float),
+        np.array([iv.end_s for iv in intervals], dtype=float),
+    )
 
 
 @dataclass
@@ -121,11 +143,11 @@ class OverheadStats:
     n: int = 0
 
     @classmethod
-    def from_intervals(cls, intervals: Sequence[Interval]) -> "OverheadStats":
-        if not intervals:
+    def from_arrays(cls, start: np.ndarray, end: np.ndarray) -> "OverheadStats":
+        if not len(start):
             return cls()
-        union, span = aggregate_overhead(intervals)
-        lengths = np.array([iv.length for iv in intervals])
+        union, span = _union_span(start, end)
+        lengths = end - start
         return cls(
             union_s=union,
             span_s=span,
@@ -133,7 +155,7 @@ class OverheadStats:
             stddev_s=float(lengths.std()),
             min_s=float(lengths.min()),
             max_s=float(lengths.max()),
-            n=len(intervals),
+            n=len(lengths),
         )
 
 
@@ -152,104 +174,155 @@ class UtilizationBreakdown:
     n_units: float  # weighted unit count
 
 
-# -- per-task traces ----------------------------------------------------------
+# -- the task table -----------------------------------------------------------
+
+# (entity kind, event name) -> task column holding the event's timestamp
+_COLUMNS = {
+    TASK: {
+        EV_SCHEDULE_OK: "t_sched",
+        EV_SUBMIT: "t_submit",
+        EV_RUNNING: "t_run",
+        EV_DONE: "t_done",
+        EV_TASK_FAIL: "t_fail",
+        EV_UNSCHEDULE: "t_unschedule",
+    },
+    DVM_JOB: {
+        EV_INIT_COMPLETE: "t_init",
+        EV_SENDING_LAUNCH_MSG: "t_sending",
+        EV_RUNNING: "t_dvm_run",
+    },
+}
+_MARKS = {
+    EV_AGENT_READY: "t_ready",
+    EV_WORKLOAD_RECEIVED: "t_received",
+    EV_PILOT_STOP: "t_stop",
+}
 
 
 @dataclass
-class _TaskTrace:
-    uid: str
-    t_sched: Optional[float] = None
-    t_submit: Optional[float] = None
-    wait_s: float = 0.0
-    t_init: Optional[float] = None
-    t_sending: Optional[float] = None
-    t_dvm_run: Optional[float] = None
-    t_run: Optional[float] = None
-    t_done: Optional[float] = None
-    t_fail: Optional[float] = None
-    t_unschedule: Optional[float] = None
-    slot: Optional[Slot] = None
+class TaskTable:
+    """Per-task columns of one run, built in one pass over its events.
 
-    @property
-    def t_terminal(self) -> Optional[float]:
-        return self.t_done if self.t_done is not None else self.t_fail
+    Task rows are in order of each task's first event. Time columns hold
+    NaN where the event is missing; `wait_s` is the enforced submission
+    wait (0 without a submit). The unit rows expand every slot: the task
+    row holding the unit, a key identifying (node, resource, index), and
+    whether the unit is a GPU.
+    """
 
-
-@dataclass
-class _RunMarks:
-    t_start: float = 0.0
+    uids: list[str]
+    t_sched: np.ndarray
+    t_submit: np.ndarray
+    wait_s: np.ndarray
+    t_init: np.ndarray
+    t_sending: np.ndarray
+    t_dvm_run: np.ndarray
+    t_run: np.ndarray
+    t_done: np.ndarray
+    t_fail: np.ndarray
+    t_unschedule: np.ndarray
+    unit_task: np.ndarray
+    unit_key: np.ndarray
+    unit_gpu: np.ndarray
     t_ready: Optional[float] = None
     t_received: Optional[float] = None
     t_stop: Optional[float] = None
 
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> "TaskTable":
+        rows: dict[str, int] = {}
+        hits = {col: ([], []) for cols in _COLUMNS.values() for col in cols.values()}
+        by_kind = {kind: {name: hits[col] for name, col in cols.items()}
+                   for kind, cols in _COLUMNS.items()}
+        marks: dict[str, float] = {}
+        waits: tuple[list[int], list[float]] = ([], [])
+        slots: list[tuple[int, str]] = []
+        for ev in events:
+            by_name = by_kind.get(ev.entity_kind)
+            if by_name is None:
+                mark = _MARKS.get(ev.name)
+                if mark is not None:
+                    marks[mark] = ev.t_s
+                continue
+            row = rows.get(ev.entity_id)
+            if row is None:
+                row = rows[ev.entity_id] = len(rows)
+            hit = by_name.get(ev.name)
+            if hit is None:
+                continue
+            hit[0].append(row)
+            hit[1].append(ev.t_s)
+            if ev.entity_kind == TASK:
+                if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
+                    slots.append((row, ev.attrs["slot"]))
+                elif ev.name == EV_SUBMIT:
+                    waits[0].append(row)
+                    waits[1].append(float(ev.attrs.get("wait", "0")))
 
-def _scan(events: Iterable[Event]) -> tuple[dict[str, _TaskTrace], _RunMarks]:
-    traces: dict[str, _TaskTrace] = {}
-    marks = _RunMarks()
+        n = len(rows)
 
-    def trace(uid: str) -> _TaskTrace:
-        if uid not in traces:
-            traces[uid] = _TaskTrace(uid=uid)
-        return traces[uid]
+        def column(hit: tuple[list[int], list[float]], fill: float) -> np.ndarray:
+            out = np.full(n, fill)
+            out[np.array(hit[0], dtype=np.intp)] = hit[1]
+            return out
 
-    for ev in events:
-        if ev.entity_kind == TASK:
-            tr = trace(ev.entity_id)
-            if ev.name == EV_SCHEDULE_OK:
-                tr.t_sched = ev.t_s
-                if "slot" in ev.attrs:
-                    tr.slot = Slot.decode(ev.attrs["slot"])
-            elif ev.name == EV_SUBMIT:
-                tr.t_submit = ev.t_s
-                tr.wait_s = float(ev.attrs.get("wait", "0"))
-            elif ev.name == EV_RUNNING:
-                tr.t_run = ev.t_s
-            elif ev.name == EV_DONE:
-                tr.t_done = ev.t_s
-            elif ev.name == EV_TASK_FAIL:
-                tr.t_fail = ev.t_s
-            elif ev.name == EV_UNSCHEDULE:
-                tr.t_unschedule = ev.t_s
-        elif ev.entity_kind == DVM_JOB:
-            tr = trace(ev.entity_id)
-            if ev.name == EV_INIT_COMPLETE:
-                tr.t_init = ev.t_s
-            elif ev.name == EV_SENDING_LAUNCH_MSG:
-                tr.t_sending = ev.t_s
-            elif ev.name == EV_RUNNING:
-                tr.t_dvm_run = ev.t_s
-        else:
-            if ev.name == EV_AGENT_READY:
-                marks.t_ready = ev.t_s
-            elif ev.name == EV_WORKLOAD_RECEIVED:
-                marks.t_received = ev.t_s
-            elif ev.name == EV_PILOT_STOP:
-                marks.t_stop = ev.t_s
-    return traces, marks
+        units = np.array([
+            (row, a.node_uid, gpu, i)
+            for row, text in slots
+            for a in Slot.decode(text).assignments
+            for gpu, indices in ((0, a.core_indices), (1, a.gpu_indices))
+            for i in indices
+        ], dtype=np.int64).reshape(-1, 4)
+        unit_task, node, gpu, idx = units.T
+        return cls(
+            uids=list(rows),
+            **{col: column(hit, np.nan) for col, hit in hits.items()},
+            wait_s=column(waits, 0.0),
+            unit_task=unit_task,
+            unit_key=(node * 2 + gpu) * (idx.max(initial=0) + 1) + idx,
+            unit_gpu=gpu.astype(bool),
+            **marks,
+        )
+
+    @property
+    def t_terminal(self) -> np.ndarray:
+        return np.where(np.isnan(self.t_done), self.t_fail, self.t_done)
+
+    @property
+    def n_done(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.t_done)))
+
+    @property
+    def n_failed(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.t_fail)))
+
+    def require_complete(self) -> None:
+        if self.t_stop is None:
+            raise IncompleteRun("profile log has no pilot_stop sentinel")
+        if self.t_ready is None:
+            raise IncompleteRun("profile log has no agent_ready event")
 
 
-def _require_complete(marks: _RunMarks) -> None:
-    if marks.t_stop is None:
-        raise IncompleteRun("profile log has no pilot_stop sentinel")
-    if marks.t_ready is None:
-        raise IncompleteRun("profile log has no agent_ready event")
+EventsOrTable = Union[TaskTable, Iterable[Event]]
+
+
+def _as_table(data: EventsOrTable) -> TaskTable:
+    return data if isinstance(data, TaskTable) else TaskTable.from_events(data)
 
 
 # -- headline metrics ---------------------------------------------------------
 
 
-def compute_ttx(events: Iterable[Event]) -> float:
+def compute_ttx(events: EventsOrTable) -> float:
     """Total execution time: last task completion minus workload arrival."""
-    traces, marks = _scan(events)
-    _require_complete(marks)
-    if marks.t_received is None:
+    table = _as_table(events)
+    table.require_complete()
+    if table.t_received is None:
         raise IncompleteRun("profile log has no workload_received event")
-    ends = [tr.t_done for tr in traces.values() if tr.t_done is not None]
-    if not ends:
-        ends = [tr.t_fail for tr in traces.values() if tr.t_fail is not None]
-    if not ends:
-        raise IncompleteRun("no task reached a terminal state")
-    return max(ends) - marks.t_received
+    for ends in (table.t_done, table.t_fail):
+        if not np.all(np.isnan(ends)):
+            return float(np.nanmax(ends)) - table.t_received
+    raise IncompleteRun("no task reached a terminal state")
 
 
 def ideal_ttx(workload: Workload, pool: ResourcePool) -> float:
@@ -273,7 +346,7 @@ def ideal_ttx(workload: Workload, pool: ResourcePool) -> float:
     return waves * duration
 
 
-def component_overheads(events: Iterable[Event]) -> OverheadReport:
+def component_overheads(events: EventsOrTable) -> OverheadReport:
     """Per-component overhead intervals and their statistics.
 
     rp: per-task scheduling-to-submission; prrte_wait: the enforced
@@ -283,25 +356,25 @@ def component_overheads(events: Iterable[Event]) -> OverheadReport:
     so their joint union is reported too, without claiming a TTX
     decomposition.
     """
-    traces, marks = _scan(events)
-    _require_complete(marks)
-    rp, wait, launcher, launch_msg = [], [], [], []
-    for tr in traces.values():
-        if tr.t_sched is not None and tr.t_submit is not None:
-            rp.append(Interval(tr.t_sched, tr.t_submit))
-            if tr.wait_s > 0:
-                wait.append(Interval(tr.t_submit - tr.wait_s, tr.t_submit))
-        if tr.t_submit is not None and tr.t_run is not None:
-            launcher.append(Interval(tr.t_submit, tr.t_run))
-        if tr.t_sending is not None and tr.t_dvm_run is not None:
-            launch_msg.append(Interval(tr.t_sending, tr.t_dvm_run))
-    joint, _ = aggregate_overhead(rp + launcher)
+    t = _as_table(events)
+    t.require_complete()
+    submitted = ~np.isnan(t.t_submit)
+    rp = submitted & ~np.isnan(t.t_sched)
+    wait = rp & (t.wait_s > 0)
+    launcher = submitted & ~np.isnan(t.t_run)
+    launch_msg = ~np.isnan(t.t_sending) & ~np.isnan(t.t_dvm_run)
+    joint, _ = _union_span(
+        np.concatenate([t.t_sched[rp], t.t_submit[launcher]]),
+        np.concatenate([t.t_submit[rp], t.t_run[launcher]]),
+    )
     return OverheadReport(
         components={
-            "rp": OverheadStats.from_intervals(rp),
-            "prrte_wait": OverheadStats.from_intervals(wait),
-            "launcher": OverheadStats.from_intervals(launcher),
-            "dvm_launch_msg": OverheadStats.from_intervals(launch_msg),
+            "rp": OverheadStats.from_arrays(t.t_sched[rp], t.t_submit[rp]),
+            "prrte_wait": OverheadStats.from_arrays(
+                t.t_submit[wait] - t.wait_s[wait], t.t_submit[wait]),
+            "launcher": OverheadStats.from_arrays(t.t_submit[launcher], t.t_run[launcher]),
+            "dvm_launch_msg": OverheadStats.from_arrays(
+                t.t_sending[launch_msg], t.t_dvm_run[launch_msg]),
         },
         joint_union_s=joint,
     )
@@ -310,91 +383,86 @@ def component_overheads(events: Iterable[Event]) -> OverheadReport:
 # -- resource utilization -----------------------------------------------------
 
 
-def _task_segments(tr: _TaskTrace) -> list[tuple[str, float, float]]:
-    """Category segments for one task between schedule_ok and unschedule."""
-    segs: list[tuple[str, float, float]] = []
-    t_term = tr.t_terminal
-    if tr.t_sched is None or t_term is None:
-        return segs
-    end_prep = tr.t_submit if tr.t_submit is not None else t_term
-    segs.append((CAT_PREPARE_EXECUTION, tr.t_sched, end_prep))
-    if tr.t_submit is not None:
-        if tr.t_init is not None:
-            segs.append((CAT_EXEC_RP, tr.t_submit, tr.t_init))
-            segs.append((CAT_EXEC_DVM, tr.t_init, tr.t_run if tr.t_run is not None else t_term))
-        else:
-            segs.append((CAT_EXEC_RP, tr.t_submit, tr.t_run if tr.t_run is not None else t_term))
-        if tr.t_run is not None:
-            segs.append((CAT_EXEC_CMD, tr.t_run, t_term))
-    t_freed = tr.t_unschedule if tr.t_unschedule is not None else t_term
-    segs.append((CAT_UNSCHEDULE, t_term, t_freed))
-    return [(c, a, b) for (c, a, b) in segs if b > a]
+def _or(a: np.ndarray, b) -> np.ndarray:
+    """`a` where present, else `b`."""
+    return np.where(np.isnan(a), b, a)
 
 
-def _slot_units(slot: Slot) -> list[tuple[int, str, int]]:
-    units = []
-    for a in slot.assignments:
-        units.extend((a.node_uid, "c", i) for i in a.core_indices)
-        units.extend((a.node_uid, "g", i) for i in a.gpu_indices)
-    return units
+def _segments(
+    table: TaskTable, pool: ResourcePool, gpu_weight: float
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+    """Per category, the (start, end, weight) arrays of its non-empty
+    segments; plus the weighted unit count of the pool."""
+    table.require_complete()
+    t_ready, t_stop = table.t_ready, table.t_stop
+    t_term = table.t_terminal
+    ended = ~np.isnan(t_term)
+    t_workload_end = float(t_term[ended].max()) if ended.any() else t_ready
+    t_freed = _or(table.t_unschedule, t_term)
+    parts: dict[str, list[tuple]] = {cat: [] for cat in CATEGORIES}
 
+    def add(cat, a, b, w) -> None:
+        parts[cat].append(np.broadcast_arrays(*(np.atleast_1d(x) for x in (a, b, w))))
 
-def _unit_weighted_segments(
-    events: Iterable[Event], pool: ResourcePool, gpu_weight: float = 1.0
-) -> tuple[list[tuple[str, float, float, float]], float, float]:
-    """All (category, start, end, weight) segments plus (t_stop, n_units)."""
-    traces, marks = _scan(events)
-    _require_complete(marks)
-    t_ready = marks.t_ready
-    t_stop = marks.t_stop
-    terminals = [tr.t_terminal for tr in traces.values() if tr.t_terminal is not None]
-    t_workload_end = max(terminals, default=t_ready)
+    def node_weight(nodes) -> float:
+        return sum(n.cores + n.gpus * gpu_weight for n in nodes)
 
-    visits: dict[tuple[int, str, int], list[_TaskTrace]] = {}
-    for tr in traces.values():
-        if tr.slot is None:
-            continue
-        for unit in _slot_units(tr.slot):
-            visits.setdefault(unit, []).append(tr)
+    agent_w = node_weight(pool.agent_node_list)
+    worker_w = node_weight(pool.worker_nodes)
+    add(CAT_AGENT_NODES, 0.0, t_stop, agent_w)
+    add(CAT_PILOT_STARTUP, 0.0, t_ready, worker_w)
 
-    segments: list[tuple[str, float, float, float]] = []
+    # visits: unit rows ordered by unit, then schedule time, then task order
+    unit_w = np.where(table.unit_gpu, gpu_weight, 1.0)
+    order = np.lexsort((table.unit_task, table.t_sched[table.unit_task], table.unit_key))
+    key, task, w = table.unit_key[order], table.unit_task[order], unit_w[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = first[1:]
 
-    def add(cat: str, a: float, b: float, w: float) -> None:
-        if b > a:
-            segments.append((cat, a, b, w))
+    # units no task used idle from agent_ready to the workload's end
+    used_gpus = int(np.count_nonzero(table.unit_gpu[order][first]))
+    used_cores = int(np.count_nonzero(first)) - used_gpus
+    unused_w = ((pool.total_worker_cores - used_cores)
+                + (pool.total_worker_gpus - used_gpus) * gpu_weight)
+    idle_end = max(t_ready, t_workload_end)
+    add(CAT_IDLE, t_ready, idle_end, unused_w)
+    add(CAT_PILOT_TERMINATION, idle_end, t_stop, unused_w)
 
-    n_units = 0.0
-    for node in pool.agent_node_list:
-        w = node.cores * 1.0 + node.gpus * gpu_weight
-        n_units += w
-        add(CAT_AGENT_NODES, 0.0, t_stop, w)
+    cursor = t_freed[task]
+    prev = np.empty(len(cursor))
+    prev[1:] = cursor[:-1]
+    prev[first] = t_ready
+    add(CAT_WARMUP, prev, table.t_sched[task], w)
+    drain_end = np.maximum(cursor[last], t_workload_end)
+    add(CAT_DRAINING, cursor[last], drain_end, w[last])
+    add(CAT_PILOT_TERMINATION, drain_end, t_stop, w[last])
 
-    for node in pool.worker_nodes:
-        for res, count, w in (("c", node.cores, 1.0), ("g", node.gpus, gpu_weight)):
-            for idx in range(count):
-                n_units += w
-                unit = (node.uid, res, idx)
-                add(CAT_PILOT_STARTUP, 0.0, t_ready, w)
-                used = visits.get(unit)
-                if not used:
-                    add(CAT_IDLE, t_ready, max(t_ready, t_workload_end), w)
-                    add(CAT_PILOT_TERMINATION, max(t_ready, t_workload_end), t_stop, w)
-                    continue
-                used.sort(key=lambda tr: tr.t_sched)
-                cursor = t_ready
-                for tr in used:
-                    add(CAT_WARMUP, cursor, tr.t_sched, w)
-                    for cat, a, b in _task_segments(tr):
-                        add(cat, a, b, w)
-                    cursor = tr.t_unschedule if tr.t_unschedule is not None else tr.t_terminal
-                drain_end = max(cursor, t_workload_end)
-                add(CAT_DRAINING, cursor, drain_end, w)
-                add(CAT_PILOT_TERMINATION, drain_end, t_stop, w)
-    return segments, t_stop, n_units
+    # a task's own segments count once per unit it held (only a task with
+    # a slot, hence a schedule time, holds any)
+    task_w = np.bincount(table.unit_task, weights=unit_w, minlength=len(table.uids))
+    has = ended & (task_w > 0)
+    t_sched, t_submit, t_init = table.t_sched[has], table.t_submit[has], table.t_init[has]
+    t_run, term, tw = table.t_run[has], t_term[has], task_w[has]
+    submitted = ~np.isnan(t_submit)
+    run_or_term = _or(t_run, term)
+    add(CAT_PREPARE_EXECUTION, t_sched, _or(t_submit, term), tw)
+    add(CAT_EXEC_RP, t_submit, _or(t_init, run_or_term), tw)
+    add(CAT_EXEC_DVM, np.where(submitted, t_init, np.nan), run_or_term, tw)
+    add(CAT_EXEC_CMD, np.where(submitted, t_run, np.nan), term, tw)
+    add(CAT_UNSCHEDULE, term, t_freed[has], tw)
+
+    segments = {}
+    for cat, items in parts.items():
+        a, b, w = (np.concatenate(col) for col in zip(*items))
+        keep = b > a  # drops empty segments and those with a missing end
+        segments[cat] = (a[keep], b[keep], w[keep])
+    return segments, agent_w + worker_w
 
 
 def utilization(
-    events: Iterable[Event], pool: ResourcePool, gpu_weight: float = 1.0
+    events: EventsOrTable, pool: ResourcePool, gpu_weight: float = 1.0
 ) -> UtilizationBreakdown:
     """Partition every unit's share of [pilot_start, pilot_stop].
 
@@ -403,11 +471,9 @@ def utilization(
     resource-second is assigned to exactly one category, so percentages
     sum to 100 by construction.
     """
-    events = list(events)
-    segments, t_stop, n_units = _unit_weighted_segments(events, pool, gpu_weight)
-    rs = {cat: 0.0 for cat in CATEGORIES}
-    for cat, a, b, w in segments:
-        rs[cat] += (b - a) * w
+    table = _as_table(events)
+    segments, n_units = _segments(table, pool, gpu_weight)
+    rs = {cat: float(np.dot(b - a, w)) for cat, (a, b, w) in segments.items()}
     total = sum(rs.values())
     if total <= 0:
         raise IncompleteRun("empty utilization window")
@@ -416,9 +482,43 @@ def utilization(
         resource_seconds=rs,
         percents=percents,
         total_resource_seconds=total,
-        window_s=t_stop,
+        window_s=table.t_stop,
         n_units=n_units,
     )
+
+
+def _covered(x: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """For each x, the weighted measure of the segments [a, b] within [0, x]."""
+
+    def weighted_min(p: np.ndarray) -> np.ndarray:
+        # sum of w * min(x, p) = sum over p <= x of w * p + x * rest of w
+        order = np.argsort(p)
+        p, wp = p[order], w[order]
+        below_w = np.concatenate([[0.0], np.cumsum(wp)])
+        below_wp = np.concatenate([[0.0], np.cumsum(wp * p)])
+        k = np.searchsorted(p, x, side="right")
+        return below_wp[k] + x * (below_w[-1] - below_w[k])
+
+    return weighted_min(b) - weighted_min(a)
+
+
+def timeline(
+    events: EventsOrTable, pool: ResourcePool, buckets: int = 120,
+    gpu_weight: float = 1.0,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Bucket midpoints and, per category, the average units in each bucket."""
+    table = _as_table(events)
+    segments, _ = _segments(table, pool, gpu_weight)
+    t_stop = table.t_stop
+    if t_stop <= 0:
+        raise IncompleteRun("empty utilization window")
+    width = t_stop / buckets
+    edges = np.arange(buckets + 1) * width
+    grid = {}
+    for cat, (a, b, w) in segments.items():
+        # coverage only grows with x; rounding must not print -0.0000
+        grid[cat] = np.maximum(np.diff(_covered(edges, a, b, w)) / width, 0.0)
+    return (np.arange(buckets) + 0.5) * width, grid
 
 
 # -- report files -------------------------------------------------------------
@@ -455,28 +555,14 @@ def write_summary_csv(metrics: dict[str, object], path: str) -> None:
 
 
 def write_timeline_csv(
-    events: Iterable[Event], pool: ResourcePool, path: str,
+    events: EventsOrTable, pool: ResourcePool, path: str,
     buckets: int = 120, gpu_weight: float = 1.0,
 ) -> None:
     """Plot-ready long format: average units per category per time bucket."""
-    events = list(events)
-    segments, t_stop, _ = _unit_weighted_segments(events, pool, gpu_weight)
-    if t_stop <= 0:
-        raise IncompleteRun("empty utilization window")
-    width = t_stop / buckets
-    grid = {cat: np.zeros(buckets) for cat in CATEGORIES}
-    for cat, a, b, w in segments:
-        lo = int(a / width)
-        hi = min(int(math.ceil(b / width)), buckets)
-        for i in range(lo, hi):
-            b_lo, b_hi = i * width, (i + 1) * width
-            overlap = min(b, b_hi) - max(a, b_lo)
-            if overlap > 0:
-                grid[cat][i] += overlap * w / width
+    t_mid, grid = timeline(events, pool, buckets=buckets, gpu_weight=gpu_weight)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "category", "units"])
-        for i in range(buckets):
-            t_mid = (i + 0.5) * width
+        for i, t in enumerate(t_mid):
             for cat in CATEGORIES:
-                w.writerow([f"{t_mid:.6f}", cat, f"{grid[cat][i]:.4f}"])
+                w.writerow([f"{t:.6f}", cat, f"{grid[cat][i]:.4f}"])

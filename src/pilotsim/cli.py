@@ -48,8 +48,8 @@ def _pool_from_config(cfg: ExperimentConfig) -> ResourcePool:
     )
 
 
-def _rep_metrics(cfg: ExperimentConfig, events: list[Event]) -> dict[str, float]:
-    pool = _pool_from_config(cfg)
+def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
+                 pool: ResourcePool, ub: analysis.UtilizationBreakdown) -> dict[str, float]:
     workload = make_workload(
         cfg.workload.n_tasks,
         cores_per_task=cfg.workload.cores_per_task,
@@ -57,16 +57,11 @@ def _rep_metrics(cfg: ExperimentConfig, events: list[Event]) -> dict[str, float]
         gpus_per_task=cfg.workload.gpus_per_task,
         bundle_size=cfg.workload.bundle_size,
     )
-    ttx = analysis.compute_ttx(events)
-    ideal = analysis.ideal_ttx(workload, pool)
-    ub = analysis.utilization(events, pool, gpu_weight=cfg.agent.gpu_weight)
-    n_done = sum(1 for e in events if e.name == "done")
-    n_failed = len({e.entity_id for e in events if e.name == "task_fail"})
     metrics: dict[str, float] = {
-        "ttx_s": ttx,
-        "ideal_ttx_s": ideal,
-        "n_done": float(n_done),
-        "n_failed": float(n_failed),
+        "ttx_s": analysis.compute_ttx(table),
+        "ideal_ttx_s": analysis.ideal_ttx(workload, pool),
+        "n_done": float(table.n_done),
+        "n_failed": float(table.n_failed),
     }
     for cat in analysis.CATEGORIES:
         metrics[f"ru_{cat}_pct"] = ub.percents[cat]
@@ -79,10 +74,11 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
     """Write the per-repetition report CSVs; returns the summary metrics."""
     if events is None:
         events = load_profile(os.path.join(rep_dir, "profile.log"))
+    table = analysis.TaskTable.from_events(events)
     pool = _pool_from_config(cfg)
-    report = analysis.component_overheads(events)
-    ub = analysis.utilization(events, pool, gpu_weight=cfg.agent.gpu_weight)
-    metrics = _rep_metrics(cfg, events)
+    report = analysis.component_overheads(table)
+    ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
+    metrics = _rep_metrics(cfg, table, pool, ub)
     analysis.write_overheads_csv(report, os.path.join(rep_dir, "report_overheads.csv"))
     analysis.write_utilization_csv(ub, os.path.join(rep_dir, "report_utilization.csv"))
     analysis.write_summary_csv(
@@ -90,7 +86,7 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
         os.path.join(rep_dir, "report_summary.csv"),
     )
     analysis.write_timeline_csv(
-        events, pool, os.path.join(rep_dir, "report_timeline.csv"),
+        table, pool, os.path.join(rep_dir, "report_timeline.csv"),
         buckets=timeline_buckets, gpu_weight=cfg.agent.gpu_weight,
     )
     return metrics
@@ -176,8 +172,11 @@ def emit_report(run_dir: str) -> str:
         try:
             with open(os.path.join(rep_dir, "meta.txt"), "r", encoding="utf-8") as fh:
                 cfg = parse_config_text(fh.read(), source=rep_dir)
-            events = load_profile(os.path.join(rep_dir, "profile.log"))
-            per_rep.append(_rep_metrics(cfg, events))
+            table = analysis.TaskTable.from_events(
+                load_profile(os.path.join(rep_dir, "profile.log")))
+            pool = _pool_from_config(cfg)
+            ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
+            per_rep.append(_rep_metrics(cfg, table, pool, ub))
         except (OSError, ValueError) as exc:
             flagged.append(f"{os.path.basename(rep_dir)}: {exc}")
     if not per_rep:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 from urllib.parse import quote, unquote
 
 # entity kinds
@@ -94,21 +94,20 @@ class Event:
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}")
         t_s = float(parts[0])
+        # only a line with a percent sign holds escaped text
+        escaped = "%" in line
         attrs: dict[str, str] = {}
         if parts[5]:
             for pair in parts[5].split(";"):
-                if "=" not in pair:
+                k, eq, v = pair.partition("=")
+                if not eq:
                     raise ValueError(f"bad attr {pair!r}")
-                k, v = pair.split("=", 1)
-                attrs[unquote(k)] = unquote(v)
-        return cls(
-            t_s=t_s,
-            entity_kind=unquote(parts[1]),
-            entity_id=unquote(parts[2]),
-            component=unquote(parts[3]),
-            name=unquote(parts[4]),
-            attrs=attrs,
-        )
+                if escaped:
+                    k, v = unquote(k), unquote(v)
+                attrs[k] = v
+        if escaped:
+            parts = [unquote(p) for p in parts]
+        return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs)
 
 
 class EventSink:
@@ -130,6 +129,9 @@ class EventSink:
     def record(self, event: Event) -> None:
         if self._closed:
             raise SinkClosed("event sink is closed")
+        # the log keeps microseconds; rounding here keeps the in-memory
+        # events equal to the reloaded ones (the written bytes are the same)
+        event.t_s = round(event.t_s, 6)
         if self._fh is not None:
             self._fh.write(event.encode())
             self._fh.write("\n")
@@ -149,10 +151,6 @@ class EventSink:
         self._closed = True
 
 
-def record(sink: EventSink, event: Event) -> None:
-    sink.record(event)
-
-
 def load_profile(path: str) -> list[Event]:
     """Parse a profile log; returns events sorted by timestamp (stable)."""
     events = []
@@ -167,28 +165,3 @@ def load_profile(path: str) -> list[Event]:
                 raise ProfileParseError(path, line_no, str(exc)) from exc
     events.sort(key=lambda e: e.t_s)
     return events
-
-
-def sort_events(events: Iterable[Event]) -> list[Event]:
-    return sorted(events, key=lambda e: e.t_s)
-
-
-def write_run_metadata(path: str, meta: dict[str, str]) -> None:
-    """Write the run-metadata header file (config echo, seed, clock mode)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, v in meta.items():
-            fh.write(f"{k}={v}\n")
-
-
-def read_run_metadata(path: str) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad metadata line {line!r} in {path}")
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
-    return meta

@@ -11,6 +11,7 @@ from pilotsim import (
     Interval,
     ResourcePool,
     TaskSpec,
+    TaskTable,
     Workload,
     aggregate_overhead,
     component_overheads,
@@ -20,6 +21,7 @@ from pilotsim import (
     run_pilot,
     utilization,
 )
+from pilotsim.analysis import timeline
 
 from conftest import zero_overhead
 
@@ -225,3 +227,43 @@ class TestUtilization:
         truncated = [e for e in res.events if e.name != "pilot_stop"]
         with pytest.raises(IncompleteRun):
             utilization(truncated, res.pool)
+
+
+class TestTaskTable:
+    def test_prebuilt_table_gives_same_metrics(self, quick_cfg):
+        cfg = quick_cfg(workload__n_tasks=30, pool__nodes=3)
+        res = run_pilot(cfg, seed=10)
+        table = TaskTable.from_events(res.events)
+        assert table.n_done == res.n_done == 30
+        assert table.n_failed == 0
+        assert compute_ttx(table) == compute_ttx(res.events)
+        assert component_overheads(table) == component_overheads(res.events)
+        assert utilization(table, res.pool) == utilization(res.events, res.pool)
+
+
+class TestTimeline:
+    def test_buckets_conserve_resource_seconds(self, quick_cfg):
+        rng = np.random.default_rng(11)
+        for trial in range(8):
+            cfg = quick_cfg(
+                workload__n_tasks=int(rng.integers(1, 60)),
+                workload__cores_per_task=int(rng.integers(1, 4)),
+                workload__gpus_per_task=int(rng.integers(0, 2)),
+                workload__duration_s=round(float(rng.uniform(0.5, 20.0)), 3),
+                pool__nodes=int(rng.integers(2, 5)),
+                pool__cores_per_node=int(rng.integers(3, 9)),
+                backend__submit_delay_s=round(float(rng.uniform(0.0, 0.1)), 3),
+                agent__schedule_cost_s=round(float(rng.uniform(0.0, 0.02)), 3),
+            )
+            gpu_weight = float(rng.choice([0.0, 0.5, 1.0]))
+            buckets = int(rng.integers(1, 200))
+            res = run_pilot(cfg, seed=int(rng.integers(1 << 30)))
+            ub = utilization(res.events, res.pool, gpu_weight=gpu_weight)
+            t_mid, grid = timeline(res.events, res.pool, buckets=buckets,
+                                   gpu_weight=gpu_weight)
+            width = ub.window_s / buckets
+            assert t_mid == pytest.approx((np.arange(buckets) + 0.5) * width)
+            for cat in CATEGORIES:
+                assert grid[cat].min() >= 0.0
+                assert float(grid[cat].sum()) * width == pytest.approx(
+                    ub.resource_seconds[cat], rel=1e-6, abs=1e-9), (trial, cat)

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from pilotsim import ConfigError, ExperimentConfig, parse_config_text, to_flat
-from pilotsim.cli import emit_report, main, run_experiment
+from pilotsim import ConfigError, ExperimentConfig, parse_config_text, run_pilot, to_flat
+from pilotsim.cli import analyze_rep, emit_report, main, run_experiment
 
 from conftest import zero_overhead
 
@@ -88,6 +88,16 @@ class TestRunExperiment:
         orig = open(os.path.join(run_dir, "rep_000", "profile.log")).read()
         replay = open(os.path.join(replay_dir, "rep_000", "profile.log")).read()
         assert orig == replay
+
+    def test_run_and_reload_give_identical_metrics(self, tmp_path):
+        # timestamps are quantized to the log's microseconds when recorded,
+        # so the in-memory events and the reloaded log are the same input
+        cfg = small_cfg(tmp_path, name="quant")
+        cfg.workload.n_tasks = 24
+        assert cfg.dvm.launch_std_s > 0 and cfg.backend.submit_cost_s > 0
+        rep_dir = str(tmp_path / "rep")
+        res = run_pilot(cfg, run_dir=rep_dir, seed=3)
+        assert analyze_rep(rep_dir, cfg, events=res.events) == analyze_rep(rep_dir, cfg)
 
     def test_dvm_crash_is_recorded_outcome(self, tmp_path):
         cfg = small_cfg(tmp_path, name="crash")

@@ -10,10 +10,11 @@ from pilotsim import (
     SinkClosed,
     TaskState,
     load_profile,
-    record,
+    parse_config_text,
     run_pilot,
+    to_flat,
 )
-from pilotsim.profiler import read_run_metadata, write_run_metadata
+from pilotsim.cli import main
 
 from conftest import zero_overhead
 
@@ -41,7 +42,7 @@ class TestRecord:
     def test_first_line_is_pilot_start(self, tmp_path):
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
-        record(sink, Event(0.0, "Pilot", "pilot", "Agent", "pilot_start"))
+        sink.record(Event(0.0, "Pilot", "pilot", "Agent", "pilot_start"))
         sink.close()
         with open(path) as fh:
             first = fh.readline()
@@ -51,7 +52,7 @@ class TestRecord:
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
         for i in range(5):
-            record(sink, Event(1.0, "Task", f"t{i}", "Executor", "submit"))
+            sink.record(Event(1.0, "Task", f"t{i}", "Executor", "submit"))
         sink.close()
         loaded = load_profile(path)
         assert [e.entity_id for e in loaded] == [f"t{i}" for i in range(5)]
@@ -60,7 +61,7 @@ class TestRecord:
         sink = EventSink(str(tmp_path / "p.log"))
         sink.close()
         with pytest.raises(SinkClosed):
-            record(sink, Event(0.0, "Pilot", "p", "Agent", "x"))
+            sink.record(Event(0.0, "Pilot", "p", "Agent", "x"))
 
     def test_per_producer_order_after_global_sort(self, tmp_path):
         # 10k events from 4 interleaved producers: after the stable sort by
@@ -73,8 +74,8 @@ class TestRecord:
         for _ in range(10000):
             p = int(rng.integers(4))
             t[p] += float(rng.uniform(0, 0.01))
-            record(sink, Event(t[p], "Executor", f"exec.{p}", "Executor", "op",
-                               {"seq": str(seq[p])}))
+            sink.record(Event(t[p], "Executor", f"exec.{p}", "Executor", "op",
+                              {"seq": str(seq[p])}))
             seq[p] += 1
         sink.close()
         loaded = load_profile(path)
@@ -97,7 +98,7 @@ class TestLoadProfile:
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
         for ev in events:
-            record(sink, ev)
+            sink.record(ev)
         sink.close()
         assert load_profile(path) == events
 
@@ -143,7 +144,14 @@ class TestRunEventChains:
 
 class TestMetadata:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "meta.txt")
+        # `pilotsim run` echoes the config into meta.txt, which parses back
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "seed=42\nclock=virtual\npool.nodes=392\nworkload.n_tasks=4\n"
+            f"workload.duration_s=1.0\nname=meta\noutput_dir={tmp_path}\n"
+        )
+        assert main(["run", str(cfg_path)]) == 0
+        meta_path = tmp_path / "meta" / "rep_000" / "meta.txt"
+        flat = to_flat(parse_config_text(meta_path.read_text(), source=str(meta_path)))
         meta = {"seed": "42", "clock": "virtual", "pool.nodes": "392"}
-        write_run_metadata(path, meta)
-        assert read_run_metadata(path) == meta
+        assert {k: flat[k] for k in meta} == meta

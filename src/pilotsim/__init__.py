@@ -1,14 +1,13 @@
 """pilotsim: a pilot-style many-task runtime and discrete-event simulator.
 
 Schedules, places, launches and profiles thousands of single/multi-core
-tasks through pluggable launch backends (simulated DVM/JSM profiles or a
+tasks through pluggable launch backends (simulated DVM or JSM, or a
 real local-process backend), then computes overhead and
 resource-utilization metrics from the recorded profile logs.
 """
 
 from .core import (
     Clock,
-    ClockMode,
     FailureReason,
     IllegalTransition,
     RealClock,
@@ -27,36 +26,25 @@ from .scheduler import (
     ResourcePool,
     Slot,
     SlotAssignment,
-    try_schedule,
-    unschedule,
 )
 from .launcher import (
-    BackendKind,
     Completion,
     Executor,
     FdAccountant,
-    LaunchBackendProfile,
     LocalExecBackend,
     RateLimiter,
     SimJsmBackend,
-    SubAgentSet,
-    collect_completion,
-    fd_acquire,
     make_partitions,
     rate_gate,
-    submit,
 )
 from .dvm import (
-    DvmConfig,
     DvmHandle,
     DvmJob,
-    DvmTopology,
     IncompleteJob,
     JobStage,
     LatencySpec,
     dvm_job_durations,
     dvm_start,
-    dvm_submit,
 )
 from .profiler import (
     Event,
@@ -81,7 +69,9 @@ from .analysis import (
     utilization,
 )
 from .config import (
+    BackendConfig,
     ConfigError,
+    DvmSimConfig,
     ExperimentConfig,
     parse_config_file,
     parse_config_text,

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config_file, to_flat
-from .core import make_workload
-from .pilot import PilotRun
+from .pilot import PilotRun, build_pool, build_workload
 from .profiler import Event, load_profile
 from .scheduler import ResourcePool
 
@@ -39,27 +38,11 @@ class RunAborted(RuntimeError):
     """A repetition aborted (filesystem or internal error)."""
 
 
-def _pool_from_config(cfg: ExperimentConfig) -> ResourcePool:
-    return ResourcePool.uniform(
-        cfg.effective_nodes(),
-        cores_per_node=cfg.pool.cores_per_node,
-        gpus_per_node=cfg.pool.gpus_per_node,
-        agent_nodes=cfg.pool.agent_nodes,
-    )
-
-
 def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
                  pool: ResourcePool, ub: analysis.UtilizationBreakdown) -> dict[str, float]:
-    workload = make_workload(
-        cfg.workload.n_tasks,
-        cores_per_task=cfg.workload.cores_per_task,
-        duration_s=cfg.workload.duration_s,
-        gpus_per_task=cfg.workload.gpus_per_task,
-        bundle_size=cfg.workload.bundle_size,
-    )
     metrics: dict[str, float] = {
         "ttx_s": analysis.compute_ttx(table),
-        "ideal_ttx_s": analysis.ideal_ttx(workload, pool),
+        "ideal_ttx_s": analysis.ideal_ttx(build_workload(cfg), pool),
         "n_done": float(table.n_done),
         "n_failed": float(table.n_failed),
     }
@@ -75,7 +58,7 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
     if events is None:
         events = load_profile(os.path.join(rep_dir, "profile.log"))
     table = analysis.TaskTable.from_events(events)
-    pool = _pool_from_config(cfg)
+    pool = build_pool(cfg)
     report = analysis.component_overheads(table)
     ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
     metrics = _rep_metrics(cfg, table, pool, ub)
@@ -110,13 +93,17 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     points = cfg.sweep_points()
     if points:
         parent = os.path.join(cfg.output_dir, cfg.name)
-        os.makedirs(parent, exist_ok=True)
+        subs = []
         for n in points:
             sub = copy.deepcopy(cfg)
             sub.sweep.n_tasks = ""
             sub.workload.n_tasks = n
             sub.output_dir = parent
             sub.name = f"n{n:06d}"
+            sub.validate()  # every point, before any of them runs
+            subs.append(sub)
+        os.makedirs(parent, exist_ok=True)
+        for sub in subs:
             run_experiment(sub)
         return parent
     run_dir = os.path.join(cfg.output_dir, cfg.name)
@@ -174,7 +161,7 @@ def emit_report(run_dir: str) -> str:
                 cfg = parse_config_text(fh.read(), source=rep_dir)
             table = analysis.TaskTable.from_events(
                 load_profile(os.path.join(rep_dir, "profile.log")))
-            pool = _pool_from_config(cfg)
+            pool = build_pool(cfg)
             ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
             per_rep.append(_rep_metrics(cfg, table, pool, ub))
         except (OSError, ValueError) as exc:
@@ -235,7 +222,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 cfg.output_dir = args.out
             if args.reps is not None:
                 cfg.repetitions = args.reps
-            cfg.validate()
             run_dir = run_experiment(cfg)
             print(run_dir)
         elif args.verb == "analyze":

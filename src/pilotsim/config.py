@@ -68,7 +68,6 @@ class SubAgentConfig:
 
 @dataclass
 class DvmSimConfig:
-    topology: str = "flat"  # flat | tree
     capacity_tasks: int = 20000
     setup_mean_s: float = 0.2
     setup_std_s: float = 0.0
@@ -132,13 +131,18 @@ class ExperimentConfig:
         return self.pool.nodes
 
     def validate(self) -> None:
-        wl, pl, be = self.workload, self.pool, self.backend
+        """The one place a configuration is checked; the runtime reads
+        the validated sections as they are."""
+        wl, pl, be, sa, dv = (self.workload, self.pool, self.backend,
+                              self.subagents, self.dvm)
         if self.clock not in ("virtual", "real"):
             raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if wl.n_tasks < 1 or wl.cores_per_task < 1 or wl.duration_s <= 0:
             raise ConfigError("workload needs n_tasks>=1, cores>=1, duration>0")
+        if wl.gpus_per_task < 0:
+            raise ConfigError("gpus_per_task must be >= 0")
         if wl.bundle_size < 1:
             raise ConfigError("bundle_size must be >= 1")
         self.sweep_points()
@@ -151,18 +155,25 @@ class ExperimentConfig:
             raise ConfigError("local_exec backend requires the real clock")
         if be.kind == "sim_jsm" and be.fd_limit != 4096:
             raise ConfigError("the JSM open-files limit is fixed at 4096")
+        if be.submit_delay_s < 0 or be.submit_cost_s < 0:
+            raise ConfigError("submit_delay_s and submit_cost_s must be >= 0")
+        if be.fd_per_task < 1:
+            raise ConfigError("fd_per_task must be >= 1")
         if be.fd_reserved >= be.fd_limit:
             raise ConfigError("fd_reserved must be < fd_limit")
         if not 0.0 <= be.fail_prob_over_rate <= 1.0:
             raise ConfigError("fail_prob_over_rate must be in [0, 1]")
-        if self.subagents.n_sub_agents < 1 or self.subagents.executors_per_sub_agent < 1:
+        if sa.n_sub_agents < 1 or sa.executors_per_sub_agent < 1:
             raise ConfigError("sub-agent counts must be >= 1")
-        if self.dvm.topology not in ("flat", "tree"):
-            raise ConfigError(f"dvm topology must be flat|tree, got {self.dvm.topology!r}")
-        if self.dvm.capacity_tasks < 1:
+        if dv.capacity_tasks < 1:
             raise ConfigError("dvm capacity_tasks must be >= 1")
+        if min(dv.setup_mean_s, dv.setup_std_s, dv.launch_mean_s,
+               dv.launch_std_s, dv.notify_mean_s, dv.notify_std_s) < 0:
+            raise ConfigError("dvm latency means and stddevs must be >= 0")
         if self.agent.partitions < 1:
             raise ConfigError("partitions must be >= 1")
+        if self.agent.partitions > sa.n_sub_agents * sa.executors_per_sub_agent:
+            raise ConfigError("need at least one executor per partition")
         workers = nodes - pl.agent_nodes
         if self.agent.partitions > workers:
             raise ConfigError("partitions exceed worker node count")

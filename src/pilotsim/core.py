@@ -103,6 +103,8 @@ class TaskRecord:
     timestamps: dict[TaskState, float] = field(default_factory=dict)
     slot: Optional["Slot"] = None  # bound placement, see scheduler module
     failure_reason: Optional[FailureReason] = None
+    partition: int = 0  # index of the agent partition that places the task
+    fds_held: int = 0  # file descriptors charged at submission, until release
 
     @classmethod
     def new(cls, spec: TaskSpec, t: float = 0.0) -> "TaskRecord":
@@ -200,19 +202,12 @@ def make_workload(
     return Workload(tasks=tasks, bundle_size=bundle_size)
 
 
-class ClockMode(Enum):
-    REAL = "real"
-    VIRTUAL = "virtual"
-
-
 class Clock:
     """Event-driven time base shared by all runtime components.
 
     Callbacks are dispatched in timestamp order; ties break by insertion
     order, which makes virtual runs fully deterministic.
     """
-
-    mode: ClockMode
 
     def __init__(self):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
@@ -241,8 +236,6 @@ class Clock:
 class VirtualClock(Clock):
     """Min-heap virtual time: advances only through scheduled events."""
 
-    mode = ClockMode.VIRTUAL
-
     def run(self) -> None:
         while self._heap:
             t, _, fn = heapq.heappop(self._heap)
@@ -252,8 +245,6 @@ class VirtualClock(Clock):
 
 class RealClock(Clock):
     """Wall-clock time (monotonic), sleeping between scheduled events."""
-
-    mode = ClockMode.REAL
 
     def __init__(self):
         super().__init__()

@@ -10,6 +10,11 @@ accepted request becomes a job that walks a fixed stage machine:
 Stage transitions take sampled latencies. The handle enforces a ceiling
 on concurrently live jobs: exceeding it crashes the whole DVM and fails
 every live job, mirroring the observed flat-topology collapse at scale.
+
+The handle reads its capacity and the three stage latencies straight
+from the `dvm` section of the experiment config (`config.DvmSimConfig`).
+Only the flat overlay is modelled; a different overlay is a different
+capacity and launch latency in a config file.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import DvmSimConfig
 from .core import Clock, FailureReason, TaskRecord
 from .launcher import Completion
 from .profiler import (
@@ -37,11 +43,6 @@ from .profiler import (
     EventSink,
 )
 from .scheduler import ResourcePool, Slot
-
-
-class DvmTopology(Enum):
-    FLAT = "flat"
-    TREE = "tree"
 
 
 class JobStage(Enum):
@@ -72,17 +73,12 @@ class LatencySpec:
 
     The symmetric truncation window keeps the configured mean exact,
     which is what the measured per-stage averages anchor to. std_s == 0
-    degenerates to the constant mean.
+    degenerates to the constant mean. Both moments are >= 0; the config
+    validation guarantees it for every spec built from a config.
     """
 
     mean_s: float
     std_s: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_s < 0:
-            raise ValueError(f"latency mean must be >= 0, got {self.mean_s}")
-        if self.std_s < 0:
-            raise ValueError(f"latency stddev must be >= 0, got {self.std_s}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.std_s == 0.0 or self.mean_s == 0.0:
@@ -93,31 +89,6 @@ class LatencySpec:
             if 0.0 <= x <= hi:
                 return float(x)
         return self.mean_s  # pragma: no cover - acceptance probability ~0.5
-
-
-@dataclass
-class DvmConfig:
-    topology: DvmTopology = DvmTopology.FLAT
-    capacity_tasks: int = 20000
-    setup: LatencySpec = field(default_factory=lambda: LatencySpec(0.2))
-    launch_msg: LatencySpec = field(default_factory=lambda: LatencySpec(0.034, 0.047))
-    notify: LatencySpec = field(default_factory=lambda: LatencySpec(0.1))
-
-    def __post_init__(self):
-        if self.capacity_tasks < 1:
-            raise ValueError("capacity_tasks must be >= 1")
-
-    @classmethod
-    def flat(cls, **kw) -> "DvmConfig":
-        return cls(topology=DvmTopology.FLAT, **kw)
-
-    @classmethod
-    def tree(cls, **kw) -> "DvmConfig":
-        # tree routing halves the launch-message latency but tolerates
-        # far more concurrent channels before collapsing
-        kw.setdefault("capacity_tasks", 40000)
-        kw.setdefault("launch_msg", LatencySpec(0.017, 0.047))
-        return cls(topology=DvmTopology.TREE, **kw)
 
 
 @dataclass
@@ -144,7 +115,7 @@ class DvmHandle:
 
     def __init__(
         self,
-        config: DvmConfig,
+        config: DvmSimConfig,
         pool: ResourcePool,
         clock: Clock,
         rng: np.random.Generator,
@@ -156,6 +127,9 @@ class DvmHandle:
             raise ValueError("DVM needs at least one worker node")
         self.uid = uid
         self.config = config
+        self._setup = LatencySpec(config.setup_mean_s, config.setup_std_s)
+        self._launch_msg = LatencySpec(config.launch_mean_s, config.launch_std_s)
+        self._notify = LatencySpec(config.notify_mean_s, config.notify_std_s)
         self.clock = clock
         self.rng = rng
         self.sink = sink
@@ -163,10 +137,8 @@ class DvmHandle:
         self.n_daemons = len(pool.worker_nodes)
         self.jobs: dict[str, DvmJob] = {}
         self._live: dict[str, _LiveEntry] = {}
-        self._completed: list[Completion] = []
         self.crashed = False
         self.terminated = False
-        self.launch_latencies: list[float] = []
 
     @property
     def n_live(self) -> int:
@@ -188,7 +160,7 @@ class DvmHandle:
         if len(self._live) > self.config.capacity_tasks:
             self._crash(now)
             return True
-        setup = self.config.setup.sample(self.rng)
+        setup = self._setup.sample(self.rng)
         self.clock.schedule_in(setup, lambda: self._to_pending(rec.uid))
         return True
 
@@ -217,8 +189,7 @@ class DvmHandle:
         job.stage_t[JobStage.SENDING_LAUNCH_MSG] = now
         self._stage_event(job, JobStage.PENDING_APP_LAUNCH, now)
         self._stage_event(job, JobStage.SENDING_LAUNCH_MSG, now)
-        launch = self.config.launch_msg.sample(self.rng)
-        self.launch_latencies.append(launch)
+        launch = self._launch_msg.sample(self.rng)
         self.clock.schedule_in(launch, lambda: self._to_running(uid))
 
     def _to_running(self, uid: str) -> None:
@@ -240,7 +211,7 @@ class DvmHandle:
         if entry is None:
             return
         entry.t_payload_end = self.clock.now_s
-        notify = self.config.notify.sample(self.rng)
+        notify = self._notify.sample(self.rng)
         self.clock.schedule_in(notify, lambda: self._to_notify(uid))
 
     def _to_notify(self, uid: str) -> None:
@@ -253,17 +224,8 @@ class DvmHandle:
         job.stage_t[JobStage.NOTIFY_COMPLETE] = now
         self._stage_event(job, JobStage.NOTIFY_COMPLETE, now)
         del self._live[uid]
-        comp = Completion(task_uid=uid, exit_status=0, t_end=entry.t_payload_end)
-        self._completed.append(comp)
-        entry.executor.enqueue_completion(comp)
-
-    def collect_completions(self) -> list[Completion]:
-        """Jobs finished since the last poll, in end-time order."""
-        if self.crashed:
-            raise RuntimeError("DVM handle has crashed")
-        out = sorted(self._completed, key=lambda c: c.t_end)
-        self._completed = []
-        return out
+        entry.executor.enqueue_completion(
+            Completion(task_uid=uid, exit_status=0, t_end=entry.t_payload_end))
 
     def _crash(self, now: float) -> None:
         self.crashed = True
@@ -288,7 +250,7 @@ class DvmHandle:
 
 
 def dvm_start(
-    config: DvmConfig,
+    config: DvmSimConfig,
     pool: ResourcePool,
     clock: Clock,
     rng: np.random.Generator,
@@ -302,13 +264,10 @@ def dvm_start(
         sink.record(
             Event(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
                   {"daemons": str(handle.n_daemons),
-                   "topology": config.topology.value})
+                   # the log format keeps this attribute; only a flat overlay is modelled
+                   "topology": "flat"})
         )
     return handle
-
-
-def dvm_submit(handle: DvmHandle, rec: TaskRecord, slot: Slot, executor) -> bool:
-    return handle.submit_job(rec, slot, executor, handle.clock.now_s)
 
 
 def dvm_job_durations(job: DvmJob) -> tuple[float, float, float]:

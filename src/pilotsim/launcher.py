@@ -9,8 +9,12 @@ Each executor is a sequential worker with two serialized lanes:
 * a drain lane - collects finished payloads one at a time under the same
   pacing, so the drain rate mirrors the submit rate.
 
+Executors read pacing, failure injection and FD costs straight from the
+`backend` section of the experiment config (`config.BackendConfig`),
+which `ExperimentConfig.validate` has already checked.
+
 Backends are pluggable: the simulated DVM (dvm module), a simulated JSM
-profile, and a real local-process backend that spawns OS processes with
+backend, and a real local-process backend that spawns OS processes with
 stdio redirected to files (three real descriptors per task).
 """
 
@@ -20,70 +24,13 @@ import os
 import subprocess
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from .config import BackendConfig
 from .core import Clock, FailureReason, TaskRecord
 from .scheduler import ResourcePool, Slot
-
-
-class BackendKind(Enum):
-    LOCAL_EXEC = "local_exec"
-    SIM_DVM = "sim_dvm"
-    SIM_JSM = "sim_jsm"
-
-
-JSM_FD_LIMIT = 4096  # open-files ceiling that cannot be raised under JSM
-
-
-@dataclass
-class LaunchBackendProfile:
-    """Submission behavior of a launch backend as seen by executors."""
-
-    kind: BackendKind = BackendKind.SIM_DVM
-    submit_delay_s: float = 0.1
-    submit_cost_s: float = 0.04
-    max_rate_hz: Optional[float] = 10.0
-    fail_prob_over_rate: float = 0.05
-    fd_limit: int = 4096
-    fd_reserved: int = 1195
-    fd_per_task: int = 3
-
-    def __post_init__(self):
-        if self.submit_delay_s < 0:
-            raise ValueError("submit_delay_s must be >= 0")
-        if self.submit_cost_s < 0:
-            raise ValueError("submit_cost_s must be >= 0")
-        if not 0.0 <= self.fail_prob_over_rate <= 1.0:
-            raise ValueError("fail_prob_over_rate must be in [0, 1]")
-        if self.fd_per_task < 1:
-            raise ValueError("fd_per_task must be >= 1")
-        if self.fd_reserved >= self.fd_limit:
-            raise ValueError("fd_reserved must be < fd_limit")
-        if self.kind is BackendKind.SIM_JSM and self.fd_limit != JSM_FD_LIMIT:
-            raise ValueError(
-                f"the JSM open-files limit is fixed at {JSM_FD_LIMIT} and "
-                "cannot be reconfigured"
-            )
-
-    @classmethod
-    def sim_dvm(cls, **kw) -> "LaunchBackendProfile":
-        return cls(kind=BackendKind.SIM_DVM, **kw)
-
-    @classmethod
-    def sim_jsm(cls, **kw) -> "LaunchBackendProfile":
-        kw.setdefault("submit_delay_s", 0.0)  # sequential JSM needs no delay
-        kw.setdefault("max_rate_hz", None)
-        return cls(kind=BackendKind.SIM_JSM, **kw)
-
-    @classmethod
-    def local_exec(cls, **kw) -> "LaunchBackendProfile":
-        kw.setdefault("submit_delay_s", 0.0)
-        kw.setdefault("submit_cost_s", 0.0)
-        kw.setdefault("max_rate_hz", None)
-        return cls(kind=BackendKind.LOCAL_EXEC, **kw)
 
 
 class FdAccountant:
@@ -118,11 +65,6 @@ class FdAccountant:
         self.in_use -= n
 
 
-def fd_acquire(acct: FdAccountant, n: int) -> bool:
-    """Charge `n` descriptors; False (state unchanged) when exhausted."""
-    return acct.acquire(n)
-
-
 @dataclass
 class RateLimiter:
     """Enforces a minimum delay between consecutive lane operations.
@@ -147,24 +89,6 @@ def rate_gate(state: RateLimiter, now_s: float, delay_s: float) -> float:
     return max(0.0, state.last_op_end + delay_s - now_s)
 
 
-@dataclass
-class SubAgentSet:
-    """Parallel executor groups inside the agent."""
-
-    n_sub_agents: int = 1
-    executors_per_sub_agent: int = 1
-
-    def __post_init__(self):
-        if self.n_sub_agents < 1:
-            raise ValueError("n_sub_agents must be >= 1")
-        if self.executors_per_sub_agent < 1:
-            raise ValueError("executors_per_sub_agent must be >= 1")
-
-    @property
-    def n_executors(self) -> int:
-        return self.n_sub_agents * self.executors_per_sub_agent
-
-
 @dataclass(frozen=True)
 class Completion:
     """A finished payload as reported by a backend to its executor."""
@@ -178,13 +102,14 @@ class Executor:
     """One sequential launch worker: paced submit lane plus drain lane.
 
     The host object wires the executor into the agent: it owns task
-    state transitions, event recording, slot release and FD bookkeeping.
+    state transitions, event recording, slot release, and the release of
+    the descriptors the executor charged to `rec.fds_held`.
     """
 
     def __init__(
         self,
         uid: str,
-        profile: LaunchBackendProfile,
+        config: BackendConfig,
         clock: Clock,
         fd: FdAccountant,
         backend,
@@ -192,7 +117,7 @@ class Executor:
         rng: np.random.Generator,
     ):
         self.uid = uid
-        self.profile = profile
+        self.config = config
         self.clock = clock
         self.fd = fd
         self.backend = backend
@@ -205,9 +130,6 @@ class Executor:
         self._submit_busy = False
         self._drain_busy = False
         self._last_submit_t: Optional[float] = None
-        self.submitted_ts: list[float] = []
-        self.enforced_waits: list[float] = []
-        self.collected: list[Completion] = []
 
     # -- submit lane ---------------------------------------------------------
 
@@ -219,34 +141,32 @@ class Executor:
         if self._submit_busy or not self._submit_q:
             return
         self._submit_busy = True
-        wait = rate_gate(self.submit_gate, self.clock.now_s, self.profile.submit_delay_s)
+        wait = rate_gate(self.submit_gate, self.clock.now_s, self.config.submit_delay_s)
         self.clock.schedule_in(wait, lambda: self._do_submit(wait))
 
     def _do_submit(self, waited: float) -> None:
         rec, slot = self._submit_q.popleft()
         now = self.clock.now_s
-        if not self.fd.acquire(self.profile.fd_per_task):
+        if not self.fd.acquire(self.config.fd_per_task):
             self.host.task_failed(rec, FailureReason.FD_EXHAUSTED, now)
             self._end_submit_op(now)
             return
-        self.host.fd_acquired(rec)
-        if self._over_rate(now) and self.rng.random() < self.profile.fail_prob_over_rate:
+        rec.fds_held = self.config.fd_per_task
+        if self._over_rate(now) and self.rng.random() < self.config.fail_prob_over_rate:
             self.host.task_failed(rec, FailureReason.RATE_REJECTED, now)
             self._end_submit_op(now)
             return
         self._last_submit_t = now
-        self.submitted_ts.append(now)
-        self.enforced_waits.append(waited)
         self.host.task_submitted(rec, self, waited, now)
         self.clock.schedule_in(
-            self.profile.submit_cost_s, lambda: self._dispatch(rec, slot)
+            self.config.submit_cost_s, lambda: self._dispatch(rec, slot)
         )
 
     def _over_rate(self, now: float) -> bool:
-        if self.profile.max_rate_hz is None or self._last_submit_t is None:
+        if self.config.max_rate_hz is None or self._last_submit_t is None:
             return False
         gap = now - self._last_submit_t
-        return gap * self.profile.max_rate_hz < 1.0
+        return gap * self.config.max_rate_hz < 1.0
 
     def _dispatch(self, rec: TaskRecord, slot: Slot) -> None:
         now = self.clock.now_s
@@ -270,30 +190,18 @@ class Executor:
         if self._drain_busy or not self._drain_q:
             return
         self._drain_busy = True
-        wait = rate_gate(self.drain_gate, self.clock.now_s, self.profile.submit_delay_s)
+        wait = rate_gate(self.drain_gate, self.clock.now_s, self.config.submit_delay_s)
         self.clock.schedule_in(wait, self._do_collect)
 
     def _do_collect(self) -> None:
         comp = self._drain_q.popleft()
-        self.collected.append(comp)
         self.host.task_collected(comp, self.clock.now_s)
-        self.clock.schedule_in(self.profile.submit_cost_s, self._end_drain_op)
+        self.clock.schedule_in(self.config.submit_cost_s, self._end_drain_op)
 
     def _end_drain_op(self) -> None:
         self.drain_gate.mark_op_end(self.clock.now_s)
         self._drain_busy = False
         self._kick_drain()
-
-
-def submit(backend, executor: Executor, rec: TaskRecord, slot: Slot) -> None:
-    """Feed one scheduled task into an executor's submit lane."""
-    assert executor.backend is backend
-    executor.enqueue(rec, slot)
-
-
-def collect_completion(backend) -> list[Completion]:
-    """Completions finished since the last poll, in end-time order."""
-    return backend.collect_completions()
 
 
 class LocalExecBackend:
@@ -310,7 +218,6 @@ class LocalExecBackend:
         self.stdio_dir = stdio_dir
         self.poll_interval_s = poll_interval_s
         self._procs: dict[str, tuple[subprocess.Popen, list, object]] = {}
-        self._completed: list[Completion] = []
         self._poller_on = False
         os.makedirs(stdio_dir, exist_ok=True)
 
@@ -360,21 +267,15 @@ class LocalExecBackend:
             for fh in files:
                 fh.close()
             comp = Completion(task_uid=uid, exit_status=proc.returncode, t_end=now)
-            self._completed.append(comp)
             executor.enqueue_completion(comp)
         if self._procs:
             self.clock.schedule_in(self.poll_interval_s, self._poll)
         else:
             self._poller_on = False
 
-    def collect_completions(self) -> list[Completion]:
-        out = sorted(self._completed, key=lambda c: c.t_end)
-        self._completed = []
-        return out
-
 
 class SimJsmBackend:
-    """JSM modeled as a backend latency/limit profile, not a protocol.
+    """JSM modeled as a launch latency and a stability limit, not a protocol.
 
     Same pipeline as the DVM backend but without a persistent overlay:
     one launch-latency sample, then the payload runs. JSM destabilizes
@@ -390,7 +291,6 @@ class SimJsmBackend:
         self.unstable = False
         self._seen_executors: set[str] = set()
         self._live: dict[str, tuple[TaskRecord, object]] = {}
-        self._completed: list[Completion] = []
 
     def submit_job(self, rec: TaskRecord, slot: Slot, executor, now: float) -> bool:
         if self.unstable:
@@ -425,14 +325,8 @@ class SimJsmBackend:
         if self.unstable or uid not in self._live:
             return
         rec, executor = self._live.pop(uid)
-        comp = Completion(task_uid=uid, exit_status=0, t_end=self.clock.now_s)
-        self._completed.append(comp)
-        executor.enqueue_completion(comp)
-
-    def collect_completions(self) -> list[Completion]:
-        out = sorted(self._completed, key=lambda c: c.t_end)
-        self._completed = []
-        return out
+        executor.enqueue_completion(
+            Completion(task_uid=uid, exit_status=0, t_end=self.clock.now_s))
 
 
 def make_partitions(pool: ResourcePool, k: int) -> list[ResourcePool]:

@@ -18,27 +18,26 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .core import (
+    TERMINAL_STATES,
     Clock,
     FailureReason,
     RealClock,
     TaskRecord,
     TaskState,
     VirtualClock,
+    Workload,
     advance_state,
     make_workload,
 )
-from .dvm import DvmConfig, DvmTopology, LatencySpec, dvm_start
+from .dvm import LatencySpec, dvm_start
 from .launcher import (
-    BackendKind,
     Completion,
     Executor,
     FdAccountant,
-    LaunchBackendProfile,
     LocalExecBackend,
     SimJsmBackend,
-    SubAgentSet,
     make_partitions,
 )
 from .profiler import (
@@ -64,6 +63,28 @@ from .profiler import (
     EventSink,
 )
 from .scheduler import ResourcePool
+
+
+def build_pool(cfg: ExperimentConfig) -> ResourcePool:
+    """The node pool a configuration describes."""
+    return ResourcePool.uniform(
+        cfg.effective_nodes(),
+        cores_per_node=cfg.pool.cores_per_node,
+        gpus_per_node=cfg.pool.gpus_per_node,
+        agent_nodes=cfg.pool.agent_nodes,
+    )
+
+
+def build_workload(cfg: ExperimentConfig) -> Workload:
+    """The task list a configuration describes."""
+    wl = cfg.workload
+    return make_workload(
+        wl.n_tasks,
+        cores_per_task=wl.cores_per_task,
+        duration_s=wl.duration_s,
+        gpus_per_task=wl.gpus_per_task,
+        bundle_size=wl.bundle_size,
+    )
 
 
 @dataclass
@@ -112,53 +133,22 @@ class PilotRun:
             os.makedirs(run_dir, exist_ok=True)
         self.sink = EventSink(log_path, keep=True)
 
-        self.pool = ResourcePool.uniform(
-            cfg.effective_nodes(),
-            cores_per_node=cfg.pool.cores_per_node,
-            gpus_per_node=cfg.pool.gpus_per_node,
-            agent_nodes=cfg.pool.agent_nodes,
-        )
-        self.profile = LaunchBackendProfile(
-            kind=BackendKind(cfg.backend.kind),
-            submit_delay_s=cfg.backend.submit_delay_s,
-            submit_cost_s=cfg.backend.submit_cost_s,
-            max_rate_hz=cfg.backend.max_rate_hz,
-            fail_prob_over_rate=cfg.backend.fail_prob_over_rate,
-            fd_limit=cfg.backend.fd_limit,
-            fd_reserved=cfg.backend.fd_reserved,
-            fd_per_task=cfg.backend.fd_per_task,
-        )
-        self.fd = FdAccountant(self.profile.fd_limit, self.profile.fd_reserved)
-        self.workload = make_workload(
-            cfg.workload.n_tasks,
-            cores_per_task=cfg.workload.cores_per_task,
-            duration_s=cfg.workload.duration_s,
-            gpus_per_task=cfg.workload.gpus_per_task,
-            bundle_size=cfg.workload.bundle_size,
-        )
-        self.sub_agents = SubAgentSet(
-            n_sub_agents=cfg.subagents.n_sub_agents,
-            executors_per_sub_agent=cfg.subagents.executors_per_sub_agent,
-        )
-        if self.sub_agents.n_executors < cfg.agent.partitions:
-            raise ConfigError("need at least one executor per partition")
+        self.pool = build_pool(cfg)
+        self.fd = FdAccountant(cfg.backend.fd_limit, cfg.backend.fd_reserved)
+        self.workload = build_workload(cfg)
         self.groups = [
             _Partition(pool=p) for p in make_partitions(self.pool, cfg.agent.partitions)
         ]
 
         self.records: dict[str, TaskRecord] = {}
-        self._rec_group: dict[str, _Partition] = {}
         self._pending: deque[TaskRecord] = deque()
         self._sched_busy = False
-        self._fd_held: set[str] = set()
-        self._freed: set[str] = set()
         self._terminal = 0
         self._stopping = False
         self.n_done = 0
         self.n_failed = 0
         self.failures: dict[str, int] = {}
         self.executors: list[Executor] = []
-        self.dvm_handles: list = []
         self._t_ready: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -183,7 +173,7 @@ class PilotRun:
     def _pilot_start(self) -> None:
         cfg = self.cfg
         self._event(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
-            "nodes": str(cfg.pool.nodes),
+            "nodes": str(len(self.pool.nodes)),
             "agent_nodes": str(cfg.pool.agent_nodes),
             "clock": cfg.clock,
             "seed": str(self.seed),
@@ -194,22 +184,14 @@ class PilotRun:
 
     def _build_backends(self) -> None:
         cfg = self.cfg
-        kind = self.profile.kind
+        kind = cfg.backend.kind
         for i, group in enumerate(self.groups):
-            if kind is BackendKind.SIM_DVM:
-                dcfg = DvmConfig(
-                    topology=DvmTopology(cfg.dvm.topology),
-                    capacity_tasks=cfg.dvm.capacity_tasks,
-                    setup=LatencySpec(cfg.dvm.setup_mean_s, cfg.dvm.setup_std_s),
-                    launch_msg=LatencySpec(cfg.dvm.launch_mean_s, cfg.dvm.launch_std_s),
-                    notify=LatencySpec(cfg.dvm.notify_mean_s, cfg.dvm.notify_std_s),
-                )
+            if kind == "sim_dvm":
                 group.backend = dvm_start(
-                    dcfg, group.pool, self.clock, self.rng,
+                    cfg.dvm, group.pool, self.clock, self.rng,
                     sink=self.sink, host=self, uid=f"dvm.{i}",
                 )
-                self.dvm_handles.append(group.backend)
-            elif kind is BackendKind.SIM_JSM:
+            elif kind == "sim_jsm":
                 group.backend = SimJsmBackend(
                     self.clock, self,
                     LatencySpec(cfg.dvm.launch_mean_s, cfg.dvm.launch_std_s),
@@ -227,12 +209,13 @@ class PilotRun:
                 )
 
     def _build_executors(self) -> None:
+        sub = self.cfg.subagents
         k = len(self.groups)
-        for j in range(self.sub_agents.n_executors):
+        for j in range(sub.n_sub_agents * sub.executors_per_sub_agent):
             group = self.groups[j % k]
             ex = Executor(
                 uid=f"exec.{j:03d}",
-                profile=self.profile,
+                config=self.cfg.backend,
                 clock=self.clock,
                 fd=self.fd,
                 backend=group.backend,
@@ -255,8 +238,8 @@ class PilotRun:
                         EV_BUNDLE_RECEIVED, {"size": str(len(bundle))})
             for spec in bundle:
                 rec = TaskRecord.new(spec, t=now)
+                rec.partition = idx % k
                 self.records[spec.uid] = rec
-                self._rec_group[spec.uid] = self.groups[idx % k]
                 self._pending.append(rec)
                 idx += 1
         self._kick_sched()
@@ -274,7 +257,7 @@ class PilotRun:
 
     def _sched_complete(self, rec: TaskRecord) -> None:
         self._sched_busy = False
-        group = self._rec_group[rec.uid]
+        group = self.groups[rec.partition]
         slot = group.pool.try_schedule(rec.spec)
         if slot is None:
             group.waitpool.append(rec)
@@ -291,9 +274,6 @@ class PilotRun:
 
     # -- executor host hooks ---------------------------------------------------
 
-    def fd_acquired(self, rec: TaskRecord) -> None:
-        self._fd_held.add(rec.uid)
-
     def task_submitted(self, rec: TaskRecord, executor: Executor,
                        waited: float, now: float) -> None:
         advance_state(rec, TaskState.SUBMITTED, now)
@@ -306,7 +286,7 @@ class PilotRun:
 
     def task_collected(self, comp: Completion, now: float) -> None:
         rec = self.records[comp.task_uid]
-        if rec.state in (TaskState.DONE, TaskState.FAILED, TaskState.CANCELED):
+        if rec.state in TERMINAL_STATES:
             return
         if comp.exit_status == 0:
             advance_state(rec, TaskState.DONE, comp.t_end)
@@ -324,7 +304,7 @@ class PilotRun:
         self._after_terminal()
 
     def task_failed(self, rec: TaskRecord, reason: FailureReason, now: float) -> None:
-        if rec.state in (TaskState.DONE, TaskState.FAILED, TaskState.CANCELED):
+        if rec.state in TERMINAL_STATES:
             return
         rec.failure_reason = reason
         advance_state(rec, TaskState.FAILED, now)
@@ -341,13 +321,14 @@ class PilotRun:
         self.failures[reason.value] = self.failures.get(reason.value, 0) + 1
 
     def _release(self, rec: TaskRecord, now: float) -> None:
-        if rec.uid in self._fd_held:
-            self.fd.release(self.profile.fd_per_task)
-            self._fd_held.discard(rec.uid)
-        group = self._rec_group[rec.uid]
-        if rec.slot is not None and rec.uid not in self._freed:
+        """Return a task's descriptors and slot; runs once per task, when
+        it turns terminal (the host hooks return early after that)."""
+        if rec.fds_held:
+            self.fd.release(rec.fds_held)
+            rec.fds_held = 0
+        group = self.groups[rec.partition]
+        if rec.slot is not None:
             group.pool.unschedule(rec.slot)
-            self._freed.add(rec.uid)
             self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
         if group.waitpool:
             self._pending.extendleft(reversed(group.waitpool))

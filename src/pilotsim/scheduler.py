@@ -150,9 +150,6 @@ class ResourcePool:
     def free_gpu_count(self) -> int:
         return sum(s.free_gpus for s in self._states.values())
 
-    def fits_at_all(self, spec: TaskSpec) -> bool:
-        return spec.cores <= self.total_worker_cores and spec.gpus <= self.total_worker_gpus
-
     def try_schedule(self, spec: TaskSpec) -> Optional[Slot]:
         """First-fit placement; returns None when there is no capacity now."""
         # single-node placement first
@@ -234,11 +231,3 @@ class ResourcePool:
             and self._states[self._worker_order[self._scan_hint]].free_cores == 0
         ):
             self._scan_hint += 1
-
-
-def try_schedule(pool: ResourcePool, spec: TaskSpec) -> Optional[Slot]:
-    return pool.try_schedule(spec)
-
-
-def unschedule(pool: ResourcePool, slot: Slot) -> None:
-    pool.unschedule(slot)

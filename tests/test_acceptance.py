@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from pilotsim import (
-    DvmConfig,
+    DvmSimConfig,
     ExperimentConfig,
     Interval,
-    LatencySpec,
+    JobStage,
     ResourcePool,
     TaskRecord,
     TaskSpec,
+    TaskState,
     VirtualClock,
     aggregate_overhead,
     compute_ttx,
@@ -121,11 +122,12 @@ class _StubExecutor:
         self.completions.append(comp)
 
 
-def _dvm_fixture(capacity, seed=0, launch=LatencySpec(0.0)):
+def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
     clock = VirtualClock()
     pool = ResourcePool.uniform(816, agent_nodes=1)
-    config = DvmConfig(capacity_tasks=capacity, setup=LatencySpec(0.0),
-                       launch_msg=launch, notify=LatencySpec(0.0))
+    config = DvmSimConfig(capacity_tasks=capacity, setup_mean_s=0.0,
+                          launch_mean_s=launch[0], launch_std_s=launch[1],
+                          notify_mean_s=0.0)
     host = _StubHost()
     handle = dvm_start(config, pool, clock, np.random.default_rng(seed), host=host)
     return clock, handle, host
@@ -172,13 +174,16 @@ class TestCriterion4LaunchLatency:
         t0 = time.monotonic()
         ex = _StubExecutor()
         clock, handle, _ = _dvm_fixture(
-            capacity=20000, seed=2026, launch=LatencySpec(0.034, 0.047)
+            capacity=20000, seed=2026, launch=(0.034, 0.047)
         )
         for i in range(16384):
             handle.submit_job(_job(f"t{i}", 900.0), None, ex, 0.0)
         clock.run()
         took = time.monotonic() - t0
-        lat = np.array(handle.launch_latencies)
+        lat = np.array([
+            j.stage_t[JobStage.RUNNING] - j.stage_t[JobStage.SENDING_LAUNCH_MSG]
+            for j in handle.jobs.values()
+        ])
         assert len(lat) == 16384
         mean = float(lat.mean())
         total = float(lat.sum())
@@ -343,7 +348,7 @@ class TestCriterion9RateContract:
             cfg.backend.fd_limit = 65536
             cfg.backend.fd_reserved = 0
             res = run_pilot(cfg, seed=3)
-            ts = res.executors[0].submitted_ts
+            ts = sorted(r.t_of(TaskState.SUBMITTED) for r in res.records.values())
             assert len(ts) == 64
             assert all(b - a >= delay - 1e-9 for a, b in zip(ts, ts[1:])), delay
 
@@ -356,7 +361,8 @@ class TestCriterion9RateContract:
         cfg.backend.fd_limit = 65536
         cfg.backend.fd_reserved = 0
         res = run_pilot(cfg, seed=3)
-        total_wait = sum(res.executors[0].enforced_waits)
+        total_wait = sum(float(e.attrs["wait"]) for e in res.events
+                         if e.name == "submit")
         assert total_wait >= 102.3
         took = time.monotonic() - t0
         assert took < self.BUDGET

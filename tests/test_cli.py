@@ -233,6 +233,27 @@ class TestMainExitCodes:
         bad.write_text("workload.n_tasks=0\n")
         assert main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        "backend.submit_delay_s=-1",
+        "backend.submit_cost_s=-0.5",
+        "backend.fd_per_task=0",
+        "dvm.setup_mean_s=-1",
+        "dvm.launch_std_s=-1",
+        "workload.gpus_per_task=-1",
+        "pool.nodes=3\nagent.partitions=2",  # one executor, two partitions
+        # valid at 84 tasks (two worker nodes), but the sweep's second
+        # point autosizes to one worker node, too few for two partitions
+        "pool.autosize=1\nworkload.n_tasks=84\nagent.partitions=2\n"
+        "subagents.n_sub_agents=2\nsweep.n_tasks=84,1",
+    ])
+    def test_invalid_config_is_2_and_runs_nothing(self, tmp_path, bad):
+        cfg_path = tmp_path / "bad.cfg"
+        write_cfg(cfg_path, small_cfg(tmp_path / "out"))
+        with open(cfg_path, "a") as fh:
+            fh.write(bad + "\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert list(tmp_path.glob("out/**/rep_*")) == []
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from pilotsim import (
-    DvmConfig,
-    DvmTopology,
+    ConfigError,
+    DvmSimConfig,
     IncompleteJob,
     Interval,
     JobStage,
-    LatencySpec,
     ResourcePool,
     TaskRecord,
     TaskSpec,
@@ -15,7 +14,7 @@ from pilotsim import (
     aggregate_overhead,
     dvm_job_durations,
     dvm_start,
-    dvm_submit,
+    parse_config_text,
 )
 
 
@@ -46,10 +45,16 @@ def rec_of(uid, duration=900.0):
 
 
 def zero_latency_config(**kw):
-    kw.setdefault("setup", LatencySpec(0.0))
-    kw.setdefault("launch_msg", LatencySpec(0.0))
-    kw.setdefault("notify", LatencySpec(0.0))
-    return DvmConfig(**kw)
+    kw.setdefault("launch_mean_s", 0.0)
+    kw.setdefault("launch_std_s", 0.0)
+    kw.setdefault("setup_mean_s", 0.0)
+    kw.setdefault("notify_mean_s", 0.0)
+    return DvmSimConfig(**kw)
+
+
+def launch_latencies(handle):
+    return [j.stage_t[JobStage.RUNNING] - j.stage_t[JobStage.SENDING_LAUNCH_MSG]
+            for j in handle.jobs.values()]
 
 
 def boot(config, n_nodes=2, seed=0):
@@ -72,7 +77,7 @@ class TestDvmStart:
 
     def test_restart_fresh_job_table(self):
         clock, handle, host, ex = boot(zero_latency_config())
-        dvm_submit(handle, rec_of("t0", 1.0), None, ex)
+        handle.submit_job(rec_of("t0", 1.0), None, ex, clock.now_s)
         clock.run()
         assert handle.jobs
         handle.terminate()
@@ -86,7 +91,7 @@ class TestDvmStart:
 class TestDvmSubmit:
     def test_zero_latency_stage_walk(self):
         clock, handle, host, ex = boot(zero_latency_config())
-        assert dvm_submit(handle, rec_of("t0", 900.0), None, ex)
+        assert handle.submit_job(rec_of("t0", 900.0), None, ex, clock.now_s)
         clock.run()
         job = handle.jobs["t0"]
         t = job.stage_t
@@ -95,16 +100,12 @@ class TestDvmSubmit:
         assert ex.completions[0].exit_status == 0
 
     def test_seeded_launch_latency_moments(self):
-        config = DvmConfig(
-            setup=LatencySpec(0.0),
-            launch_msg=LatencySpec(0.034, 0.047),
-            notify=LatencySpec(0.0),
-        )
+        config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock, handle, host, ex = boot(config, seed=2026)
         for i in range(16384):
-            dvm_submit(handle, rec_of(f"t{i}", 900.0), None, ex)
+            handle.submit_job(rec_of(f"t{i}", 900.0), None, ex, clock.now_s)
         clock.run()
-        lat = np.array(handle.launch_latencies)
+        lat = np.array(launch_latencies(handle))
         assert len(lat) == 16384
         assert abs(lat.mean() - 0.034) <= 0.1 * 0.034
         assert 500.0 <= lat.sum() <= 650.0
@@ -143,13 +144,11 @@ class TestDvmSubmit:
 
 class TestJobDurations:
     def _finished_job(self, setup, launch, notify, payload):
-        config = DvmConfig(
-            setup=LatencySpec(setup),
-            launch_msg=LatencySpec(launch),
-            notify=LatencySpec(notify),
+        config = zero_latency_config(
+            setup_mean_s=setup, launch_mean_s=launch, notify_mean_s=notify,
         )
         clock, handle, host, ex = boot(config)
-        dvm_submit(handle, rec_of("t0", payload), None, ex)
+        handle.submit_job(rec_of("t0", payload), None, ex, clock.now_s)
         clock.run()
         return handle.jobs["t0"]
 
@@ -178,14 +177,14 @@ class TestJobDurations:
 
 class TestDvmProperties:
     def test_stage_monotonicity_and_conservation(self):
-        config = DvmConfig(
-            setup=LatencySpec(0.1, 0.05),
-            launch_msg=LatencySpec(0.034, 0.047),
-            notify=LatencySpec(0.05, 0.02),
+        config = DvmSimConfig(
+            setup_mean_s=0.1, setup_std_s=0.05,
+            launch_mean_s=0.034, launch_std_s=0.047,
+            notify_mean_s=0.05, notify_std_s=0.02,
         )
         clock, handle, host, ex = boot(config, seed=9)
         for i in range(200):
-            dvm_submit(handle, rec_of(f"t{i}", 3.0), None, ex)
+            handle.submit_job(rec_of(f"t{i}", 3.0), None, ex, clock.now_s)
         clock.run()
         order = [JobStage.INIT_COMPLETE, JobStage.PENDING_APP_LAUNCH,
                  JobStage.SENDING_LAUNCH_MSG, JobStage.RUNNING,
@@ -198,11 +197,7 @@ class TestDvmProperties:
     def test_non_overlapping_latencies_sum(self):
         # submission gap larger than the launch latency: the aggregated
         # launch overhead is the plain sum of individual latencies
-        config = DvmConfig(
-            setup=LatencySpec(0.0),
-            launch_msg=LatencySpec(0.034, 0.047),
-            notify=LatencySpec(0.0),
-        )
+        config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock = VirtualClock()
         pool = ResourcePool.uniform(2, agent_nodes=1)
         handle = dvm_start(config, pool, clock, np.random.default_rng(4))
@@ -218,11 +213,9 @@ class TestDvmProperties:
             for j in handle.jobs.values()
         ]
         union, _ = aggregate_overhead(intervals)
-        assert union == pytest.approx(sum(handle.launch_latencies))
+        assert union == pytest.approx(sum(launch_latencies(handle)))
 
-    def test_tree_topology_defaults(self):
-        tree = DvmConfig.tree()
-        flat = DvmConfig.flat()
-        assert tree.topology is DvmTopology.TREE
-        assert tree.capacity_tasks >= 32768
-        assert tree.launch_msg.mean_s == pytest.approx(flat.launch_msg.mean_s / 2)
+    def test_topology_key_rejected(self):
+        # a tree overlay is a different capacity and launch latency
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text("dvm.topology=tree\n")

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from pilotsim import (
-    BackendKind,
+    ConfigError,
     FailureReason,
     FdAccountant,
-    LaunchBackendProfile,
-    LatencySpec,
     RateLimiter,
     ResourcePool,
-    SimJsmBackend,
-    SubAgentSet,
     TaskState,
-    VirtualClock,
-    fd_acquire,
     make_partitions,
+    parse_config_text,
     rate_gate,
     run_pilot,
 )
 
 from conftest import zero_overhead
+
+
+def submit_times(res):
+    """Submission times of every task of a run without failures, in order."""
+    return sorted(r.t_of(TaskState.SUBMITTED) for r in res.records.values())
 
 
 class TestRateGate:
@@ -58,14 +58,14 @@ class TestFdAccountant:
     def test_paper_ceiling_967(self):
         acct = FdAccountant(limit=4096, reserved=1195)
         held = 0
-        while fd_acquire(acct, 3):
+        while acct.acquire(3):
             held += 1
         assert held == 967
 
     def test_minimal_budget_one_task(self):
         acct = FdAccountant(limit=3, reserved=0)
-        assert fd_acquire(acct, 3)
-        assert not fd_acquire(acct, 3)
+        assert acct.acquire(3)
+        assert not acct.acquire(3)
 
     def test_random_trace_counter_oracle(self):
         rng = np.random.default_rng(5)
@@ -79,7 +79,7 @@ class TestFdAccountant:
                 counter -= n
             else:
                 n = int(rng.integers(1, 5))
-                if fd_acquire(acct, n):
+                if acct.acquire(n):
                     counter += n
                     held.append(n)
                 else:
@@ -94,21 +94,19 @@ class TestFdAccountant:
 
 class TestProfileValidation:
     def test_jsm_fd_limit_is_fixed(self):
-        with pytest.raises(ValueError):
-            LaunchBackendProfile(kind=BackendKind.SIM_JSM, fd_limit=65536)
+        with pytest.raises(ConfigError):
+            parse_config_text("backend.kind=sim_jsm\nbackend.fd_limit=65536\n")
 
     def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            LaunchBackendProfile(fail_prob_over_rate=1.5)
+        with pytest.raises(ConfigError):
+            parse_config_text("backend.fail_prob_over_rate=1.5\n")
 
-    def test_factories(self):
-        assert LaunchBackendProfile.sim_jsm().fd_limit == 4096
-        assert LaunchBackendProfile.local_exec().submit_delay_s == 0.0
-
-    def test_sub_agent_set(self):
-        assert SubAgentSet(4, 2).n_executors == 8
-        with pytest.raises(ValueError):
-            SubAgentSet(0, 1)
+    def test_sub_agent_set(self, quick_cfg):
+        cfg = quick_cfg(subagents__n_sub_agents=4,
+                        subagents__executors_per_sub_agent=2)
+        assert len(run_pilot(cfg, seed=1).executors) == 8
+        with pytest.raises(ConfigError):
+            parse_config_text("subagents.n_sub_agents=0\n")
 
 
 class TestSubmitPipeline:
@@ -146,18 +144,14 @@ class TestSubmitPipeline:
 
 
 class TestCollect:
-    def test_no_running_tasks_empty(self):
-        clock = VirtualClock()
-        backend = SimJsmBackend(clock, host=None, latency=LatencySpec(0.0), rng=np.random.default_rng(0))
-        assert backend.collect_completions() == []
-
     def test_end_time_order(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=10))
         cfg.backend.submit_cost_s = 0.01  # stagger starts
         res = run_pilot(cfg, seed=1)
         ends = [r.timestamps[TaskState.DONE] for r in res.records.values()]
-        collected = res.executors[0].collected
-        assert [c.t_end for c in collected] == sorted(ends)
+        collected = [e.t_s for e in res.events if e.name == "done"]
+        assert len(collected) == 10
+        assert collected == sorted(round(t, 6) for t in ends)
 
     def test_end_stagger_mirrors_start_stagger(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=8))
@@ -209,7 +203,7 @@ class TestExecutorInvariants:
         cfg = quick_cfg(workload__n_tasks=32)
         cfg.backend.submit_delay_s = delay
         res = run_pilot(cfg, seed=3)
-        ts = res.executors[0].submitted_ts
+        ts = submit_times(res)
         assert len(ts) == 32
         assert all(b - a >= delay - 1e-9 for a, b in zip(ts, ts[1:]))
 
@@ -224,7 +218,7 @@ class TestExecutorInvariants:
             cfg.backend.submit_delay_s = 0.1
             cfg.subagents.n_sub_agents = n_subagents
             res = run_pilot(cfg, seed=1)
-            ts = [t for ex in res.executors for t in ex.submitted_ts]
+            ts = submit_times(res)
             return max(ts) - min(ts)
 
         serial = makespan(1)

@@ -91,3 +91,13 @@ class TestRealClockSmoke:
         assert 1.0 <= span <= 1.6  # payload plus poll jitter
         log = load_profile(str(tmp_path / "real" / "profile.log"))
         assert any(e.name == "pilot_stop" for e in log)
+
+
+class TestPilotStart:
+    def test_node_count_is_the_pool_size(self, quick_cfg):
+        cfg = quick_cfg(workload__n_tasks=100, pool__autosize=1)
+        res = run_pilot(cfg, seed=1)
+        start = res.events[0]
+        assert start.name == "pilot_start"
+        assert len(res.pool.nodes) == 4  # 3 worker nodes + 1 agent node
+        assert start.attrs["nodes"] == str(len(res.pool.nodes))

@@ -7,8 +7,6 @@ from pilotsim import (
     ResourcePool,
     Slot,
     TaskSpec,
-    try_schedule,
-    unschedule,
 )
 
 
@@ -65,25 +63,25 @@ def as_placement(slot: Slot):
 class TestTrySchedule:
     def test_first_fit_smallest_indices(self):
         pool = ResourcePool([Node(0, cores=2, gpus=0)], agent_nodes=0)
-        slot = try_schedule(pool, spec(1))
+        slot = pool.try_schedule(spec(1))
         assert as_placement(slot) == [(0, (0,), ())]
 
     def test_paper_scale_concurrency_fits(self):
         # 25 worker nodes x 42 cores hold 1024 one-core tasks concurrently
         pool = ResourcePool.uniform(26, cores_per_node=42, gpus_per_node=0, agent_nodes=1)
-        slots = [try_schedule(pool, spec(1, uid=f"t{i}")) for i in range(1024)]
+        slots = [pool.try_schedule(spec(1, uid=f"t{i}")) for i in range(1024)]
         assert all(s is not None for s in slots)
         assert pool.free_core_count() == 25 * 42 - 1024
 
     def test_multi_node_spill(self):
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
-        slot = try_schedule(pool, spec(6))
+        slot = pool.try_schedule(spec(6))
         assert [len(a.core_indices) for a in slot.assignments] == [4, 2]
 
     def test_no_capacity_is_not_an_error(self):
         pool = ResourcePool([Node(0, cores=2, gpus=0)], agent_nodes=0)
-        try_schedule(pool, spec(2))
-        assert try_schedule(pool, spec(1)) is None
+        pool.try_schedule(spec(2))
+        assert pool.try_schedule(spec(1)) is None
 
     def test_random_trace_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
@@ -94,12 +92,12 @@ class TestTrySchedule:
             if live and (rng.random() < 0.45 or pool.free_core_count() == 0):
                 idx = int(rng.integers(len(live)))
                 slot, placement = live.pop(idx)
-                unschedule(pool, slot)
+                pool.unschedule(slot)
                 oracle.free(placement)
             else:
                 cores = int(rng.integers(1, 4))
                 gpus = int(rng.integers(0, 2))
-                slot = try_schedule(pool, spec(cores, gpus, uid=f"t{step}"))
+                slot = pool.try_schedule(spec(cores, gpus, uid=f"t{step}"))
                 placement = oracle.alloc(cores, gpus)
                 if slot is None:
                     assert placement is None
@@ -113,16 +111,16 @@ class TestUnschedule:
     def test_bind_then_release_restores_pool(self):
         pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         before = (pool.free_core_count(), pool.free_gpu_count())
-        slot = try_schedule(pool, spec(3, 1))
-        unschedule(pool, slot)
+        slot = pool.try_schedule(spec(3, 1))
+        pool.unschedule(slot)
         assert (pool.free_core_count(), pool.free_gpu_count()) == before
 
     def test_double_free_rejected(self):
         pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
-        slot = try_schedule(pool, spec(2))
-        unschedule(pool, slot)
+        slot = pool.try_schedule(spec(2))
+        pool.unschedule(slot)
         with pytest.raises(DoubleFree):
-            unschedule(pool, slot)
+            pool.unschedule(slot)
 
     def test_interleaved_counter_oracle(self):
         rng = np.random.default_rng(11)
@@ -133,11 +131,11 @@ class TestUnschedule:
         for i in range(100):
             if live and rng.random() < 0.4:
                 slot = live.pop(int(rng.integers(len(live))))
-                unschedule(pool, slot)
+                pool.unschedule(slot)
                 bound -= slot.n_cores
             else:
                 cores = int(rng.integers(1, 5))
-                slot = try_schedule(pool, spec(cores, uid=f"t{i}"))
+                slot = pool.try_schedule(spec(cores, uid=f"t{i}"))
                 if slot is not None:
                     live.append(slot)
                     bound += cores
@@ -152,9 +150,9 @@ class TestInvariants:
         live = []
         for i in range(300):
             if live and rng.random() < 0.5:
-                unschedule(pool, live.pop(int(rng.integers(len(live)))))
+                pool.unschedule(live.pop(int(rng.integers(len(live)))))
             else:
-                slot = try_schedule(pool, spec(int(rng.integers(1, 4)), uid=f"t{i}"))
+                slot = pool.try_schedule(spec(int(rng.integers(1, 4)), uid=f"t{i}"))
                 if slot is not None:
                     live.append(slot)
             bound = sum(s.n_cores for s in live)
@@ -171,12 +169,12 @@ class TestInvariants:
         pool = ResourcePool.uniform(3, cores_per_node=7, gpus_per_node=0, agent_nodes=1)
         free = pool.free_core_count()
         for i in range(free):
-            assert try_schedule(pool, spec(1, uid=f"t{i}")) is not None
-        assert try_schedule(pool, spec(1, uid="overflow")) is None
+            assert pool.try_schedule(spec(1, uid=f"t{i}")) is not None
+        assert pool.try_schedule(spec(1, uid="overflow")) is None
 
 
 class TestSlotEncoding:
     def test_round_trip(self):
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
-        slot = try_schedule(pool, spec(6, 2))
+        slot = pool.try_schedule(spec(6, 2))
         assert Slot.decode(slot.encode()) == slot

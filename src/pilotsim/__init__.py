@@ -37,15 +37,7 @@ from .launcher import (
     make_partitions,
     rate_gate,
 )
-from .dvm import (
-    DvmHandle,
-    DvmJob,
-    IncompleteJob,
-    JobStage,
-    LatencySpec,
-    dvm_job_durations,
-    dvm_start,
-)
+from .dvm import DvmHandle, LatencySpec, dvm_start
 from .profiler import (
     Event,
     EventSink,

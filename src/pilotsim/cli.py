@@ -24,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .config import ConfigError, ExperimentConfig, parse_config_file, to_flat
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    parse_config_file,
+    parse_config_text,
+    to_flat,
+)
 from .pilot import PilotRun, build_pool, build_workload
 from .profiler import Event, load_profile
 from .scheduler import ResourcePool
@@ -86,6 +92,13 @@ def _write_meta(rep_dir: str, cfg: ExperimentConfig, seed: int, rep: int) -> Non
             fh.write(f"{k}={v}\n")
 
 
+def _read_meta(rep_dir: str) -> ExperimentConfig:
+    """The configuration a repetition ran with, from its `meta.txt` echo."""
+    path = os.path.join(rep_dir, "meta.txt")
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config_text(fh.read(), source=path)
+
+
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute all repetitions (expanding a sweep into one sub-run per
     scale point); returns the run directory."""
@@ -132,14 +145,7 @@ def _rep_dirs(run_dir: str) -> list[str]:
 
 def analyze(run_dir: str) -> list[dict[str, float]]:
     """Recompute reports for every repetition from its log and metadata."""
-    from .config import parse_config_text
-
-    results = []
-    for rep_dir in _rep_dirs(run_dir):
-        meta_path = os.path.join(rep_dir, "meta.txt")
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read(), source=meta_path)
-        results.append(analyze_rep(rep_dir, cfg))
+    results = [analyze_rep(rep_dir, _read_meta(rep_dir)) for rep_dir in _rep_dirs(run_dir)]
     if not results:
         raise NoCompleteRuns(f"no repetitions found under {run_dir}")
     return results
@@ -151,14 +157,11 @@ def emit_report(run_dir: str) -> str:
     Repetitions whose log is truncated (no pilot_stop) are flagged and
     excluded. Returns the consolidated CSV path.
     """
-    from .config import parse_config_text
-
     per_rep: list[dict[str, float]] = []
     flagged: list[str] = []
     for rep_dir in _rep_dirs(run_dir):
         try:
-            with open(os.path.join(rep_dir, "meta.txt"), "r", encoding="utf-8") as fh:
-                cfg = parse_config_text(fh.read(), source=rep_dir)
+            cfg = _read_meta(rep_dir)
             table = analysis.TaskTable.from_events(
                 load_profile(os.path.join(rep_dir, "profile.log")))
             pool = build_pool(cfg)

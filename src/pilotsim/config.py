@@ -133,12 +133,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         """The one place a configuration is checked; the runtime reads
         the validated sections as they are."""
-        wl, pl, be, sa, dv = (self.workload, self.pool, self.backend,
-                              self.subagents, self.dvm)
+        wl, pl, be, sa, dv, ag = (self.workload, self.pool, self.backend,
+                                  self.subagents, self.dvm, self.agent)
         if self.clock not in ("virtual", "real"):
             raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        # NaN fails every range check below, so non-finite floats go first
+        for section in _SECTIONS:
+            obj = getattr(self, section)
+            for f in fields(obj):
+                val = getattr(obj, f.name)
+                if isinstance(val, float) and not math.isfinite(val):
+                    raise ConfigError(f"{section}.{f.name} must be finite, got {val}")
         if wl.n_tasks < 1 or wl.cores_per_task < 1 or wl.duration_s <= 0:
             raise ConfigError("workload needs n_tasks>=1, cores>=1, duration>0")
         if wl.gpus_per_task < 0:
@@ -161,6 +168,8 @@ class ExperimentConfig:
             raise ConfigError("fd_per_task must be >= 1")
         if be.fd_reserved >= be.fd_limit:
             raise ConfigError("fd_reserved must be < fd_limit")
+        if be.max_rate_hz is not None and be.max_rate_hz <= 0:
+            raise ConfigError("max_rate_hz must be > 0 (none turns the rate check off)")
         if not 0.0 <= be.fail_prob_over_rate <= 1.0:
             raise ConfigError("fail_prob_over_rate must be in [0, 1]")
         if sa.n_sub_agents < 1 or sa.executors_per_sub_agent < 1:
@@ -170,21 +179,24 @@ class ExperimentConfig:
         if min(dv.setup_mean_s, dv.setup_std_s, dv.launch_mean_s,
                dv.launch_std_s, dv.notify_mean_s, dv.notify_std_s) < 0:
             raise ConfigError("dvm latency means and stddevs must be >= 0")
-        if self.agent.partitions < 1:
+        if min(ag.startup_s, ag.termination_s, ag.schedule_cost_s, ag.gpu_weight) < 0:
+            raise ConfigError(
+                "agent startup_s, termination_s, schedule_cost_s and gpu_weight must be >= 0")
+        if ag.partitions < 1:
             raise ConfigError("partitions must be >= 1")
-        if self.agent.partitions > sa.n_sub_agents * sa.executors_per_sub_agent:
+        if ag.partitions > sa.n_sub_agents * sa.executors_per_sub_agent:
             raise ConfigError("need at least one executor per partition")
         workers = nodes - pl.agent_nodes
-        if self.agent.partitions > workers:
+        if ag.partitions > workers:
             raise ConfigError("partitions exceed worker node count")
         # every task must fit one partition, or the run would stall
-        part_cores = (workers // self.agent.partitions) * pl.cores_per_node
+        part_cores = (workers // ag.partitions) * pl.cores_per_node
         if wl.cores_per_task > part_cores:
             raise ConfigError(
                 f"cores_per_task ({wl.cores_per_task}) exceeds partition "
                 f"capacity ({part_cores} cores)"
             )
-        if wl.gpus_per_task > (workers // self.agent.partitions) * pl.gpus_per_node:
+        if wl.gpus_per_task > (workers // ag.partitions) * pl.gpus_per_node:
             raise ConfigError("gpus_per_task exceeds partition capacity")
 
 

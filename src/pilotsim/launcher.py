@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import BackendConfig
 from .core import Clock, FailureReason, TaskRecord
-from .scheduler import ResourcePool, Slot
+from .scheduler import ResourcePool
 
 
 class FdAccountant:
@@ -101,9 +101,11 @@ class Completion:
 class Executor:
     """One sequential launch worker: paced submit lane plus drain lane.
 
-    The host object wires the executor into the agent: it owns task
-    state transitions, event recording, slot release, and the release of
-    the descriptors the executor charged to `rec.fds_held`.
+    A task arrives as its record, which already carries the slot the
+    scheduler placed it on (`rec.slot`); the lanes and backends pass the
+    record on. The host object wires the executor into the agent: it owns
+    task state transitions, event recording, slot release, and the
+    release of the descriptors the executor charged to `rec.fds_held`.
     """
 
     def __init__(
@@ -125,7 +127,7 @@ class Executor:
         self.rng = rng
         self.submit_gate = RateLimiter()
         self.drain_gate = RateLimiter()
-        self._submit_q: deque[tuple[TaskRecord, Slot]] = deque()
+        self._submit_q: deque[TaskRecord] = deque()
         self._drain_q: deque[Completion] = deque()
         self._submit_busy = False
         self._drain_busy = False
@@ -133,8 +135,8 @@ class Executor:
 
     # -- submit lane ---------------------------------------------------------
 
-    def enqueue(self, rec: TaskRecord, slot: Slot) -> None:
-        self._submit_q.append((rec, slot))
+    def enqueue(self, rec: TaskRecord) -> None:
+        self._submit_q.append(rec)
         self._kick_submit()
 
     def _kick_submit(self) -> None:
@@ -145,7 +147,7 @@ class Executor:
         self.clock.schedule_in(wait, lambda: self._do_submit(wait))
 
     def _do_submit(self, waited: float) -> None:
-        rec, slot = self._submit_q.popleft()
+        rec = self._submit_q.popleft()
         now = self.clock.now_s
         if not self.fd.acquire(self.config.fd_per_task):
             self.host.task_failed(rec, FailureReason.FD_EXHAUSTED, now)
@@ -158,9 +160,7 @@ class Executor:
             return
         self._last_submit_t = now
         self.host.task_submitted(rec, self, waited, now)
-        self.clock.schedule_in(
-            self.config.submit_cost_s, lambda: self._dispatch(rec, slot)
-        )
+        self.clock.schedule_in(self.config.submit_cost_s, lambda: self._dispatch(rec))
 
     def _over_rate(self, now: float) -> bool:
         if self.config.max_rate_hz is None or self._last_submit_t is None:
@@ -168,9 +168,9 @@ class Executor:
         gap = now - self._last_submit_t
         return gap * self.config.max_rate_hz < 1.0
 
-    def _dispatch(self, rec: TaskRecord, slot: Slot) -> None:
+    def _dispatch(self, rec: TaskRecord) -> None:
         now = self.clock.now_s
-        accepted = self.backend.submit_job(rec, slot, self, now)
+        accepted = self.backend.submit_job(rec, self, now)
         if not accepted:
             self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
         self._end_submit_op(now)
@@ -221,7 +221,7 @@ class LocalExecBackend:
         self._poller_on = False
         os.makedirs(stdio_dir, exist_ok=True)
 
-    def submit_job(self, rec: TaskRecord, slot: Slot, executor, now: float) -> bool:
+    def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
         spec = rec.spec
         if spec.executable is not None:
             argv = [spec.executable, *spec.args]
@@ -292,7 +292,7 @@ class SimJsmBackend:
         self._seen_executors: set[str] = set()
         self._live: dict[str, tuple[TaskRecord, object]] = {}
 
-    def submit_job(self, rec: TaskRecord, slot: Slot, executor, now: float) -> bool:
+    def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
         if self.unstable:
             return False
         self._seen_executors.add(executor.uid)
@@ -312,7 +312,7 @@ class SimJsmBackend:
             self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
 
     def _to_running(self, uid: str) -> None:
-        if self.unstable or uid not in self._live:
+        if uid not in self._live:
             return
         rec, _ = self._live[uid]
         now = self.clock.now_s
@@ -322,7 +322,7 @@ class SimJsmBackend:
         )
 
     def _payload_end(self, uid: str) -> None:
-        if self.unstable or uid not in self._live:
+        if uid not in self._live:
             return
         rec, executor = self._live.pop(uid)
         executor.enqueue_completion(

@@ -131,7 +131,7 @@ class PilotRun:
         log_path = os.path.join(run_dir, "profile.log") if run_dir else None
         if run_dir:
             os.makedirs(run_dir, exist_ok=True)
-        self.sink = EventSink(log_path, keep=True)
+        self.sink = EventSink(log_path)
 
         self.pool = build_pool(cfg)
         self.fd = FdAccountant(cfg.backend.fd_limit, cfg.backend.fd_reserved)
@@ -143,8 +143,6 @@ class PilotRun:
         self.records: dict[str, TaskRecord] = {}
         self._pending: deque[TaskRecord] = deque()
         self._sched_busy = False
-        self._terminal = 0
-        self._stopping = False
         self.n_done = 0
         self.n_failed = 0
         self.failures: dict[str, int] = {}
@@ -189,7 +187,7 @@ class PilotRun:
             if kind == "sim_dvm":
                 group.backend = dvm_start(
                     cfg.dvm, group.pool, self.clock, self.rng,
-                    sink=self.sink, host=self, uid=f"dvm.{i}",
+                    self.sink, self, uid=f"dvm.{i}",
                 )
             elif kind == "sim_jsm":
                 group.backend = SimJsmBackend(
@@ -269,7 +267,7 @@ class PilotRun:
                         {"slot": slot.encode(), "cores": str(rec.spec.cores)})
             ex = group.executors[group.rr % len(group.executors)]
             group.rr += 1
-            ex.enqueue(rec, slot)
+            ex.enqueue(rec)
         self._kick_sched()
 
     # -- executor host hooks ---------------------------------------------------
@@ -336,9 +334,8 @@ class PilotRun:
             self._kick_sched()
 
     def _after_terminal(self) -> None:
-        self._terminal += 1
-        if self._terminal == len(self.workload) and not self._stopping:
-            self._stopping = True
+        # true once: each task turns terminal exactly once
+        if self.n_done + self.n_failed == len(self.workload):
             self.clock.schedule_in(self.cfg.agent.termination_s, self._pilot_stop)
 
     def _pilot_stop(self) -> None:

@@ -111,18 +111,17 @@ class Event:
 
 
 class EventSink:
-    """Buffered event writer; optionally also keeps events in memory.
+    """Buffered event writer that also keeps every event in memory.
 
     Writes are flushed explicitly at pilot termination. A crash-truncated
     log is detectable by the missing pilot_stop sentinel.
     """
 
-    def __init__(self, path: Optional[str] = None, keep: bool = True):
+    def __init__(self, path: Optional[str] = None):
         self.path = path
         self._fh: Optional[io.TextIOWrapper] = None
         if path is not None:
             self._fh = open(path, "w", encoding="utf-8")
-        self._keep = keep
         self.events: list[Event] = []
         self._closed = False
 
@@ -135,8 +134,7 @@ class EventSink:
         if self._fh is not None:
             self._fh.write(event.encode())
             self._fh.write("\n")
-        if self._keep:
-            self.events.append(event)
+        self.events.append(event)
 
     def flush(self) -> None:
         if self._fh is not None:

@@ -14,9 +14,9 @@ import pytest
 
 from pilotsim import (
     DvmSimConfig,
+    EventSink,
     ExperimentConfig,
     Interval,
-    JobStage,
     ResourcePool,
     TaskRecord,
     TaskSpec,
@@ -129,7 +129,7 @@ def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
                           launch_mean_s=launch[0], launch_std_s=launch[1],
                           notify_mean_s=0.0)
     host = _StubHost()
-    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), host=host)
+    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
     return clock, handle, host
 
 
@@ -145,7 +145,7 @@ class TestCriterion3DvmCrashBracket:
         ex = _StubExecutor()
         clock, handle, host = _dvm_fixture(capacity=20000)
         for i in range(16384):
-            assert handle.submit_job(_job(f"t{i}", 1.0), None, ex, 0.0)
+            assert handle.submit_job(_job(f"t{i}", 1.0), ex, 0.0)
         clock.run()
         assert not handle.crashed
         assert len(ex.completions) == 16384
@@ -154,7 +154,7 @@ class TestCriterion3DvmCrashBracket:
         clock2, handle2, host2 = _dvm_fixture(capacity=20000)
         crashed_at = None
         for i in range(32768):
-            handle2.submit_job(_job(f"u{i}", 900.0), None, ex2, 0.0)
+            handle2.submit_job(_job(f"u{i}", 900.0), ex2, 0.0)
             if handle2.crashed and crashed_at is None:
                 crashed_at = i + 1
         clock2.run()
@@ -177,13 +177,14 @@ class TestCriterion4LaunchLatency:
             capacity=20000, seed=2026, launch=(0.034, 0.047)
         )
         for i in range(16384):
-            handle.submit_job(_job(f"t{i}", 900.0), None, ex, 0.0)
+            handle.submit_job(_job(f"t{i}", 900.0), ex, 0.0)
         clock.run()
         took = time.monotonic() - t0
-        lat = np.array([
-            j.stage_t[JobStage.RUNNING] - j.stage_t[JobStage.SENDING_LAUNCH_MSG]
-            for j in handle.jobs.values()
-        ])
+        times = {}
+        for e in handle.sink.events:
+            if e.entity_kind == "DvmJob":
+                times.setdefault(e.entity_id, {})[e.name] = e.t_s
+        lat = np.array([t["running"] - t["sending_launch_msg"] for t in times.values()])
         assert len(lat) == 16384
         mean = float(lat.mean())
         total = float(lat.sum())

@@ -35,6 +35,8 @@ def test_tracer_hooks_install_trace_and_uninstall(quick_cfg):
     assert m["launcher.completions"] == 8
     assert m["launcher.fd_peak"] > 0
     assert m["dvm.jobs"] == 8
+    # the stage events are the only job record: the bench counts what the log holds
+    assert m["dvm.jobs"] == sum(e.name == "init_complete" for e in res.events)
     assert m["dvm.live_peak"] > 0
     assert m["profiler.events"] == len(res.events)
     assert m["core.events_dispatched"] > 0

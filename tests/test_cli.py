@@ -245,6 +245,17 @@ class TestMainExitCodes:
         # point autosizes to one worker node, too few for two partitions
         "pool.autosize=1\nworkload.n_tasks=84\nagent.partitions=2\n"
         "subagents.n_sub_agents=2\nsweep.n_tasks=84,1",
+        # NaN passes every range check, so non-finite floats need their own
+        "workload.duration_s=nan",
+        "workload.duration_s=inf",
+        "dvm.launch_mean_s=nan",
+        "backend.submit_delay_s=nan",
+        "backend.max_rate_hz=0",
+        "backend.max_rate_hz=-1",
+        "agent.startup_s=-50",
+        "agent.termination_s=-1",
+        "agent.schedule_cost_s=-0.1",
+        "agent.gpu_weight=-1",
     ])
     def test_invalid_config_is_2_and_runs_nothing(self, tmp_path, bad):
         cfg_path = tmp_path / "bad.cfg"

@@ -4,18 +4,19 @@ import pytest
 from pilotsim import (
     ConfigError,
     DvmSimConfig,
-    IncompleteJob,
+    EventSink,
     Interval,
-    JobStage,
     ResourcePool,
     TaskRecord,
     TaskSpec,
     VirtualClock,
     aggregate_overhead,
-    dvm_job_durations,
     dvm_start,
     parse_config_text,
 )
+
+STAGES = ["init_complete", "pending_app_launch", "sending_launch_msg",
+          "running", "notify_complete"]
 
 
 class StubHost:
@@ -52,9 +53,24 @@ def zero_latency_config(**kw):
     return DvmSimConfig(**kw)
 
 
-def launch_latencies(handle):
-    return [j.stage_t[JobStage.RUNNING] - j.stage_t[JobStage.SENDING_LAUNCH_MSG]
-            for j in handle.jobs.values()]
+def stage_times(sink):
+    """Per-uid stage times, {uid: {stage: t}}, from the DvmJob events."""
+    times = {}
+    for e in sink.events:
+        if e.entity_kind == "DvmJob":
+            times.setdefault(e.entity_id, {})[e.name] = e.t_s
+    return times
+
+
+def durations(t):
+    """(setup, launch, run+notify) of one finished job's stage times."""
+    return (t["pending_app_launch"] - t["init_complete"],
+            t["running"] - t["sending_launch_msg"],
+            t["notify_complete"] - t["running"])
+
+
+def launch_latencies(sink):
+    return [t["running"] - t["sending_launch_msg"] for t in stage_times(sink).values()]
 
 
 def boot(config, n_nodes=2, seed=0):
@@ -62,7 +78,7 @@ def boot(config, n_nodes=2, seed=0):
     pool = ResourcePool.uniform(n_nodes, agent_nodes=1)
     host = StubHost()
     ex = StubExecutor()
-    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), host=host)
+    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
     return clock, handle, host, ex
 
 
@@ -77,35 +93,33 @@ class TestDvmStart:
 
     def test_restart_fresh_job_table(self):
         clock, handle, host, ex = boot(zero_latency_config())
-        handle.submit_job(rec_of("t0", 1.0), None, ex, clock.now_s)
+        handle.submit_job(rec_of("t0", 1.0), ex, clock.now_s)
         clock.run()
-        assert handle.jobs
-        handle.terminate()
-        assert not handle.submit_job(rec_of("t1", 1.0), None, ex, clock.now_s)
+        assert "notify_complete" in stage_times(handle.sink)["t0"]
         pool = ResourcePool.uniform(2, agent_nodes=1)
-        fresh = dvm_start(handle.config, pool, clock, np.random.default_rng(0))
-        assert fresh.jobs == {}
+        fresh = dvm_start(handle.config, pool, clock, np.random.default_rng(0),
+                          EventSink(), host)
+        assert fresh.n_live == 0
         assert not fresh.crashed
 
 
 class TestDvmSubmit:
     def test_zero_latency_stage_walk(self):
         clock, handle, host, ex = boot(zero_latency_config())
-        assert handle.submit_job(rec_of("t0", 900.0), None, ex, clock.now_s)
+        assert handle.submit_job(rec_of("t0", 900.0), ex, clock.now_s)
         clock.run()
-        job = handle.jobs["t0"]
-        t = job.stage_t
-        assert t[JobStage.RUNNING] - t[JobStage.SENDING_LAUNCH_MSG] == 0.0
-        assert t[JobStage.NOTIFY_COMPLETE] - t[JobStage.INIT_COMPLETE] == 900.0
+        t = stage_times(handle.sink)["t0"]
+        assert t["running"] - t["sending_launch_msg"] == 0.0
+        assert t["notify_complete"] - t["init_complete"] == 900.0
         assert ex.completions[0].exit_status == 0
 
     def test_seeded_launch_latency_moments(self):
         config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock, handle, host, ex = boot(config, seed=2026)
         for i in range(16384):
-            handle.submit_job(rec_of(f"t{i}", 900.0), None, ex, clock.now_s)
+            handle.submit_job(rec_of(f"t{i}", 900.0), ex, clock.now_s)
         clock.run()
-        lat = np.array(launch_latencies(handle))
+        lat = np.array(launch_latencies(handle.sink))
         assert len(lat) == 16384
         assert abs(lat.mean() - 0.034) <= 0.1 * 0.034
         assert 500.0 <= lat.sum() <= 650.0
@@ -114,7 +128,7 @@ class TestDvmSubmit:
         config = zero_latency_config(capacity_tasks=20000)
         clock, handle, host, ex = boot(config)
         for i in range(20001):
-            assert handle.submit_job(rec_of(f"t{i}"), None, ex, 0.0)
+            assert handle.submit_job(rec_of(f"t{i}"), ex, 0.0)
             if handle.crashed:
                 break
         assert handle.crashed
@@ -124,7 +138,7 @@ class TestDvmSubmit:
         config = zero_latency_config(capacity_tasks=20000)
         clock, handle, host, ex = boot(config)
         for i in range(16384):
-            handle.submit_job(rec_of(f"t{i}", 1.0), None, ex, 0.0)
+            handle.submit_job(rec_of(f"t{i}", 1.0), ex, 0.0)
         clock.run()
         assert not handle.crashed
         assert len(ex.completions) == 16384
@@ -133,13 +147,13 @@ class TestDvmSubmit:
         config = zero_latency_config(capacity_tasks=10)
         clock, handle, host, ex = boot(config)
         for i in range(11):
-            handle.submit_job(rec_of(f"t{i}", 5.0), None, ex, 0.0)
+            handle.submit_job(rec_of(f"t{i}", 5.0), ex, 0.0)
         clock.run()
         assert handle.crashed
         assert ex.completions == []
-        assert all(j.stage is not JobStage.NOTIFY_COMPLETE for j in handle.jobs.values())
+        assert not any("notify_complete" in t for t in stage_times(handle.sink).values())
         # subsequent submissions are refused outright
-        assert not handle.submit_job(rec_of("late"), None, ex, clock.now_s)
+        assert not handle.submit_job(rec_of("late"), ex, clock.now_s)
 
 
 class TestJobDurations:
@@ -148,31 +162,23 @@ class TestJobDurations:
             setup_mean_s=setup, launch_mean_s=launch, notify_mean_s=notify,
         )
         clock, handle, host, ex = boot(config)
-        handle.submit_job(rec_of("t0", payload), None, ex, clock.now_s)
+        handle.submit_job(rec_of("t0", payload), ex, clock.now_s)
         clock.run()
-        return handle.jobs["t0"]
+        return stage_times(handle.sink)["t0"]
 
     def test_zero_latency_durations(self):
-        job = self._finished_job(0.0, 0.0, 0.0, 900.0)
-        assert dvm_job_durations(job) == (0.0, 0.0, 900.0)
+        t = self._finished_job(0.0, 0.0, 0.0, 900.0)
+        assert durations(t) == (0.0, 0.0, 900.0)
 
     def test_addition_oracle(self):
-        job = self._finished_job(0.2, 0.034, 0.1, 5.0)
-        setup, launch, run_notify = dvm_job_durations(job)
+        t = self._finished_job(0.2, 0.034, 0.1, 5.0)
+        setup, launch, run_notify = durations(t)
         assert setup == pytest.approx(0.2)
         assert launch == pytest.approx(0.034)
         assert run_notify == pytest.approx(5.1)
-        total = job.stage_t[JobStage.NOTIFY_COMPLETE] - job.stage_t[JobStage.INIT_COMPLETE]
+        total = t["notify_complete"] - t["init_complete"]
         assert setup + launch + run_notify == pytest.approx(5.334)
         assert setup + launch + run_notify == pytest.approx(total)
-
-    def test_incomplete_job_rejected(self):
-        config = zero_latency_config()
-        clock, handle, host, ex = boot(config)
-        handle.submit_job(rec_of("t0", 900.0), None, ex, 0.0)
-        # do not run the clock: job is still at init_complete
-        with pytest.raises(IncompleteJob):
-            dvm_job_durations(handle.jobs["t0"])
 
 
 class TestDvmProperties:
@@ -184,15 +190,14 @@ class TestDvmProperties:
         )
         clock, handle, host, ex = boot(config, seed=9)
         for i in range(200):
-            handle.submit_job(rec_of(f"t{i}", 3.0), None, ex, clock.now_s)
+            handle.submit_job(rec_of(f"t{i}", 3.0), ex, clock.now_s)
         clock.run()
-        order = [JobStage.INIT_COMPLETE, JobStage.PENDING_APP_LAUNCH,
-                 JobStage.SENDING_LAUNCH_MSG, JobStage.RUNNING,
-                 JobStage.NOTIFY_COMPLETE]
-        for job in handle.jobs.values():
-            ts = [job.stage_t[s] for s in order]
+        times = stage_times(handle.sink)
+        assert len(times) == 200
+        for t in times.values():
+            ts = [t[s] for s in STAGES]
             assert all(a <= b for a, b in zip(ts, ts[1:]))
-            assert sum(dvm_job_durations(job)) == pytest.approx(ts[-1] - ts[0])
+            assert sum(durations(t)) == pytest.approx(ts[-1] - ts[0])
 
     def test_non_overlapping_latencies_sum(self):
         # submission gap larger than the launch latency: the aggregated
@@ -200,20 +205,21 @@ class TestDvmProperties:
         config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock = VirtualClock()
         pool = ResourcePool.uniform(2, agent_nodes=1)
-        handle = dvm_start(config, pool, clock, np.random.default_rng(4))
+        handle = dvm_start(config, pool, clock, np.random.default_rng(4),
+                           EventSink(), StubHost())
         ex = StubExecutor()
         for i in range(100):
             clock.schedule_at(
                 i * 1.0,
-                lambda i=i: handle.submit_job(rec_of(f"t{i}", 0.5), None, ex, clock.now_s),
+                lambda i=i: handle.submit_job(rec_of(f"t{i}", 0.5), ex, clock.now_s),
             )
         clock.run()
         intervals = [
-            Interval(j.stage_t[JobStage.SENDING_LAUNCH_MSG], j.stage_t[JobStage.RUNNING])
-            for j in handle.jobs.values()
+            Interval(t["sending_launch_msg"], t["running"])
+            for t in stage_times(handle.sink).values()
         ]
         union, _ = aggregate_overhead(intervals)
-        assert union == pytest.approx(sum(launch_latencies(handle)))
+        assert union == pytest.approx(sum(launch_latencies(handle.sink)))
 
     def test_topology_key_rejected(self):
         # a tree overlay is a different capacity and launch latency

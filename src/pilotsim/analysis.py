@@ -328,19 +328,21 @@ def compute_ttx(events: EventsOrTable) -> float:
 def ideal_ttx(workload: Workload, pool: ResourcePool) -> float:
     """Zero-overhead TTX: waves of fully concurrent tasks."""
     specs = workload.tasks
-    cores = specs[0].cores
-    duration = specs[0].duration_s
+    first = specs[0]
+    cores, gpus, duration = first.cores, first.gpus, first.duration_s
     for spec in specs:
-        if spec.cores != cores or spec.duration_s != duration:
+        if (spec.cores, spec.gpus, spec.duration_s) != (cores, gpus, duration):
             raise HeterogeneousWorkload(
                 "ideal TTX is defined for homogeneous workloads only"
             )
     if duration is None:
         raise HeterogeneousWorkload("ideal TTX needs simulated durations")
     capacity = pool.total_worker_cores // cores
+    if gpus > 0:
+        capacity = min(capacity, pool.total_worker_gpus // gpus)
     if capacity < 1:
         raise HeterogeneousWorkload(
-            f"tasks of {cores} cores do not fit the pool"
+            f"tasks of {cores} cores and {gpus} GPUs do not fit the pool"
         )
     waves = math.ceil(len(specs) / capacity)
     return waves * duration

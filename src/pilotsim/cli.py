@@ -144,8 +144,15 @@ def _rep_dirs(run_dir: str) -> list[str]:
 
 
 def analyze(run_dir: str) -> list[dict[str, float]]:
-    """Recompute reports for every repetition from its log and metadata."""
-    results = [analyze_rep(rep_dir, _read_meta(rep_dir)) for rep_dir in _rep_dirs(run_dir)]
+    """Recompute reports for every repetition from its log and metadata;
+    a truncated or unparseable log aborts, naming its repetition."""
+    results = []
+    for rep_dir in _rep_dirs(run_dir):
+        cfg = _read_meta(rep_dir)
+        try:
+            results.append(analyze_rep(rep_dir, cfg))
+        except ValueError as exc:
+            raise RunAborted(f"cannot analyze {rep_dir}: {exc}") from exc
     if not results:
         raise NoCompleteRuns(f"no repetitions found under {run_dir}")
     return results

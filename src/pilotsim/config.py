@@ -81,7 +81,7 @@ class DvmSimConfig:
 class AgentConfig:
     startup_s: float = 75.0
     termination_s: float = 10.0
-    schedule_cost_s: float = 0.0  # optional scheduler throughput throttle
+    schedule_cost_s: float = 0.0  # charged once per task, for its placement
     partitions: int = 1
     poll_interval_s: float = 0.02
     gpu_weight: float = 1.0

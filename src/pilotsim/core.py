@@ -89,10 +89,6 @@ class TaskSpec:
                     f"task {self.uid}: simulated payload needs duration_s > 0"
                 )
 
-    @property
-    def simulated(self) -> bool:
-        return self.executable is None
-
 
 @dataclass
 class TaskRecord:
@@ -113,9 +109,6 @@ class TaskRecord:
     @property
     def uid(self) -> str:
         return self.spec.uid
-
-    def t_of(self, state: TaskState) -> Optional[float]:
-        return self.timestamps.get(state)
 
 
 def advance_state(rec: TaskRecord, new_state: TaskState, t: float) -> TaskRecord:

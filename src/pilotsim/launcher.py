@@ -47,10 +47,6 @@ class FdAccountant:
         self.reserved = reserved
         self.in_use = 0
 
-    @property
-    def available(self) -> int:
-        return self.limit - self.reserved - self.in_use
-
     def acquire(self, n: int) -> bool:
         if n < 1:
             raise ValueError("n must be >= 1")

@@ -2,10 +2,12 @@
 
 The run is a single logical control loop driven by the clock's event
 queue. t=0 is pilot start; the agent becomes ready after its startup
-cost, pulls the workload in bundles, schedules tasks serially onto the
-pool (first-fit), and feeds them round-robin to the executors, which
-pace submissions and drains against the backend. When every task is
-terminal the agent tears down and records the pilot_stop sentinel.
+cost, pulls the workload in bundles into one arrival-ordered queue per
+partition, and places queue heads that fit serially onto the pool
+(first-fit); a task that does not fit waits for a release. Placed tasks
+go round-robin to the executors, which pace submissions and drains
+against the backend. When every task is terminal the agent tears down
+and records the pilot_stop sentinel.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class _Partition:
     pool: ResourcePool
     backend: object = None
     executors: list[Executor] = field(default_factory=list)
-    waitpool: list[TaskRecord] = field(default_factory=list)
+    queue: deque[tuple[int, TaskRecord]] = field(default_factory=deque)  # (arrival, rec)
     rr: int = 0
 
 
@@ -107,10 +109,6 @@ class RunResult:
     seed: int
     executors: list[Executor]
     run_dir: Optional[str] = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.records)
 
 
 class PilotRun:
@@ -141,13 +139,11 @@ class PilotRun:
         ]
 
         self.records: dict[str, TaskRecord] = {}
-        self._pending: deque[TaskRecord] = deque()
         self._sched_busy = False
         self.n_done = 0
         self.n_failed = 0
         self.failures: dict[str, int] = {}
         self.executors: list[Executor] = []
-        self._t_ready: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -225,30 +221,33 @@ class PilotRun:
 
     def _agent_ready(self) -> None:
         now = self.clock.now_s
-        self._t_ready = now
         self._event(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
         self._event(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
                     {"n_tasks": str(len(self.workload))})
         k = len(self.groups)
-        idx = 0
         for b, bundle in enumerate(self.workload.bundles()):
             self._event(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
                         EV_BUNDLE_RECEIVED, {"size": str(len(bundle))})
             for spec in bundle:
+                idx = len(self.records)  # arrival index
                 rec = TaskRecord.new(spec, t=now)
                 rec.partition = idx % k
                 self.records[spec.uid] = rec
-                self._pending.append(rec)
-                idx += 1
+                self.groups[rec.partition].queue.append((idx, rec))
         self._kick_sched()
 
     # -- scheduling lane -----------------------------------------------------
 
     def _kick_sched(self) -> None:
-        if self._sched_busy or not self._pending:
+        """Place the earliest-arrived queue head that fits its partition;
+        only this lane takes capacity, so the placement succeeds."""
+        if self._sched_busy:
             return
+        ready = [g for g in self.groups if g.queue and g.pool.fits(g.queue[0][1].spec)]
+        if not ready:
+            return
+        _, rec = min(ready, key=lambda g: g.queue[0][0]).queue.popleft()
         self._sched_busy = True
-        rec = self._pending.popleft()
         self.clock.schedule_in(
             self.cfg.agent.schedule_cost_s, lambda: self._sched_complete(rec)
         )
@@ -256,18 +255,14 @@ class PilotRun:
     def _sched_complete(self, rec: TaskRecord) -> None:
         self._sched_busy = False
         group = self.groups[rec.partition]
-        slot = group.pool.try_schedule(rec.spec)
-        if slot is None:
-            group.waitpool.append(rec)
-        else:
-            now = self.clock.now_s
-            rec.slot = slot
-            advance_state(rec, TaskState.SCHEDULED, now)
-            self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
-                        {"slot": slot.encode(), "cores": str(rec.spec.cores)})
-            ex = group.executors[group.rr % len(group.executors)]
-            group.rr += 1
-            ex.enqueue(rec)
+        rec.slot = group.pool.try_schedule(rec.spec)
+        now = self.clock.now_s
+        advance_state(rec, TaskState.SCHEDULED, now)
+        self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
+                    {"slot": rec.slot.encode(), "cores": str(rec.spec.cores)})
+        ex = group.executors[group.rr % len(group.executors)]
+        group.rr += 1
+        ex.enqueue(rec)
         self._kick_sched()
 
     # -- executor host hooks ---------------------------------------------------
@@ -324,14 +319,9 @@ class PilotRun:
         if rec.fds_held:
             self.fd.release(rec.fds_held)
             rec.fds_held = 0
-        group = self.groups[rec.partition]
-        if rec.slot is not None:
-            group.pool.unschedule(rec.slot)
-            self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
-        if group.waitpool:
-            self._pending.extendleft(reversed(group.waitpool))
-            group.waitpool.clear()
-            self._kick_sched()
+        self.groups[rec.partition].pool.unschedule(rec.slot)
+        self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
+        self._kick_sched()
 
     def _after_terminal(self) -> None:
         # true once: each task turns terminal exactly once

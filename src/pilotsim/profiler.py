@@ -22,7 +22,6 @@ from urllib.parse import quote, unquote
 PILOT = "Pilot"
 TASK = "Task"
 DVM_JOB = "DvmJob"
-EXECUTOR = "Executor"
 
 # components
 COMP_CLIENT = "Client"

@@ -4,6 +4,13 @@ Placement is deterministic first-fit: worker nodes in id order, resource
 indices in ascending order. A task that does not fit on any single node
 may spill across consecutive nodes. Agent nodes are reserved for the
 runtime itself and never receive tasks.
+
+Running free-core and free-GPU totals make `fits(spec)` O(1); a task
+fits exactly when `try_schedule` would place it. The agent's scheduler
+lane starts a placement only for a task that fits, so every attempt
+succeeds. Modelling decision: a task is charged `agent.schedule_cost_s`
+once, for its placement; a task that does not fit waits uncharged until
+a release frees room, and waiting tasks are placed in arrival order.
 """
 
 from __future__ import annotations
@@ -41,10 +48,6 @@ class Slot:
     @property
     def n_cores(self) -> int:
         return sum(len(a.core_indices) for a in self.assignments)
-
-    @property
-    def n_gpus(self) -> int:
-        return sum(len(a.gpu_indices) for a in self.assignments)
 
     def encode(self) -> str:
         """Compact textual form used in profile event attributes."""
@@ -116,6 +119,8 @@ class ResourcePool:
         self._worker_order = [n.uid for n in self.worker_nodes]
         self._worker_index = {uid: i for i, uid in enumerate(self._worker_order)}
         self._scan_hint = 0  # first worker index that may still have free cores
+        self._free_cores = sum(n.cores for n in self.worker_nodes)
+        self._free_gpus = sum(n.gpus for n in self.worker_nodes)
 
     @classmethod
     def uniform(
@@ -145,13 +150,19 @@ class ResourcePool:
         return sum(n.gpus for n in self.worker_nodes)
 
     def free_core_count(self) -> int:
-        return sum(s.free_cores for s in self._states.values())
+        return self._free_cores
 
     def free_gpu_count(self) -> int:
-        return sum(s.free_gpus for s in self._states.values())
+        return self._free_gpus
+
+    def fits(self, spec: TaskSpec) -> bool:
+        """True when `try_schedule(spec)` would place the task now."""
+        return self._free_cores >= spec.cores and self._free_gpus >= spec.gpus
 
     def try_schedule(self, spec: TaskSpec) -> Optional[Slot]:
         """First-fit placement; returns None when there is no capacity now."""
+        if not self.fits(spec):
+            return None
         # single-node placement first
         for idx in range(self._scan_hint, len(self._worker_order)):
             state = self._states[self._worker_order[idx]]
@@ -161,8 +172,6 @@ class ResourcePool:
                 )
                 self._advance_hint()
                 return slot
-        if self.free_core_count() < spec.cores or self.free_gpu_count() < spec.gpus:
-            return None
         # multi-node spill, nodes in order
         assignments = []
         cores_left, gpus_left = spec.cores, spec.gpus
@@ -200,6 +209,8 @@ class ResourcePool:
                 state.gpu_used[i] = False
             state.free_cores += len(a.core_indices)
             state.free_gpus += len(a.gpu_indices)
+            self._free_cores += len(a.core_indices)
+            self._free_gpus += len(a.gpu_indices)
             self._scan_hint = min(self._scan_hint, self._worker_index[a.node_uid])
 
     def _take(self, state: _NodeState, n_cores: int, n_gpus: int) -> SlotAssignment:
@@ -219,6 +230,8 @@ class ResourcePool:
                 gpus.append(i)
         state.free_cores -= len(cores)
         state.free_gpus -= len(gpus)
+        self._free_cores -= len(cores)
+        self._free_gpus -= len(gpus)
         return SlotAssignment(
             node_uid=state.node.uid,
             core_indices=tuple(cores),

@@ -349,7 +349,7 @@ class TestCriterion9RateContract:
             cfg.backend.fd_limit = 65536
             cfg.backend.fd_reserved = 0
             res = run_pilot(cfg, seed=3)
-            ts = sorted(r.t_of(TaskState.SUBMITTED) for r in res.records.values())
+            ts = sorted(r.timestamps[TaskState.SUBMITTED] for r in res.records.values())
             assert len(ts) == 64
             assert all(b - a >= delay - 1e-9 for a, b in zip(ts, ts[1:])), delay
 

@@ -119,6 +119,15 @@ class TestIdealTtx:
         wl = make_workload(9, 1, 42.0)
         assert ideal_ttx(wl, self._pool(8)) == pytest.approx(84.0)
 
+    def test_gpus_bind(self, quick_cfg):
+        # 10 tasks of 6 GPUs on 2 worker nodes of 6 GPUs: 5 waves, not 1
+        cfg = zero_overhead(quick_cfg(workload__n_tasks=10, workload__duration_s=100.0,
+                                      workload__gpus_per_task=6, pool__nodes=3))
+        wl = make_workload(10, 1, 100.0, gpus_per_task=6)
+        res = run_pilot(cfg, seed=1)
+        assert ideal_ttx(wl, res.pool) == pytest.approx(500.0)
+        assert ideal_ttx(wl, res.pool) <= compute_ttx(res.events)
+
     def test_heterogeneous_rejected(self):
         tasks = [TaskSpec(uid="a", cores=1, duration_s=5.0),
                  TaskSpec(uid="b", cores=2, duration_s=5.0)]

@@ -5,10 +5,12 @@ them fails here, not in the benchmark."""
 import importlib.util
 import os
 
-from pilotsim import run_pilot
+from pilotsim import parse_config_text, run_pilot
 
-TRACE_LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "perfbench", "trace_layers.py")
+from conftest import zero_overhead
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_LAYERS = os.path.join(ROOT, "perfbench", "trace_layers.py")
 
 
 def load_trace_layers():
@@ -42,3 +44,41 @@ def test_tracer_hooks_install_trace_and_uninstall(quick_cfg):
     assert m["core.events_dispatched"] > 0
     for (owner, attr), fn in originals.items():
         assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr} not restored"
+
+
+def traced(cfg):
+    """Run `cfg` under the tracer; returns (result, layer metrics)."""
+    tracer = load_trace_layers().Tracer()
+    tracer.install()
+    try:
+        res = run_pilot(cfg, seed=1)
+    finally:
+        tracer.uninstall()
+    return res, tracer.layer_metrics(log_bytes=0)
+
+
+def test_multiwave_every_attempt_places(quick_cfg):
+    # 30 one-core tasks on 8 worker cores: four waves, 22 tasks wait
+    cfg = zero_overhead(quick_cfg(workload__n_tasks=30, workload__duration_s=2.0))
+    cfg.pool.cores_per_node = 8
+    cfg.agent.schedule_cost_s = 0.002
+    res, m = traced(cfg)
+    assert res.n_done == 30
+    assert m["scheduler.placements"] == 30
+    assert m["scheduler.attempts"] == m["scheduler.placements"]
+
+
+def test_multiwave_event_count_is_linear():
+    """Event counts, not wall time: 4x the tasks on the same 504 worker
+    cores (12 nodes of 42) may dispatch at most 4.5x the events."""
+    with open(os.path.join(ROOT, "configs", "exp4_optimized.cfg"), encoding="utf-8") as fh:
+        base = fh.read() + ("pool.autosize=0\npool.nodes=13\nworkload.duration_s=60.0\n"
+                            "agent.schedule_cost_s=0\n")
+
+    def events(n):
+        cfg = parse_config_text(base + f"workload.n_tasks={n}\n", source="multiwave")
+        res, m = traced(cfg)
+        assert res.n_done == n
+        return m["core.events_dispatched"]
+
+    assert events(2048) <= 4.5 * events(512)

@@ -219,6 +219,13 @@ class TestShippedConfigs:
         assert os.path.exists(os.path.join(run_dir, "rep_000", "report_summary.csv"))
 
 
+def cut_in_first_slot(lines):
+    """A log that ends inside a slot attribute: the line still has six
+    fields, and the slot decoder fails on the core list."""
+    i = next(i for i, line in enumerate(lines) if "slot=n1c" in line)
+    return lines[:i] + [lines[i][:lines[i].index("slot=n1c") + 8] + "\n"]
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path)
@@ -276,6 +283,23 @@ class TestMainExitCodes:
         assert main(["run", str(cfg_path), "--seed", "5", "--out", str(out2),
                      "--reps", "2"]) == 0
         assert os.path.isdir(out2 / "t" / "rep_001")
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:-1],
+        lambda lines: lines[:-1] + [lines[-1][:5]],
+        lambda lines: lines[:3] + ["not an event\n"] + lines[3:],
+        cut_in_first_slot,
+    ], ids=["no_pilot_stop", "cut_last_line", "garbage_line", "cut_in_slot"])
+    def test_analyze_damaged_log_is_3_naming_the_rep(self, tmp_path, capsys, damage):
+        run_dir = run_experiment(small_cfg(tmp_path, repetitions=2))
+        log = os.path.join(run_dir, "rep_001", "profile.log")
+        lines = open(log).readlines()
+        open(log, "w").writelines(damage(lines))
+        capsys.readouterr()
+        assert main(["analyze", run_dir]) == 3
+        err = capsys.readouterr().err
+        assert "rep_001" in err
+        assert "Traceback" not in err
 
     def test_report_on_missing_dir_is_3(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 3

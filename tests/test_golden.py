@@ -52,7 +52,7 @@ RUNS = {
     "fd_exhaustion": "backend.kind=sim_jsm\nbackend.fd_reserved=4060\n",
     "over_rate": "backend.max_rate_hz=10.0\nbackend.fail_prob_over_rate=0.2\n",
     "dvm_crash": "dvm.capacity_tasks=5\n",
-    # 16 worker cores for 48 tasks: three waves through the waitpool
+    # 16 worker cores for 48 tasks: three waves of tasks waiting in arrival order
     "multiwave": "pool.cores_per_node=8\n",
     # 2-core tasks on 3-core nodes spill across nodes; GPUs carry weight
     "spill_gpu": (
@@ -65,10 +65,10 @@ RUNS = {
 LOG_SHA256 = {
     "sim_dvm": "f0da238161ff40b00910b3ee5c2b5ffb85ac99f9aab3fc3aece8caf3c5c0ace3",
     "sim_jsm": "66041dbe6e2b07cb10f44272e128d7a9cc9f118ff2dd211dabcea5304bc3fac8",
-    "fd_exhaustion": "ed47392ed25a5fa72e6d697631c9739bf36d159ac904e654a55630d48f077804",
-    "over_rate": "08d2b856c860d518ee64cd9f0adbdd584588844a2223ed6f7ded6341234ae869",
+    "fd_exhaustion": "6b80570f8a370bf890569f26222db508ebcd7717b0b0459c4343a1ff97b624bc",
+    "over_rate": "b0614476e08bf112295e66423280d381077041db90d6ed02823e59b20c492612",
     "dvm_crash": "12a265c167f2dc33cc4e49f932a02cb2420942da5cfa6c21c3fc177eaf2ec8ed",
-    "multiwave": "2d5487feb0b88a3184d727b2a3b6facb9926f94ea5906f90fbf996817dc6c63b",
+    "multiwave": "b9ef9f8fa0cf85304a3513c83f5e64a55d94c629553bfb83d37fbb349ffb57e9",
     "spill_gpu": "36b7c99c7c13ab37b05e0f828b07ac2e3bbd1645f96cd74bb717e8322ab4f46c",
 }
 

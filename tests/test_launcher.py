@@ -19,7 +19,7 @@ from conftest import zero_overhead
 
 def submit_times(res):
     """Submission times of every task of a run without failures, in order."""
-    return sorted(r.t_of(TaskState.SUBMITTED) for r in res.records.values())
+    return sorted(r.timestamps[TaskState.SUBMITTED] for r in res.records.values())
 
 
 class TestRateGate:

@@ -36,6 +36,26 @@ class TestMultiWave:
         waves = sorted({round(s, 6) for s in starts})
         assert len(waves) == 4  # ceil(30/8)
 
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_waiting_tasks_placed_in_arrival_order(self, quick_cfg, partitions):
+        # 48 one-core tasks on 16 worker cores, with a scheduling cost, so
+        # releases come while tasks wait; task i arrives i-th and goes to
+        # partition i % k, and each partition places its tasks in that order
+        cfg = quick_cfg(workload__n_tasks=48, workload__duration_s=20.0, pool__nodes=3)
+        cfg.pool.cores_per_node = 8
+        cfg.backend.submit_delay_s = 0.01
+        cfg.agent.schedule_cost_s = 0.002
+        cfg.agent.partitions = partitions
+        cfg.subagents.n_sub_agents = partitions
+        res = run_pilot(cfg, seed=7)
+        assert res.n_done == 48
+        placed = [int(e.entity_id.rsplit(".", 1)[1])
+                  for e in res.events if e.name == "schedule_ok"]
+        assert sorted(placed) == list(range(48))
+        for p in range(partitions):
+            mine = [i for i in placed if i % partitions == p]
+            assert mine == sorted(mine)
+
     def test_multicore_tasks_spill(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=5))
         cfg.workload.cores_per_task = 30  # spills across 42-core nodes? no: fits

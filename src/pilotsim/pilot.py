@@ -59,6 +59,7 @@ from .profiler import (
     EV_TASK_FAIL,
     EV_UNSCHEDULE,
     EV_WORKLOAD_RECEIVED,
+    NO_ATTRS,
     PILOT,
     TASK,
     Event,
@@ -336,8 +337,8 @@ class PilotRun:
         })
         self.sink.flush()
 
-    def _event(self, t, kind, uid, comp, name, attrs=None) -> None:
-        self.sink.record(Event(t, kind, uid, comp, name, attrs or {}))
+    def _event(self, t, kind, uid, comp, name, attrs=NO_ATTRS) -> None:
+        self.sink.record(Event(t, kind, uid, comp, name, attrs))
 
 
 def run_pilot(cfg: ExperimentConfig, run_dir: Optional[str] = None,

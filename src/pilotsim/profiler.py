@@ -6,7 +6,9 @@ One event per line, UTF-8, comma separated:
 
 `t_s` is fixed-point with microsecond precision; `attrs` is a
 semicolon-separated list of key=value pairs. Reserved characters inside
-fields are percent-encoded so arbitrary printable text round-trips.
+fields (`,` `;` `=` `%`, anything outside printable ASCII) are percent-encoded
+so arbitrary text round-trips. Fields without them are written verbatim: the
+bytes are the same as percent-encoding every field.
 Producers append in call order; readers sort by timestamp (stable, so
 per-producer order survives for equal timestamps).
 """
@@ -14,8 +16,10 @@ per-producer order survives for equal timestamps).
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 from urllib.parse import quote, unquote
 
 # entity kinds
@@ -53,6 +57,9 @@ EV_SENDING_LAUNCH_MSG = "sending_launch_msg"
 EV_NOTIFY_COMPLETE = "notify_complete"
 
 _FIELD_SAFE = " !\"#$&'()*+-./:<>?@[\\]^_`{|}~"  # excludes , ; = % and newlines
+# exactly the characters that `_enc` changes: all but printable ASCII, and , ; = %
+_RESERVED = re.compile(r"[^\x20-\x24\x26-\x2b\x2d-\x3a\x3c\x3e-\x7e]")
+NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 
 
 def _enc(text: str) -> str:
@@ -71,20 +78,29 @@ class ProfileParseError(ValueError):
         self.reason = reason
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
+    """One profile line; attribute-less events share the read-only `NO_ATTRS`."""
     t_s: float
     entity_kind: str
     entity_id: str
     component: str
     name: str
-    attrs: dict[str, str] = field(default_factory=dict)
+    # a mapping proxy is unhashable, so dataclass takes it only from a factory
+    attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
 
     def encode(self) -> str:
-        attrs = ";".join(f"{_enc(k)}={_enc(v)}" for k, v in self.attrs.items())
+        attrs = self.attrs
+        raw = "".join((self.entity_kind, self.entity_id, self.component, self.name,
+                       *attrs, *attrs.values()))
+        if _RESERVED.search(raw) is None:
+            pairs = ";".join([f"{k}={v}" for k, v in attrs.items()])
+            return (f"{self.t_s:.6f},{self.entity_kind},{self.entity_id},"
+                    f"{self.component},{self.name},{pairs}")
+        pairs = ";".join(f"{_enc(k)}={_enc(v)}" for k, v in attrs.items())
         return (
             f"{self.t_s:.6f},{_enc(self.entity_kind)},{_enc(self.entity_id)},"
-            f"{_enc(self.component)},{_enc(self.name)},{attrs}"
+            f"{_enc(self.component)},{_enc(self.name)},{pairs}"
         )
 
     @classmethod
@@ -106,7 +122,7 @@ class Event:
                 attrs[k] = v
         if escaped:
             parts = [unquote(p) for p in parts]
-        return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs)
+        return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs or NO_ATTRS)
 
 
 class EventSink:
@@ -131,8 +147,7 @@ class EventSink:
         # events equal to the reloaded ones (the written bytes are the same)
         event.t_s = round(event.t_s, 6)
         if self._fh is not None:
-            self._fh.write(event.encode())
-            self._fh.write("\n")
+            self._fh.write(event.encode() + "\n")
         self.events.append(event)
 
     def flush(self) -> None:

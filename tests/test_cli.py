@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -303,3 +305,14 @@ class TestMainExitCodes:
 
     def test_report_on_missing_dir_is_3(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 3
+
+
+def test_python_m_pilotsim_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pilotsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "usage: pilotsim" in proc.stdout

@@ -1,8 +1,11 @@
+from urllib.parse import quote
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pilotsim import profiler
 from pilotsim import (
     Event,
     EventSink,
@@ -22,6 +25,23 @@ printable = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
     min_size=0, max_size=40,
 )
+
+# arbitrary text, weighted towards the characters the log reserves
+reserved_text = st.text(
+    st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+              st.sampled_from(",;=%\té☃"),
+              st.characters(blacklist_categories=("Cs",))),
+    max_size=20,
+)
+
+
+def quote_every_field(ev):
+    """Reference encoding: every field percent-encoded."""
+    def q(text):
+        return quote(text, safe=profiler._FIELD_SAFE)
+    pairs = ";".join(f"{q(k)}={q(v)}" for k, v in ev.attrs.items())
+    return (f"{ev.t_s:.6f},{q(ev.entity_kind)},{q(ev.entity_id)},"
+            f"{q(ev.component)},{q(ev.name)},{pairs}")
 
 
 def random_event(rng):
@@ -84,6 +104,39 @@ class TestRecord:
             per_producer.setdefault(ev.entity_id, []).append(int(ev.attrs["seq"]))
         for seqs in per_producer.values():
             assert seqs == sorted(seqs)
+
+
+class TestEncode:
+    @given(text=reserved_text)
+    @example(text="")
+    @example(text="%")
+    @example(text="a=b;c")
+    @example(text="é")
+    @example(text="\t")
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_quoting_every_field(self, text):
+        for i in range(6):
+            fields = ["Task", "task.000001", "Executor", "submit", "k", "v"]
+            fields[i] = text
+            for ev in (Event(3.0, *fields[:4], {fields[4]: fields[5]}),
+                       Event(3.0, *fields[:4])):
+                assert ev.encode() == quote_every_field(ev)
+
+    def test_plain_run_never_quotes(self, quick_cfg, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_quote(*args, **kwargs):
+            calls.append(args[0])
+            return quote(*args, **kwargs)
+
+        monkeypatch.setattr(profiler, "quote", counting_quote)
+        res = run_pilot(quick_cfg(), run_dir=str(tmp_path / "rep"), seed=1)
+        assert res.n_done == 16
+        assert calls == []
+        sink = EventSink(str(tmp_path / "p.log"))
+        sink.record(Event(0.0, "Task", "task,1", "Executor", "submit"))
+        sink.close()
+        assert "task,1" in calls
 
 
 class TestLoadProfile:

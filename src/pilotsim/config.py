@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # NaN fails every range check below, so non-finite floats go first
         for section in _SECTIONS:
             obj = getattr(self, section)
@@ -182,6 +184,8 @@ class ExperimentConfig:
         if min(ag.startup_s, ag.termination_s, ag.schedule_cost_s, ag.gpu_weight) < 0:
             raise ConfigError(
                 "agent startup_s, termination_s, schedule_cost_s and gpu_weight must be >= 0")
+        if ag.poll_interval_s <= 0:
+            raise ConfigError("agent.poll_interval_s must be > 0")
         if ag.partitions < 1:
             raise ConfigError("partitions must be >= 1")
         if ag.partitions > sa.n_sub_agents * sa.executors_per_sub_agent:

@@ -2,8 +2,9 @@
 
 A workload is an ordered list of task specs. Each task walks a fixed
 lifecycle (New -> Scheduled -> Submitted -> Running -> Done, with Failed
-and Canceled as terminal side exits) and accumulates one timestamp per
-state, expressed in seconds since pilot start.
+as the terminal side exit). A task record holds only the live state and
+the time of its last transition, in seconds since pilot start; the
+profile events are the task's history.
 
 Time comes from a Clock: a VirtualClock driven purely by scheduled
 events (deterministic, runs paper-scale workloads in desk wall-time) or
@@ -15,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -27,10 +28,9 @@ class TaskState(Enum):
     RUNNING = "Running"
     DONE = "Done"
     FAILED = "Failed"
-    CANCELED = "Canceled"
 
 
-# forward chain; Failed/Canceled are reachable from any non-terminal state
+# forward chain; Failed is reachable from any non-terminal state
 _CHAIN = [
     TaskState.NEW,
     TaskState.SCHEDULED,
@@ -39,7 +39,7 @@ _CHAIN = [
     TaskState.DONE,
 ]
 _CHAIN_INDEX = {s: i for i, s in enumerate(_CHAIN)}
-TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELED})
+TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED})
 
 
 class FailureReason(Enum):
@@ -54,7 +54,7 @@ class IllegalTransition(ValueError):
 
 
 class TimeRegression(ValueError):
-    """Raised when a timestamp would decrease along a task's history."""
+    """Raised when a transition would precede the task's last one."""
 
 
 @dataclass
@@ -92,19 +92,16 @@ class TaskSpec:
 
 @dataclass
 class TaskRecord:
-    """A task spec plus its lifecycle state, timestamps and placement."""
+    """A task spec plus its live state: lifecycle state, the time of the
+    last transition, placement and held descriptors. The run's profile
+    events, not the record, carry the task's history."""
 
     spec: TaskSpec
     state: TaskState = TaskState.NEW
-    timestamps: dict[TaskState, float] = field(default_factory=dict)
+    t_last: float = 0.0
     slot: Optional["Slot"] = None  # bound placement, see scheduler module
-    failure_reason: Optional[FailureReason] = None
     partition: int = 0  # index of the agent partition that places the task
     fds_held: int = 0  # file descriptors charged at submission, until release
-
-    @classmethod
-    def new(cls, spec: TaskSpec, t: float = 0.0) -> "TaskRecord":
-        return cls(spec=spec, timestamps={TaskState.NEW: t})
 
     @property
     def uid(self) -> str:
@@ -112,33 +109,28 @@ class TaskRecord:
 
 
 def advance_state(rec: TaskRecord, new_state: TaskState, t: float) -> TaskRecord:
-    """Move `rec` to `new_state` at time `t`, recording the timestamp.
+    """Move `rec` to `new_state` at time `t`.
 
     Legal moves are one step along New<Scheduled<Submitted<Running<Done,
-    or a jump to Failed/Canceled from any non-terminal state. `t` must
-    not precede the last recorded timestamp.
+    or a jump to Failed from any non-terminal state. `t` must not precede
+    `rec.t_last`, the time of the previous transition.
     """
     if rec.state in TERMINAL_STATES:
         raise IllegalTransition(
             f"task {rec.uid}: no transitions out of terminal state {rec.state.value}"
         )
-    if new_state in (TaskState.FAILED, TaskState.CANCELED):
-        pass
-    elif new_state in _CHAIN_INDEX:
-        if _CHAIN_INDEX[new_state] != _CHAIN_INDEX[rec.state] + 1:
-            raise IllegalTransition(
-                f"task {rec.uid}: illegal transition "
-                f"{rec.state.value} -> {new_state.value}"
-            )
-    else:  # pragma: no cover - enum is closed
-        raise IllegalTransition(f"unknown state {new_state}")
-    last_t = max(rec.timestamps.values(), default=0.0)
-    if t < last_t:
+    if (new_state is not TaskState.FAILED
+            and _CHAIN_INDEX[new_state] != _CHAIN_INDEX[rec.state] + 1):
+        raise IllegalTransition(
+            f"task {rec.uid}: illegal transition "
+            f"{rec.state.value} -> {new_state.value}"
+        )
+    if t < rec.t_last:
         raise TimeRegression(
-            f"task {rec.uid}: timestamp {t} precedes last recorded {last_t}"
+            f"task {rec.uid}: time {t} precedes last transition at {rec.t_last}"
         )
     rec.state = new_state
-    rec.timestamps[new_state] = t
+    rec.t_last = t
     return rec
 
 

@@ -160,8 +160,7 @@ class DvmHandle:
         if entry is None:
             return
         self._stage_event(uid, EV_NOTIFY_COMPLETE, self.clock.now_s)
-        entry.executor.enqueue_completion(
-            Completion(task_uid=uid, exit_status=0, t_end=entry.t_payload_end))
+        entry.executor.enqueue_completion(Completion(entry.rec, 0, entry.t_payload_end))
 
     def _crash(self, now: float) -> None:
         self.crashed = True

@@ -89,7 +89,7 @@ def rate_gate(state: RateLimiter, now_s: float, delay_s: float) -> float:
 class Completion:
     """A finished payload as reported by a backend to its executor."""
 
-    task_uid: str
+    rec: TaskRecord
     exit_status: int
     t_end: float
 
@@ -213,7 +213,7 @@ class LocalExecBackend:
         self.host = host
         self.stdio_dir = stdio_dir
         self.poll_interval_s = poll_interval_s
-        self._procs: dict[str, tuple[subprocess.Popen, list, object]] = {}
+        self._procs: dict[str, tuple[TaskRecord, subprocess.Popen, list, object]] = {}
         self._poller_on = False
         os.makedirs(stdio_dir, exist_ok=True)
 
@@ -236,7 +236,7 @@ class LocalExecBackend:
                 fh.close()
             self.host.task_failed(rec, FailureReason.NONZERO_EXIT, self.clock.now_s)
             return True
-        self._procs[rec.uid] = (proc, files, executor)
+        self._procs[rec.uid] = (rec, proc, files, executor)
         self.host.task_running(rec, self.clock.now_s)
         self._ensure_poller()
         return True
@@ -257,13 +257,12 @@ class LocalExecBackend:
 
     def _poll(self) -> None:
         now = self.clock.now_s
-        finished = [uid for uid, (p, _, _) in self._procs.items() if p.poll() is not None]
-        for uid in finished:
-            proc, files, executor = self._procs.pop(uid)
+        finished = [e for e in self._procs.values() if e[1].poll() is not None]
+        for rec, proc, files, executor in finished:
+            del self._procs[rec.uid]
             for fh in files:
                 fh.close()
-            comp = Completion(task_uid=uid, exit_status=proc.returncode, t_end=now)
-            executor.enqueue_completion(comp)
+            executor.enqueue_completion(Completion(rec, proc.returncode, now))
         if self._procs:
             self.clock.schedule_in(self.poll_interval_s, self._poll)
         else:
@@ -321,8 +320,7 @@ class SimJsmBackend:
         if uid not in self._live:
             return
         rec, executor = self._live.pop(uid)
-        executor.enqueue_completion(
-            Completion(task_uid=uid, exit_status=0, t_end=self.clock.now_s))
+        executor.enqueue_completion(Completion(rec, 0, self.clock.now_s))
 
 
 def make_partitions(pool: ResourcePool, k: int) -> list[ResourcePool]:

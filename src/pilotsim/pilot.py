@@ -101,15 +101,14 @@ class _Partition:
 
 @dataclass
 class RunResult:
-    records: dict[str, TaskRecord]
+    """What a finished run hands back; each task's history is in `events`."""
+
     events: list[Event]
     pool: ResourcePool
     n_done: int
     n_failed: int
     failures: dict[str, int]
-    seed: int
     executors: list[Executor]
-    run_dir: Optional[str] = None
 
 
 class PilotRun:
@@ -139,7 +138,6 @@ class PilotRun:
             _Partition(pool=p) for p in make_partitions(self.pool, cfg.agent.partitions)
         ]
 
-        self.records: dict[str, TaskRecord] = {}
         self._sched_busy = False
         self.n_done = 0
         self.n_failed = 0
@@ -154,15 +152,12 @@ class PilotRun:
         self.sink.flush()
         self.sink.close()
         return RunResult(
-            records=self.records,
             events=self.sink.events,
             pool=self.pool,
             n_done=self.n_done,
             n_failed=self.n_failed,
             failures=dict(self.failures),
-            seed=self.seed,
             executors=self.executors,
-            run_dir=self.run_dir,
         )
 
     def _pilot_start(self) -> None:
@@ -226,15 +221,14 @@ class PilotRun:
         self._event(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
                     {"n_tasks": str(len(self.workload))})
         k = len(self.groups)
+        idx = 0  # arrival index
         for b, bundle in enumerate(self.workload.bundles()):
             self._event(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
                         EV_BUNDLE_RECEIVED, {"size": str(len(bundle))})
             for spec in bundle:
-                idx = len(self.records)  # arrival index
-                rec = TaskRecord.new(spec, t=now)
-                rec.partition = idx % k
-                self.records[spec.uid] = rec
+                rec = TaskRecord(spec, t_last=now, partition=idx % k)
                 self.groups[rec.partition].queue.append((idx, rec))
+                idx += 1
         self._kick_sched()
 
     # -- scheduling lane -----------------------------------------------------
@@ -279,7 +273,7 @@ class PilotRun:
         self._event(t, TASK, rec.uid, COMP_PAYLOAD, EV_RUNNING)
 
     def task_collected(self, comp: Completion, now: float) -> None:
-        rec = self.records[comp.task_uid]
+        rec = comp.rec
         if rec.state in TERMINAL_STATES:
             return
         if comp.exit_status == 0:
@@ -288,7 +282,6 @@ class PilotRun:
                         {"exit": "0"})
             self.n_done += 1
         else:
-            rec.failure_reason = FailureReason.NONZERO_EXIT
             advance_state(rec, TaskState.FAILED, comp.t_end)
             self._count_failure(FailureReason.NONZERO_EXIT)
             self._event(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
@@ -300,7 +293,6 @@ class PilotRun:
     def task_failed(self, rec: TaskRecord, reason: FailureReason, now: float) -> None:
         if rec.state in TERMINAL_STATES:
             return
-        rec.failure_reason = reason
         advance_state(rec, TaskState.FAILED, now)
         self._count_failure(reason)
         self._event(now, TASK, rec.uid, COMP_EXECUTOR, EV_TASK_FAIL,

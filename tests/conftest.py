@@ -40,3 +40,16 @@ def zero_overhead(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg.dvm.notify_mean_s = 0.0
     cfg.dvm.notify_std_s = 0.0
     return cfg
+
+
+def task_events(events):
+    """Each task's history from a run's profile events: {uid: {name: Event}}.
+
+    A task records each event name at most once (schedule_ok, submit,
+    running, done or task_fail, unschedule), so the name is a key.
+    """
+    out = {}
+    for e in events:
+        if e.entity_kind == "Task":
+            out.setdefault(e.entity_id, {})[e.name] = e
+    return out

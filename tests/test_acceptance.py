@@ -20,7 +20,6 @@ from pilotsim import (
     ResourcePool,
     TaskRecord,
     TaskSpec,
-    TaskState,
     VirtualClock,
     aggregate_overhead,
     compute_ttx,
@@ -28,6 +27,8 @@ from pilotsim import (
     run_pilot,
     utilization,
 )
+
+from conftest import task_events
 
 
 def _passline(num, detail, budget_s, took_s):
@@ -134,7 +135,7 @@ def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
 
 
 def _job(uid, duration=900.0):
-    return TaskRecord.new(TaskSpec(uid=uid, cores=1, duration_s=duration))
+    return TaskRecord(TaskSpec(uid=uid, cores=1, duration_s=duration))
 
 
 class TestCriterion3DvmCrashBracket:
@@ -308,9 +309,9 @@ class TestCriterion8UtilizationConservation:
                 cfg.workload.duration_s * 1e6
             )
             got_us = sum(
-                round((r.timestamps[_done()] - r.timestamps[_running()]) * 1e6)
-                * r.spec.cores
-                for r in res.records.values()
+                round((h["done"].t_s - h["running"].t_s) * 1e6)
+                * cfg.workload.cores_per_task
+                for h in task_events(res.events).values()
             )
             assert got_us == expected_us, f"trial {trial}"
             assert ub.resource_seconds["exec_cmd"] == pytest.approx(
@@ -320,18 +321,6 @@ class TestCriterion8UtilizationConservation:
         assert took < self.BUDGET
         _passline(8, "100 fuzzed configs: sums 100+-0.01, exec_cmd exact",
                   self.BUDGET, took)
-
-
-def _done():
-    from pilotsim import TaskState
-
-    return TaskState.DONE
-
-
-def _running():
-    from pilotsim import TaskState
-
-    return TaskState.RUNNING
 
 
 class TestCriterion9RateContract:
@@ -349,7 +338,7 @@ class TestCriterion9RateContract:
             cfg.backend.fd_limit = 65536
             cfg.backend.fd_reserved = 0
             res = run_pilot(cfg, seed=3)
-            ts = sorted(r.timestamps[TaskState.SUBMITTED] for r in res.records.values())
+            ts = sorted(h["submit"].t_s for h in task_events(res.events).values())
             assert len(ts) == 64
             assert all(b - a >= delay - 1e-9 for a, b in zip(ts, ts[1:])), delay
 

@@ -265,6 +265,8 @@ class TestMainExitCodes:
         "agent.termination_s=-1",
         "agent.schedule_cost_s=-0.1",
         "agent.gpu_weight=-1",
+        "seed=-1",  # numpy's generator refuses it, after rep_000 exists
+        "agent.poll_interval_s=0",  # the local poller would spin
     ])
     def test_invalid_config_is_2_and_runs_nothing(self, tmp_path, bad):
         cfg_path = tmp_path / "bad.cfg"
@@ -272,6 +274,12 @@ class TestMainExitCodes:
         with open(cfg_path, "a") as fh:
             fh.write(bad + "\n")
         assert main(["run", str(cfg_path)]) == 2
+        assert list(tmp_path.glob("out/**/rep_*")) == []
+
+    def test_negative_seed_option_is_2_and_runs_nothing(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        write_cfg(cfg_path, small_cfg(tmp_path / "out"))
+        assert main(["run", str(cfg_path), "--seed", "-1"]) == 2
         assert list(tmp_path.glob("out/**/rep_*")) == []
 
     def test_missing_config_is_2(self, tmp_path):

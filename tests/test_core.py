@@ -52,20 +52,23 @@ class TestMakeWorkload:
 
 class TestAdvanceState:
     def _rec(self):
-        return TaskRecord.new(TaskSpec(uid="t0", cores=1, duration_s=900.0))
+        return TaskRecord(TaskSpec(uid="t0", cores=1, duration_s=900.0))
 
     def test_first_transition(self):
-        rec = advance_state(self._rec(), TaskState.SCHEDULED, 0.3)
-        assert rec.timestamps == {TaskState.NEW: 0.0, TaskState.SCHEDULED: 0.3}
+        rec = self._rec()
+        assert (rec.state, rec.t_last) == (TaskState.NEW, 0.0)
+        advance_state(rec, TaskState.SCHEDULED, 0.3)
+        assert (rec.state, rec.t_last) == (TaskState.SCHEDULED, 0.3)
 
     def test_execution_span(self):
         rec = self._rec()
         advance_state(rec, TaskState.SCHEDULED, 0.1)
         advance_state(rec, TaskState.SUBMITTED, 0.2)
         advance_state(rec, TaskState.RUNNING, 0.3)
+        t_running = rec.t_last
         advance_state(rec, TaskState.DONE, 900.3)
-        span = rec.timestamps[TaskState.DONE] - rec.timestamps[TaskState.RUNNING]
-        assert span == pytest.approx(900.0)
+        assert rec.state is TaskState.DONE
+        assert rec.t_last - t_running == pytest.approx(900.0)
 
     def test_skip_is_illegal(self):
         rec = advance_state(self._rec(), TaskState.SCHEDULED, 0.1)
@@ -77,6 +80,12 @@ class TestAdvanceState:
         with pytest.raises(TimeRegression):
             advance_state(rec, TaskState.SUBMITTED, 4.0)
 
+    def test_time_regression_against_arrival(self):
+        rec = TaskRecord(TaskSpec(uid="t0", cores=1, duration_s=900.0), t_last=5.0)
+        with pytest.raises(TimeRegression):
+            advance_state(rec, TaskState.SCHEDULED, 4.0)
+        assert (rec.state, rec.t_last) == (TaskState.NEW, 5.0)
+
     def test_fail_from_any_nonterminal(self):
         rec = advance_state(self._rec(), TaskState.SCHEDULED, 1.0)
         advance_state(rec, TaskState.FAILED, 2.0)
@@ -84,27 +93,20 @@ class TestAdvanceState:
         with pytest.raises(IllegalTransition):
             advance_state(rec, TaskState.SUBMITTED, 3.0)
 
-    def test_done_has_all_five_timestamps(self):
-        rec = self._rec()
-        for state, t in [(TaskState.SCHEDULED, 1.0), (TaskState.SUBMITTED, 2.0),
-                         (TaskState.RUNNING, 3.0), (TaskState.DONE, 4.0)]:
-            advance_state(rec, state, t)
-        assert len(rec.timestamps) == 5
-
     @given(ts=st.lists(st.floats(min_value=0, max_value=1e6,
                                  allow_nan=False), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_monotonic_after_any_legal_interleaving(self, ts):
         ts = sorted(ts)
         rec = self._rec()
+        stamps = [rec.t_last]
         for state, t in zip(
             [TaskState.SCHEDULED, TaskState.SUBMITTED, TaskState.RUNNING, TaskState.DONE],
             ts,
         ):
             advance_state(rec, state, t)
-        stamps = [rec.timestamps[s] for s in
-                  [TaskState.NEW, TaskState.SCHEDULED, TaskState.SUBMITTED,
-                   TaskState.RUNNING, TaskState.DONE]]
+            stamps.append(rec.t_last)
+        assert rec.state is TaskState.DONE
         assert all(a <= b for a, b in zip(stamps, stamps[1:]))
 
 

@@ -7,19 +7,18 @@ from pilotsim import (
     FdAccountant,
     RateLimiter,
     ResourcePool,
-    TaskState,
     make_partitions,
     parse_config_text,
     rate_gate,
     run_pilot,
 )
 
-from conftest import zero_overhead
+from conftest import task_events, zero_overhead
 
 
 def submit_times(res):
     """Submission times of every task of a run without failures, in order."""
-    return sorted(r.timestamps[TaskState.SUBMITTED] for r in res.records.values())
+    return sorted(h["submit"].t_s for h in task_events(res.events).values())
 
 
 class TestRateGate:
@@ -139,8 +138,9 @@ class TestSubmitPipeline:
         cfg.backend.submit_delay_s = 0.0
         res = run_pilot(cfg, seed=1)
         assert res.failures.get("FdExhausted") == 2
-        failed = [r for r in res.records.values() if r.state is TaskState.FAILED]
-        assert all(r.failure_reason is FailureReason.FD_EXHAUSTED for r in failed)
+        failed = [h["task_fail"] for h in task_events(res.events).values()
+                  if "task_fail" in h]
+        assert all(e.attrs["reason"] == FailureReason.FD_EXHAUSTED.value for e in failed)
 
 
 class TestCollect:
@@ -148,18 +148,18 @@ class TestCollect:
         cfg = zero_overhead(quick_cfg(workload__n_tasks=10))
         cfg.backend.submit_cost_s = 0.01  # stagger starts
         res = run_pilot(cfg, seed=1)
-        ends = [r.timestamps[TaskState.DONE] for r in res.records.values()]
+        ends = [h["done"].t_s for h in task_events(res.events).values()]
         collected = [e.t_s for e in res.events if e.name == "done"]
         assert len(collected) == 10
-        assert collected == sorted(round(t, 6) for t in ends)
+        assert collected == sorted(ends)
 
     def test_end_stagger_mirrors_start_stagger(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=8))
         cfg.backend.submit_delay_s = 0.1
         res = run_pilot(cfg, seed=1)
-        recs = sorted(res.records.values(), key=lambda r: r.timestamps[TaskState.RUNNING])
-        starts = [r.timestamps[TaskState.RUNNING] for r in recs]
-        ends = [r.timestamps[TaskState.DONE] for r in recs]
+        tasks = sorted(task_events(res.events).values(), key=lambda h: h["running"].t_s)
+        starts = [h["running"].t_s for h in tasks]
+        ends = [h["done"].t_s for h in tasks]
         start_gaps = np.diff(starts)
         end_gaps = np.diff(ends)
         assert np.allclose(start_gaps, end_gaps)

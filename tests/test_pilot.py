@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
-from pilotsim import TaskState, load_profile, run_pilot
+from pilotsim import PilotRun, TaskRecord, load_profile, pilot, run_pilot
 
-from conftest import zero_overhead
+from conftest import task_events, zero_overhead
 
 
 class TestDeterminism:
@@ -32,7 +35,7 @@ class TestMultiWave:
         cfg.pool.cores_per_node = 8
         res = run_pilot(cfg, seed=1)
         assert res.n_done == 30
-        starts = sorted(r.timestamps[TaskState.RUNNING] for r in res.records.values())
+        starts = sorted(h["running"].t_s for h in task_events(res.events).values())
         waves = sorted({round(s, 6) for s in starts})
         assert len(waves) == 4  # ceil(30/8)
 
@@ -76,6 +79,34 @@ class TestDvmCrashEndToEnd:
         assert any(e.name == "pilot_stop" for e in res.events)
 
 
+class TestRecordsReleased:
+    @pytest.mark.parametrize("kind,capacity", [
+        ("sim_dvm", 4096), ("sim_jsm", 4096), ("sim_dvm", 8),  # the last one crashes
+    ])
+    def test_terminal_records_are_freed(self, quick_cfg, monkeypatch, kind, capacity):
+        # the profile events are the task history: once a task is terminal
+        # nothing in the finished run may still hold its record
+        refs = []
+
+        class Tracked(TaskRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(pilot, "TaskRecord", Tracked)
+        cfg = quick_cfg(workload__n_tasks=64, workload__duration_s=50.0)
+        cfg.backend.kind = kind
+        cfg.backend.fd_limit = 4096
+        cfg.dvm.capacity_tasks = capacity
+        run = PilotRun(cfg, seed=1)
+        res = run.run()
+        assert res.n_done + res.n_failed == len(refs) == 64
+        assert ("DvmCrashed" in res.failures) == (capacity < 64)
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
+        assert run.sink.events is res.events  # the run itself is still alive
+
+
 class TestPartitionsIntegration:
     def test_partitioned_run_completes(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=40, pool__nodes=5))
@@ -106,8 +137,8 @@ class TestRealClockSmoke:
         cfg.agent.schedule_cost_s = 0.0
         res = run_pilot(cfg, run_dir=str(tmp_path / "real"), seed=1)
         assert res.n_done == 1
-        rec = next(iter(res.records.values()))
-        span = rec.timestamps[TaskState.DONE] - rec.timestamps[TaskState.RUNNING]
+        (h,) = task_events(res.events).values()
+        span = h["done"].t_s - h["running"].t_s
         assert 1.0 <= span <= 1.6  # payload plus poll jitter
         log = load_profile(str(tmp_path / "real" / "profile.log"))
         assert any(e.name == "pilot_stop" for e in log)

@@ -11,7 +11,6 @@ from pilotsim import (
     EventSink,
     ProfileParseError,
     SinkClosed,
-    TaskState,
     load_profile,
     parse_config_text,
     run_pilot,
@@ -19,7 +18,7 @@ from pilotsim import (
 )
 from pilotsim.cli import main
 
-from conftest import zero_overhead
+from conftest import task_events, zero_overhead
 
 printable = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
@@ -175,11 +174,11 @@ class TestRunEventChains:
         res = run_pilot(cfg, seed=1)
         assert res.n_done == 6
         needed = {"schedule_ok", "submit", "running", "done", "unschedule"}
-        for uid, rec in res.records.items():
-            assert rec.state is TaskState.DONE
-            names = {e.name for e in res.events
-                     if e.entity_kind == "Task" and e.entity_id == uid}
-            assert needed <= names
+        tasks = task_events(res.events)
+        assert len(tasks) == 6
+        for history in tasks.values():
+            assert "task_fail" not in history
+            assert needed <= history.keys()
 
     def test_run_log_round_trips(self, quick_cfg, tmp_path):
         # timestamps are microsecond fixed-point on disk

@@ -16,9 +16,7 @@ from .core import (
     TaskState,
     TimeRegression,
     VirtualClock,
-    Workload,
     advance_state,
-    make_workload,
 )
 from .scheduler import (
     DoubleFree,
@@ -47,7 +45,6 @@ from .profiler import (
 )
 from .analysis import (
     CATEGORIES,
-    HeterogeneousWorkload,
     IncompleteRun,
     Interval,
     OverheadReport,

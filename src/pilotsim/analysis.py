@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Workload
+from .core import TaskSpec
 from .profiler import (
     DVM_JOB,
     EV_AGENT_READY,
@@ -86,10 +86,6 @@ CATEGORIES = [
 
 class IncompleteRun(ValueError):
     """The profile log does not describe a completed run."""
-
-
-class HeterogeneousWorkload(ValueError):
-    """ideal_ttx only supports homogeneous workloads."""
 
 
 @dataclass
@@ -325,27 +321,17 @@ def compute_ttx(events: EventsOrTable) -> float:
     raise IncompleteRun("no task reached a terminal state")
 
 
-def ideal_ttx(workload: Workload, pool: ResourcePool) -> float:
-    """Zero-overhead TTX: waves of fully concurrent tasks."""
-    specs = workload.tasks
-    first = specs[0]
-    cores, gpus, duration = first.cores, first.gpus, first.duration_s
-    for spec in specs:
-        if (spec.cores, spec.gpus, spec.duration_s) != (cores, gpus, duration):
-            raise HeterogeneousWorkload(
-                "ideal TTX is defined for homogeneous workloads only"
-            )
-    if duration is None:
-        raise HeterogeneousWorkload("ideal TTX needs simulated durations")
-    capacity = pool.total_worker_cores // cores
-    if gpus > 0:
-        capacity = min(capacity, pool.total_worker_gpus // gpus)
+def ideal_ttx(n_tasks: int, spec: TaskSpec, pool: ResourcePool) -> float:
+    """Zero-overhead TTX of `n_tasks` tasks of shape `spec`: waves of
+    fully concurrent tasks."""
+    capacity = pool.total_worker_cores // spec.cores
+    if spec.gpus > 0:
+        capacity = min(capacity, pool.total_worker_gpus // spec.gpus)
     if capacity < 1:
-        raise HeterogeneousWorkload(
-            f"tasks of {cores} cores and {gpus} GPUs do not fit the pool"
+        raise ValueError(
+            f"tasks of {spec.cores} cores and {spec.gpus} GPUs do not fit the pool"
         )
-    waves = math.ceil(len(specs) / capacity)
-    return waves * duration
+    return math.ceil(n_tasks / capacity) * spec.duration_s
 
 
 def component_overheads(events: EventsOrTable) -> OverheadReport:

@@ -31,7 +31,7 @@ from .config import (
     parse_config_text,
     to_flat,
 )
-from .pilot import PilotRun, build_pool, build_workload
+from .pilot import PilotRun, build_pool, build_spec
 from .profiler import Event, load_profile
 from .scheduler import ResourcePool
 
@@ -48,7 +48,7 @@ def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
                  pool: ResourcePool, ub: analysis.UtilizationBreakdown) -> dict[str, float]:
     metrics: dict[str, float] = {
         "ttx_s": analysis.compute_ttx(table),
-        "ideal_ttx_s": analysis.ideal_ttx(build_workload(cfg), pool),
+        "ideal_ttx_s": analysis.ideal_ttx(cfg.workload.n_tasks, build_spec(cfg), pool),
         "n_done": float(table.n_done),
         "n_failed": float(table.n_failed),
     }

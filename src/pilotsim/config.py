@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+def check_seed(seed: int) -> None:
+    """A seed is a non-negative integer, whether it comes from a config
+    or overrides one."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def worker_nodes_for(n_tasks: int, cores_per_task: int = 1,
                      cores_per_node: int = DEFAULT_CORES_PER_NODE) -> int:
     """Worker nodes needed to run `n_tasks` fully concurrently."""
@@ -139,8 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         # NaN fails every range check below, so non-finite floats go first
         for section in _SECTIONS:
             obj = getattr(self, section)

@@ -1,8 +1,8 @@
 """Domain types and the time base for the many-task pilot runtime.
 
-A workload is an ordered list of task specs. Each task walks a fixed
-lifecycle (New -> Scheduled -> Submitted -> Running -> Done, with Failed
-as the terminal side exit). A task record holds only the live state and
+A workload is one task shape (a `TaskSpec`) x `n_tasks`. Each task
+walks a fixed lifecycle (New -> Scheduled -> Submitted -> Running ->
+Done, with Failed as the terminal side exit). A task record holds only the live state and
 the time of its last transition, in seconds since pilot start; the
 profile events are the task's history.
 
@@ -57,55 +57,38 @@ class TimeRegression(ValueError):
     """Raised when a transition would precede the task's last one."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSpec:
-    """A unit of work: resource request plus either a simulated or a real payload.
+    """The one task shape of a run: its resource request and the duration
+    of its simulated payload (a real backend runs `sleep <duration>`)."""
 
-    Simulated payloads carry `duration_s`; real payloads carry `executable`
-    (+ args) and are launched as OS processes with stdio redirected to the
-    three file slots.
-    """
-
-    uid: str
     cores: int = 1
     gpus: int = 0
-    duration_s: Optional[float] = None
-    executable: Optional[str] = None
-    args: tuple[str, ...] = ()
-    stdin_path: Optional[str] = None
-    stdout_path: Optional[str] = None
-    stderr_path: Optional[str] = None
+    duration_s: float = 900.0
 
     def __post_init__(self):
-        if not self.uid:
-            raise ValueError("task uid must be non-empty")
         if self.cores < 1:
-            raise ValueError(f"task {self.uid}: cores must be >= 1, got {self.cores}")
+            raise ValueError(f"task cores must be >= 1, got {self.cores}")
         if self.gpus < 0:
-            raise ValueError(f"task {self.uid}: gpus must be >= 0, got {self.gpus}")
-        if self.executable is None:
-            if self.duration_s is None or self.duration_s <= 0:
-                raise ValueError(
-                    f"task {self.uid}: simulated payload needs duration_s > 0"
-                )
+            raise ValueError(f"task gpus must be >= 0, got {self.gpus}")
+        if not self.duration_s > 0:
+            raise ValueError(f"task duration_s must be > 0, got {self.duration_s}")
 
 
 @dataclass
 class TaskRecord:
-    """A task spec plus its live state: lifecycle state, the time of the
-    last transition, placement and held descriptors. The run's profile
-    events, not the record, carry the task's history."""
+    """One task's live state: lifecycle state, the time of the last
+    transition, placement and held descriptors. Every record of a run
+    shares the run's spec. The run's profile events, not the record,
+    carry the task's history."""
 
+    uid: str
     spec: TaskSpec
     state: TaskState = TaskState.NEW
     t_last: float = 0.0
     slot: Optional["Slot"] = None  # bound placement, see scheduler module
     partition: int = 0  # index of the agent partition that places the task
     fds_held: int = 0  # file descriptors charged at submission, until release
-
-    @property
-    def uid(self) -> str:
-        return self.spec.uid
 
 
 def advance_state(rec: TaskRecord, new_state: TaskState, t: float) -> TaskRecord:
@@ -132,59 +115,6 @@ def advance_state(rec: TaskRecord, new_state: TaskState, t: float) -> TaskRecord
     rec.state = new_state
     rec.t_last = t
     return rec
-
-
-@dataclass
-class Workload:
-    """An ordered batch of task specs, pulled by the agent in bundles."""
-
-    tasks: list[TaskSpec]
-    bundle_size: int = 1024
-
-    def __post_init__(self):
-        if not self.tasks:
-            raise ValueError("workload must contain at least one task")
-        if self.bundle_size < 1:
-            raise ValueError("bundle_size must be >= 1")
-        seen = set()
-        for spec in self.tasks:
-            if spec.uid in seen:
-                raise ValueError(f"duplicate task uid {spec.uid!r} in workload")
-            seen.add(spec.uid)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def bundles(self) -> list[list[TaskSpec]]:
-        size = self.bundle_size
-        return [self.tasks[i : i + size] for i in range(0, len(self.tasks), size)]
-
-
-def make_workload(
-    n: int,
-    cores_per_task: int = 1,
-    duration_s: float = 900.0,
-    gpus_per_task: int = 0,
-    bundle_size: int = 1024,
-    prefix: str = "task",
-) -> Workload:
-    """Build a homogeneous workload of `n` simulated tasks with unique ids."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if cores_per_task < 1:
-        raise ValueError(f"cores_per_task must be >= 1, got {cores_per_task}")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    tasks = [
-        TaskSpec(
-            uid=f"{prefix}.{i:06d}",
-            cores=cores_per_task,
-            gpus=gpus_per_task,
-            duration_s=duration_s,
-        )
-        for i in range(n)
-    ]
-    return Workload(tasks=tasks, bundle_size=bundle_size)
 
 
 class Clock:

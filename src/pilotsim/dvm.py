@@ -144,8 +144,7 @@ class DvmHandle:
         now = self.clock.now_s
         self._stage_event(uid, EV_RUNNING, now)
         self.host.task_running(entry.rec, now)
-        duration = entry.rec.spec.duration_s or 0.0
-        self.clock.schedule_in(duration, lambda: self._payload_end(uid))
+        self.clock.schedule_in(entry.rec.spec.duration_s, lambda: self._payload_end(uid))
 
     def _payload_end(self, uid: str) -> None:
         entry = self._live.get(uid)

@@ -203,9 +203,9 @@ class Executor:
 class LocalExecBackend:
     """Spawns real OS processes with stdio redirected to files.
 
-    Simulated payloads are enacted with `sleep <duration>`; real payloads
-    run their executable directly. The three stdio descriptors per task
-    are real open files here.
+    Each payload is enacted with `sleep <duration>`, its stdio at
+    `<stdio_dir>/<uid>.{in,out,err}`. The three stdio descriptors per
+    task are real open files here.
     """
 
     def __init__(self, clock: Clock, host, stdio_dir: str, poll_interval_s: float = 0.02):
@@ -218,18 +218,13 @@ class LocalExecBackend:
         os.makedirs(stdio_dir, exist_ok=True)
 
     def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
-        spec = rec.spec
-        if spec.executable is not None:
-            argv = [spec.executable, *spec.args]
-        else:
-            argv = ["sleep", str(spec.duration_s)]
-        paths = self._stdio_paths(rec)
-        if not os.path.exists(paths[0]):
-            open(paths[0], "w").close()
-        files = [open(paths[0], "rb"), open(paths[1], "wb"), open(paths[2], "wb")]
+        base = os.path.join(self.stdio_dir, rec.uid)
+        files = [open(f"{base}.in", "w+b"), open(f"{base}.out", "wb"),
+                 open(f"{base}.err", "wb")]
         try:
             proc = subprocess.Popen(
-                argv, stdin=files[0], stdout=files[1], stderr=files[2]
+                ["sleep", str(rec.spec.duration_s)],
+                stdin=files[0], stdout=files[1], stderr=files[2],
             )
         except OSError:
             for fh in files:
@@ -240,15 +235,6 @@ class LocalExecBackend:
         self.host.task_running(rec, self.clock.now_s)
         self._ensure_poller()
         return True
-
-    def _stdio_paths(self, rec: TaskRecord) -> tuple[str, str, str]:
-        spec = rec.spec
-        base = os.path.join(self.stdio_dir, rec.uid)
-        return (
-            spec.stdin_path or f"{base}.in",
-            spec.stdout_path or f"{base}.out",
-            spec.stderr_path or f"{base}.err",
-        )
 
     def _ensure_poller(self) -> None:
         if not self._poller_on:
@@ -312,9 +298,7 @@ class SimJsmBackend:
         rec, _ = self._live[uid]
         now = self.clock.now_s
         self.host.task_running(rec, now)
-        self.clock.schedule_in(
-            rec.spec.duration_s or 0.0, lambda: self._payload_end(uid)
-        )
+        self.clock.schedule_in(rec.spec.duration_s, lambda: self._payload_end(uid))
 
     def _payload_end(self, uid: str) -> None:
         if uid not in self._live:

@@ -2,17 +2,18 @@
 
 The run is a single logical control loop driven by the clock's event
 queue. t=0 is pilot start; the agent becomes ready after its startup
-cost, pulls the workload in bundles into one arrival-ordered queue per
-partition, and places queue heads that fit serially onto the pool
-(first-fit); a task that does not fit waits for a release. Placed tasks
-go round-robin to the executors, which pace submissions and drains
-against the backend. When every task is terminal the agent tears down
-and records the pilot_stop sentinel.
+cost, pulls the workload (one task shape x `n_tasks`) in bundles into
+one arrival-ordered queue per partition, and places queue heads that
+fit serially onto the pool (first-fit); a task that does not fit waits
+for a release. Placed tasks go round-robin to the executors, which pace
+submissions and drains against the backend. When every task is terminal
+the agent tears down and records the pilot_stop sentinel.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,18 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_seed
 from .core import (
     TERMINAL_STATES,
     Clock,
     FailureReason,
     RealClock,
     TaskRecord,
+    TaskSpec,
     TaskState,
     VirtualClock,
-    Workload,
     advance_state,
-    make_workload,
 )
 from .dvm import LatencySpec, dvm_start
 from .launcher import (
@@ -78,16 +78,11 @@ def build_pool(cfg: ExperimentConfig) -> ResourcePool:
     )
 
 
-def build_workload(cfg: ExperimentConfig) -> Workload:
-    """The task list a configuration describes."""
+def build_spec(cfg: ExperimentConfig) -> TaskSpec:
+    """The one task shape a configuration describes."""
     wl = cfg.workload
-    return make_workload(
-        wl.n_tasks,
-        cores_per_task=wl.cores_per_task,
-        duration_s=wl.duration_s,
-        gpus_per_task=wl.gpus_per_task,
-        bundle_size=wl.bundle_size,
-    )
+    return TaskSpec(cores=wl.cores_per_task, gpus=wl.gpus_per_task,
+                    duration_s=wl.duration_s)
 
 
 @dataclass
@@ -121,9 +116,10 @@ class PilotRun:
         seed: Optional[int] = None,
     ):
         cfg.validate()
+        self.seed = cfg.seed if seed is None else seed
+        check_seed(self.seed)  # an override bypasses cfg.validate
         self.cfg = cfg
         self.run_dir = run_dir
-        self.seed = cfg.seed if seed is None else seed
         self.rng = np.random.default_rng(self.seed)
         self.clock: Clock = RealClock() if cfg.clock == "real" else VirtualClock()
         log_path = os.path.join(run_dir, "profile.log") if run_dir else None
@@ -133,7 +129,7 @@ class PilotRun:
 
         self.pool = build_pool(cfg)
         self.fd = FdAccountant(cfg.backend.fd_limit, cfg.backend.fd_reserved)
-        self.workload = build_workload(cfg)
+        self.spec = build_spec(cfg)
         self.groups = [
             _Partition(pool=p) for p in make_partitions(self.pool, cfg.agent.partitions)
         ]
@@ -143,12 +139,17 @@ class PilotRun:
         self.n_failed = 0
         self.failures: dict[str, int] = {}
         self.executors: list[Executor] = []
+        self._tmp_stdio: Optional[str] = None  # made and removed by this run
 
     # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> RunResult:
         self.clock.schedule_at(0.0, self._pilot_start)
-        self.clock.run()
+        try:
+            self.clock.run()
+        finally:
+            if self._tmp_stdio:
+                shutil.rmtree(self._tmp_stdio, ignore_errors=True)
         self.sink.flush()
         self.sink.close()
         return RunResult(
@@ -175,6 +176,8 @@ class PilotRun:
     def _build_backends(self) -> None:
         cfg = self.cfg
         kind = cfg.backend.kind
+        if kind == "local_exec" and not self.run_dir:
+            self._tmp_stdio = tempfile.mkdtemp(prefix="pilotsim-stdio-")
         for i, group in enumerate(self.groups):
             if kind == "sim_dvm":
                 group.backend = dvm_start(
@@ -188,11 +191,8 @@ class PilotRun:
                     self.rng,
                 )
             else:
-                stdio_dir = (
-                    os.path.join(self.run_dir, "tasks")
-                    if self.run_dir
-                    else tempfile.mkdtemp(prefix="pilotsim-stdio-")
-                )
+                stdio_dir = (os.path.join(self.run_dir, "tasks") if self.run_dir
+                             else self._tmp_stdio)
                 group.backend = LocalExecBackend(
                     self.clock, self, stdio_dir,
                     poll_interval_s=cfg.agent.poll_interval_s,
@@ -218,17 +218,17 @@ class PilotRun:
     def _agent_ready(self) -> None:
         now = self.clock.now_s
         self._event(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
+        n, size = self.cfg.workload.n_tasks, self.cfg.workload.bundle_size
         self._event(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
-                    {"n_tasks": str(len(self.workload))})
-        k = len(self.groups)
-        idx = 0  # arrival index
-        for b, bundle in enumerate(self.workload.bundles()):
+                    {"n_tasks": str(n)})
+        spec, groups, k = self.spec, self.groups, len(self.groups)
+        for b, lo in enumerate(range(0, n, size)):
+            hi = min(lo + size, n)
             self._event(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
-                        EV_BUNDLE_RECEIVED, {"size": str(len(bundle))})
-            for spec in bundle:
-                rec = TaskRecord(spec, t_last=now, partition=idx % k)
-                self.groups[rec.partition].queue.append((idx, rec))
-                idx += 1
+                        EV_BUNDLE_RECEIVED, {"size": str(hi - lo)})
+            for idx in range(lo, hi):  # idx is the arrival index
+                rec = TaskRecord(f"task.{idx:06d}", spec, t_last=now, partition=idx % k)
+                groups[idx % k].queue.append((idx, rec))
         self._kick_sched()
 
     # -- scheduling lane -----------------------------------------------------
@@ -238,7 +238,7 @@ class PilotRun:
         only this lane takes capacity, so the placement succeeds."""
         if self._sched_busy:
             return
-        ready = [g for g in self.groups if g.queue and g.pool.fits(g.queue[0][1].spec)]
+        ready = [g for g in self.groups if g.queue and g.pool.fits(self.spec)]
         if not ready:
             return
         _, rec = min(ready, key=lambda g: g.queue[0][0]).queue.popleft()
@@ -250,11 +250,11 @@ class PilotRun:
     def _sched_complete(self, rec: TaskRecord) -> None:
         self._sched_busy = False
         group = self.groups[rec.partition]
-        rec.slot = group.pool.try_schedule(rec.spec)
+        rec.slot = group.pool.try_schedule(self.spec)
         now = self.clock.now_s
         advance_state(rec, TaskState.SCHEDULED, now)
         self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
-                    {"slot": rec.slot.encode(), "cores": str(rec.spec.cores)})
+                    {"slot": rec.slot.encode(), "cores": str(self.spec.cores)})
         ex = group.executors[group.rr % len(group.executors)]
         group.rr += 1
         ex.enqueue(rec)
@@ -318,7 +318,7 @@ class PilotRun:
 
     def _after_terminal(self) -> None:
         # true once: each task turns terminal exactly once
-        if self.n_done + self.n_failed == len(self.workload):
+        if self.n_done + self.n_failed == self.cfg.workload.n_tasks:
             self.clock.schedule_in(self.cfg.agent.termination_s, self._pilot_stop)
 
     def _pilot_stop(self) -> None:

@@ -99,6 +99,15 @@ class _NodeState:
         self.free_gpus = self.node.gpus
 
 
+def _all_bound(indices: tuple[int, ...], used: list[bool]) -> bool:
+    """True when `indices` name distinct units that are bound in `used`."""
+    n = len(used)
+    for i in indices:
+        if not (0 <= i < n and used[i]):
+            return False
+    return len(indices) < 2 or len(set(indices)) == len(indices)
+
+
 class ResourcePool:
     """Nodes x (cores, GPUs) with per-node occupancy bitmaps.
 
@@ -190,18 +199,22 @@ class ResourcePool:
         return Slot(assignments=tuple(assignments))
 
     def unschedule(self, slot: Slot) -> None:
-        """Release every resource held by `slot`; rejects double frees."""
-        for a in slot.assignments:
+        """Release every resource held by `slot`. A slot that names a unit
+        that is not bound (out of range or already free), or names a unit
+        or a node twice, raises DoubleFree and leaves the pool unchanged."""
+        assignments = slot.assignments
+        n = len(assignments)
+        if n > 1 and len({a.node_uid for a in assignments}) < n:
+            raise DoubleFree(f"slot {slot.encode()} names a node twice")
+        for a in assignments:
             state = self._states.get(a.node_uid)
             if state is None:
                 raise DoubleFree(f"slot references unknown node {a.node_uid}")
-            for i in a.core_indices:
-                if not state.core_used[i]:
-                    raise DoubleFree(f"core {a.node_uid}/{i} is not bound")
-            for i in a.gpu_indices:
-                if not state.gpu_used[i]:
-                    raise DoubleFree(f"gpu {a.node_uid}/{i} is not bound")
-        for a in slot.assignments:
+            if not _all_bound(a.core_indices, state.core_used):
+                raise DoubleFree(f"slot {slot.encode()} names a core that is not bound")
+            if not _all_bound(a.gpu_indices, state.gpu_used):
+                raise DoubleFree(f"slot {slot.encode()} names a GPU that is not bound")
+        for a in assignments:
             state = self._states[a.node_uid]
             for i in a.core_indices:
                 state.core_used[i] = False

@@ -135,7 +135,7 @@ def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
 
 
 def _job(uid, duration=900.0):
-    return TaskRecord(TaskSpec(uid=uid, cores=1, duration_s=duration))
+    return TaskRecord(uid, TaskSpec(cores=1, duration_s=duration))
 
 
 class TestCriterion3DvmCrashBracket:

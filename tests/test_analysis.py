@@ -6,18 +6,15 @@ import pytest
 from pilotsim import (
     CATEGORIES,
     Event,
-    HeterogeneousWorkload,
     IncompleteRun,
     Interval,
     ResourcePool,
     TaskSpec,
     TaskTable,
-    Workload,
     aggregate_overhead,
     component_overheads,
     compute_ttx,
     ideal_ttx,
-    make_workload,
     run_pilot,
     utilization,
 )
@@ -107,32 +104,27 @@ class TestIdealTtx:
                                     gpus_per_node=0, agent_nodes=1)
 
     def test_full_concurrency(self):
-        wl = make_workload(16384, 1, 900.0)
         pool = ResourcePool.uniform(392, cores_per_node=42, agent_nodes=1)
-        assert ideal_ttx(wl, pool) == pytest.approx(900.0)
+        assert ideal_ttx(16384, TaskSpec(1, 0, 900.0), pool) == pytest.approx(900.0)
 
     def test_waves(self):
-        wl = make_workload(10, 1, 900.0)
-        assert ideal_ttx(wl, self._pool(4)) == pytest.approx(2700.0)
+        assert ideal_ttx(10, TaskSpec(1, 0, 900.0), self._pool(4)) == pytest.approx(2700.0)
 
     def test_capacity_plus_one(self):
-        wl = make_workload(9, 1, 42.0)
-        assert ideal_ttx(wl, self._pool(8)) == pytest.approx(84.0)
+        assert ideal_ttx(9, TaskSpec(1, 0, 42.0), self._pool(8)) == pytest.approx(84.0)
 
     def test_gpus_bind(self, quick_cfg):
         # 10 tasks of 6 GPUs on 2 worker nodes of 6 GPUs: 5 waves, not 1
         cfg = zero_overhead(quick_cfg(workload__n_tasks=10, workload__duration_s=100.0,
                                       workload__gpus_per_task=6, pool__nodes=3))
-        wl = make_workload(10, 1, 100.0, gpus_per_task=6)
+        spec = TaskSpec(cores=1, gpus=6, duration_s=100.0)
         res = run_pilot(cfg, seed=1)
-        assert ideal_ttx(wl, res.pool) == pytest.approx(500.0)
-        assert ideal_ttx(wl, res.pool) <= compute_ttx(res.events)
+        assert ideal_ttx(10, spec, res.pool) == pytest.approx(500.0)
+        assert ideal_ttx(10, spec, res.pool) <= compute_ttx(res.events)
 
-    def test_heterogeneous_rejected(self):
-        tasks = [TaskSpec(uid="a", cores=1, duration_s=5.0),
-                 TaskSpec(uid="b", cores=2, duration_s=5.0)]
-        with pytest.raises(HeterogeneousWorkload):
-            ideal_ttx(Workload(tasks=tasks), self._pool(4))
+    def test_shape_larger_than_pool_rejected(self):
+        with pytest.raises(ValueError, match="do not fit the pool"):
+            ideal_ttx(1, TaskSpec(cores=5, duration_s=5.0), self._pool(4))
 
 
 class TestComponentOverheads:

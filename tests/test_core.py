@@ -1,58 +1,83 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (
+    ConfigError,
     IllegalTransition,
+    PilotRun,
+    Slot,
     TaskRecord,
     TaskSpec,
     TaskState,
     TimeRegression,
     VirtualClock,
     advance_state,
-    make_workload,
+    run_pilot,
 )
+
+from conftest import zero_overhead
 
 
 class TestMakeWorkload:
-    def test_paper_scale(self):
-        wl = make_workload(16384, 1, 900.0)
-        assert len(wl) == 16384
-        assert all(t.cores == 1 and t.duration_s == 900.0 for t in wl.tasks)
+    """A run makes its workload from the config: one task shape, shared by
+    `n_tasks` records with uids task.000000, task.000001, ..., pulled in
+    bundles of `bundle_size`."""
 
-    def test_single_task(self):
-        wl = make_workload(1, 1, 5.0)
-        assert len(wl) == 1
+    @staticmethod
+    def _events(quick_cfg, n, **over):
+        res = run_pilot(zero_overhead(quick_cfg(workload__n_tasks=n, **over)), seed=1)
+        assert res.n_done == n
+        return res.events
 
-    def test_total_core_demand(self):
-        wl = make_workload(10, 2, 30.0)
-        # fold oracle over the specs
+    def test_paper_scale(self, quick_cfg):
+        run = PilotRun(quick_cfg(workload__n_tasks=16384, workload__duration_s=900.0,
+                                 pool__autosize=1))
+        assert run.spec == TaskSpec(cores=1, gpus=0, duration_s=900.0)
+
+    def test_single_task(self, quick_cfg):
+        events = self._events(quick_cfg, 1)
+        assert [e.attrs["size"] for e in events if e.name == "bundle_received"] == ["1"]
+        assert {e.entity_id for e in events if e.entity_kind == "Task"} == {"task.000000"}
+
+    def test_total_core_demand(self, quick_cfg):
+        events = self._events(quick_cfg, 10, workload__cores_per_task=2)
+        # fold oracle over the placements
         total = 0
-        for spec in wl.tasks:
-            total += spec.cores
+        for e in events:
+            if e.name == "schedule_ok":
+                assert e.attrs["cores"] == "2"
+                total += Slot.decode(e.attrs["slot"]).n_cores
         assert total == 20
 
     @pytest.mark.parametrize("n,cores,dur", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0),
                                              (-3, 1, 1.0), (1, 1, -5.0)])
-    def test_invalid_arguments(self, n, cores, dur):
-        with pytest.raises(ValueError):
-            make_workload(n, cores, dur)
+    def test_invalid_arguments(self, quick_cfg, n, cores, dur):
+        cfg = quick_cfg(workload__n_tasks=n, workload__cores_per_task=cores,
+                        workload__duration_s=dur)
+        with pytest.raises(ConfigError):
+            PilotRun(cfg)
+        if n >= 1:
+            with pytest.raises(ValueError):
+                TaskSpec(cores=cores, duration_s=dur)
 
-    @given(n=st.integers(min_value=1, max_value=500))
-    @settings(max_examples=30, deadline=None)
-    def test_ids_pairwise_distinct(self, n):
-        wl = make_workload(n, 1, 1.0)
-        assert len({t.uid for t in wl.tasks}) == n
+    def test_ids_pairwise_distinct(self, quick_cfg):
+        events = self._events(quick_cfg, 10, workload__bundle_size=3)
+        uids = {e.entity_id for e in events if e.entity_kind == "Task"}
+        assert len(uids) == 10
+        assert all(re.fullmatch(r"task\.\d{6}", uid) for uid in uids)
 
-    def test_bundles_cover_workload(self):
-        wl = make_workload(10, 1, 1.0, bundle_size=3)
-        bundles = wl.bundles()
-        assert [len(b) for b in bundles] == [3, 3, 3, 1]
+    def test_bundles_cover_workload(self, quick_cfg):
+        events = self._events(quick_cfg, 10, workload__bundle_size=3)
+        sizes = [e.attrs["size"] for e in events if e.name == "bundle_received"]
+        assert sizes == ["3", "3", "3", "1"]
 
 
 class TestAdvanceState:
     def _rec(self):
-        return TaskRecord(TaskSpec(uid="t0", cores=1, duration_s=900.0))
+        return TaskRecord("t0", TaskSpec(cores=1, duration_s=900.0))
 
     def test_first_transition(self):
         rec = self._rec()
@@ -81,7 +106,7 @@ class TestAdvanceState:
             advance_state(rec, TaskState.SUBMITTED, 4.0)
 
     def test_time_regression_against_arrival(self):
-        rec = TaskRecord(TaskSpec(uid="t0", cores=1, duration_s=900.0), t_last=5.0)
+        rec = TaskRecord("t0", TaskSpec(cores=1, duration_s=900.0), t_last=5.0)
         with pytest.raises(TimeRegression):
             advance_state(rec, TaskState.SCHEDULED, 4.0)
         assert (rec.state, rec.t_last) == (TaskState.NEW, 5.0)

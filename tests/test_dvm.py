@@ -42,7 +42,7 @@ class StubExecutor:
 
 
 def rec_of(uid, duration=900.0):
-    return TaskRecord(TaskSpec(uid=uid, cores=1, duration_s=duration))
+    return TaskRecord(uid, TaskSpec(cores=1, duration_s=duration))
 
 
 def zero_latency_config(**kw):

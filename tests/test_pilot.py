@@ -1,9 +1,11 @@
 import gc
+import tempfile
+import tracemalloc
 import weakref
 
 import pytest
 
-from pilotsim import PilotRun, TaskRecord, load_profile, pilot, run_pilot
+from pilotsim import ConfigError, PilotRun, TaskRecord, load_profile, pilot, run_pilot
 
 from conftest import task_events, zero_overhead
 
@@ -142,6 +144,49 @@ class TestRealClockSmoke:
         assert 1.0 <= span <= 1.6  # payload plus poll jitter
         log = load_profile(str(tmp_path / "real" / "profile.log"))
         assert any(e.name == "pilot_stop" for e in log)
+
+
+class TestSetup:
+    @staticmethod
+    def _traced_init_bytes(cfg):
+        tracemalloc.start()
+        try:
+            run = PilotRun(cfg, seed=1)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del run
+        return size
+
+    def test_setup_memory_does_not_grow_with_n_tasks(self, quick_cfg):
+        # the run holds one task shape; nothing per task exists before agent_ready
+        def cfg(n):
+            return quick_cfg(workload__n_tasks=n, pool__autosize=0, pool__nodes=3)
+
+        self._traced_init_bytes(cfg(1024))  # warm caches
+        small = self._traced_init_bytes(cfg(1024))
+        large = self._traced_init_bytes(cfg(16384))
+        assert abs(large - small) < 64 * 1024
+
+    def test_negative_seed_override_is_config_error(self, quick_cfg, tmp_path):
+        run_dir = tmp_path / "never"
+        with pytest.raises(ConfigError, match="seed"):
+            PilotRun(quick_cfg(), run_dir=str(run_dir), seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            run_pilot(quick_cfg(), run_dir=str(run_dir), seed=-1)
+        assert not run_dir.exists()
+
+    def test_local_exec_without_run_dir_removes_its_stdio_dir(
+            self, quick_cfg, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cfg = zero_overhead(quick_cfg(workload__n_tasks=2, workload__duration_s=0.05))
+        cfg.clock = "real"
+        cfg.backend.kind = "local_exec"
+        cfg.agent.startup_s = 0.0
+        cfg.agent.termination_s = 0.0
+        res = run_pilot(cfg, seed=1)
+        assert res.n_done == 2
+        assert list(tmp_path.glob("pilotsim-stdio-*")) == []
 
 
 class TestPilotStart:

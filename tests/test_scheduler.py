@@ -10,8 +10,8 @@ from pilotsim import (
 )
 
 
-def spec(cores=1, gpus=0, uid="t"):
-    return TaskSpec(uid=uid, cores=cores, gpus=gpus, duration_s=1.0)
+def spec(cores=1, gpus=0):
+    return TaskSpec(cores=cores, gpus=gpus, duration_s=1.0)
 
 
 class NaiveFreeList:
@@ -69,7 +69,7 @@ class TestTrySchedule:
     def test_paper_scale_concurrency_fits(self):
         # 25 worker nodes x 42 cores hold 1024 one-core tasks concurrently
         pool = ResourcePool.uniform(26, cores_per_node=42, gpus_per_node=0, agent_nodes=1)
-        slots = [pool.try_schedule(spec(1, uid=f"t{i}")) for i in range(1024)]
+        slots = [pool.try_schedule(spec(1)) for i in range(1024)]
         assert all(s is not None for s in slots)
         assert pool.free_core_count() == 25 * 42 - 1024
 
@@ -97,7 +97,7 @@ class TestTrySchedule:
             else:
                 cores = int(rng.integers(1, 4))
                 gpus = int(rng.integers(0, 2))
-                slot = pool.try_schedule(spec(cores, gpus, uid=f"t{step}"))
+                slot = pool.try_schedule(spec(cores, gpus))
                 placement = oracle.alloc(cores, gpus)
                 if slot is None:
                     assert placement is None
@@ -122,6 +122,20 @@ class TestUnschedule:
         with pytest.raises(DoubleFree):
             pool.unschedule(slot)
 
+    @pytest.mark.parametrize("text", ["n1c-1", "n1c4", "n1g-2", "n1c0.0", "n1c0_n1c0"])
+    def test_unbound_index_rejected_and_pool_unchanged(self, text):
+        # the 4-core node is fully held; a negative index would free the core
+        # another slot holds, one past the end would raise IndexError
+        pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        held = pool.try_schedule(spec(4, 1))
+        assert held.encode() == "n1c0.1.2.3g0"
+        with pytest.raises(DoubleFree):
+            pool.unschedule(Slot.decode(text))
+        assert (pool.free_core_count(), pool.free_gpu_count()) == (0, 1)
+        assert pool.try_schedule(spec(1)) is None  # no double booking
+        pool.unschedule(held)
+        assert (pool.free_core_count(), pool.free_gpu_count()) == (4, 2)
+
     def test_interleaved_counter_oracle(self):
         rng = np.random.default_rng(11)
         pool = ResourcePool.uniform(4, cores_per_node=8, gpus_per_node=0, agent_nodes=0)
@@ -135,7 +149,7 @@ class TestUnschedule:
                 bound -= slot.n_cores
             else:
                 cores = int(rng.integers(1, 5))
-                slot = pool.try_schedule(spec(cores, uid=f"t{i}"))
+                slot = pool.try_schedule(spec(cores))
                 if slot is not None:
                     live.append(slot)
                     bound += cores
@@ -152,7 +166,7 @@ class TestInvariants:
             if live and rng.random() < 0.5:
                 pool.unschedule(live.pop(int(rng.integers(len(live)))))
             else:
-                slot = pool.try_schedule(spec(int(rng.integers(1, 4)), uid=f"t{i}"))
+                slot = pool.try_schedule(spec(int(rng.integers(1, 4))))
                 if slot is not None:
                     live.append(slot)
             bound = sum(s.n_cores for s in live)
@@ -169,8 +183,8 @@ class TestInvariants:
         pool = ResourcePool.uniform(3, cores_per_node=7, gpus_per_node=0, agent_nodes=1)
         free = pool.free_core_count()
         for i in range(free):
-            assert pool.try_schedule(spec(1, uid=f"t{i}")) is not None
-        assert pool.try_schedule(spec(1, uid="overflow")) is None
+            assert pool.try_schedule(spec(1)) is not None
+        assert pool.try_schedule(spec(1)) is None
 
 
 class TestSlotEncoding:

@@ -13,9 +13,11 @@ agent-node reservation through startup, scheduling warmup, submission
 wait, runtime slivers, payload execution, draining and teardown, down
 to units that idle through the whole run (unused GPUs, spare cores).
 
-Every metric derives from one table, built in a single pass over the
-events (`TaskTable.from_events`). It holds numpy columns with one row
-per task: the timestamp of each lifecycle event, NaN where the event is
+Every metric derives from one table. `TaskTable.from_events` builds it
+in a single pass over events in memory; `TaskTable.from_log` builds the
+same table from a saved profile log, reading the lines in blocks into
+numpy columns without making an `Event` per line. It holds numpy
+columns with one row per task: the timestamp of each lifecycle event, NaN where the event is
 missing. It also holds the run marks, and one row per (task, resource
 unit) pair that expands each task's slot. TTX and the overhead intervals
 are column arithmetic; an interval union is a sort plus a running
@@ -32,11 +34,15 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import profiler
 from .core import TaskSpec
 from .profiler import (
     DVM_JOB,
@@ -54,7 +60,7 @@ from .profiler import (
     TASK,
     Event,
 )
-from .scheduler import ResourcePool, Slot
+from .scheduler import ResourcePool, slot_units
 
 # utilization categories, in reporting order
 CAT_AGENT_NODES = "agent_nodes"
@@ -194,10 +200,28 @@ _MARKS = {
     EV_PILOT_STOP: "t_stop",
 }
 
+# `from_log` codes a line as kind * _N_NAMES + name: kind 0 for Task, 1 for
+# DvmJob, 2 for any other; name 0 for any name the table does not read
+_KIND_CODE = {TASK: 0, DVM_JOB: 1}
+_NAME_CODE = {name: i for i, name in enumerate(
+    dict.fromkeys([*_COLUMNS[TASK], *_COLUMNS[DVM_JOB], *_MARKS]), start=1)}
+_N_NAMES = len(_NAME_CODE) + 1
+_CODE_FIELD = {_KIND_CODE[kind] * _N_NAMES + _NAME_CODE[name]: col
+               for kind, cols in _COLUMNS.items() for name, col in cols.items()}
+_CODE_FIELD.update({2 * _N_NAMES + _NAME_CODE[name]: m for name, m in _MARKS.items()})
+_SCHED, _SUBMIT = _NAME_CODE[EV_SCHEDULE_OK], _NAME_CODE[EV_SUBMIT]  # of Task lines
+_PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "="
+
+
+class _NotPlain(ValueError):
+    """The log needs the reference reader."""
+
 
 @dataclass
 class TaskTable:
-    """Per-task columns of one run, built in one pass over its events.
+    """Per-task columns of one run, built in one pass over its events
+    (`from_events`) or over its saved profile log (`from_log`); both
+    builders give equal tables for the same events.
 
     Task rows are in order of each task's first event. Time columns hold
     NaN where the event is missing; `wait_s` is the enforced submission
@@ -232,7 +256,7 @@ class TaskTable:
                    for kind, cols in _COLUMNS.items()}
         marks: dict[str, float] = {}
         waits: tuple[list[int], list[float]] = ([], [])
-        slots: list[tuple[int, str]] = []
+        slots: tuple[list[int], list[str]] = ([], [])
         for ev in events:
             by_name = by_kind.get(ev.entity_kind)
             if by_name is None:
@@ -250,31 +274,117 @@ class TaskTable:
             hit[1].append(ev.t_s)
             if ev.entity_kind == TASK:
                 if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
-                    slots.append((row, ev.attrs["slot"]))
+                    slots[0].append(row)
+                    slots[1].append(ev.attrs["slot"])
                 elif ev.name == EV_SUBMIT:
                     waits[0].append(row)
                     waits[1].append(float(ev.attrs.get("wait", "0")))
+        return cls._build(list(rows), hits, waits, slots, marks)
 
-        n = len(rows)
+    @classmethod
+    def from_log(cls, path: str) -> "TaskTable":
+        """The table of a saved profile log: field for field what
+        `from_events(load_profile(path))` builds, without building events.
 
-        def column(hit: tuple[list[int], list[float]], fill: float) -> np.ndarray:
+        The log is read in blocks of about 64 KiB. Of each line only its
+        time and a (kind, name) code are kept, plus the id of Task and
+        DvmJob lines and the attributes of Task schedule_ok and submit
+        lines. A log this reading might get wrong (a percent escape, a
+        line without six fields, a time that does not parse or is not
+        finite, an attribute without `=`) goes through `load_profile`
+        instead, so every error is that path's error."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls._from_plain_lines(fh)
+        except ValueError:  # _NotPlain, or a value the reference path rejects too
+            # looked up on the module, so a wrapper set on it sees the call
+            return cls.from_events(profiler.load_profile(path))
+
+    @classmethod
+    def _from_plain_lines(cls, fh) -> "TaskTable":
+        times, codes, ids = [], [], []
+        index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
+        texts: list[str] = []  # attributes of the Task schedule_ok and submit lines
+        # whole lines: about 64 KiB, then the rest of the last line
+        while block := fh.read(1 << 16) + fh.readline():
+            if "%" in block:
+                raise _NotPlain
+            rows = list(filter(None, block.split("\n")))
+            n = len(rows)
+            # with a "\n" field between lines, lines of six fields put every
+            # "\n" at a position 6 mod 7
+            fields = ",\n,".join(rows).split(",")
+            if len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1:
+                raise _NotPlain
+            attrs = fields[5::7]
+            pairs = ";".join(filter(None, attrs))
+            if pairs and not all(map(str.__contains__, pairs.split(";"), repeat("="))):
+                raise _NotPlain
+            kind = np.fromiter(map(_KIND_CODE.get, fields[1::7], repeat(2)), np.int8, n)
+            code = kind * _N_NAMES + np.fromiter(
+                map(_NAME_CODE.get, fields[4::7], repeat(0)), np.int8, n)
+            entity = compress(fields[2::7], (kind < 2).tolist())
+            ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
+            texts += compress(attrs, ((code == _SCHED) | (code == _SUBMIT)).tolist())
+            times.append(np.fromiter(map(float, fields[0::7]), float, n))
+            codes.append(code)
+        t = np.concatenate(times or [np.empty(0)])
+        code = np.concatenate(codes or [np.empty(0, np.int8)])
+        if not np.isfinite(t).all():
+            raise _NotPlain
+
+        # rows in order of each id's first event in time order
+        entity = np.flatnonzero(code < 2 * _N_NAMES)
+        uid = np.concatenate(ids or [np.empty(0, np.intp)])
+        _, first = np.unique(uid[np.argsort(t[entity], kind="stable")], return_index=True)
+        by_first = np.argsort(first)
+        keys = list(index)
+        row = np.full(len(t), -1, dtype=np.intp)
+        row[entity] = np.argsort(by_first)[uid]
+
+        order = np.argsort(t, kind="stable")
+        code_order = code[order]
+        lines = {field: order[code_order == c] for c, field in _CODE_FIELD.items()}
+        marks = {}
+        for mark in _MARKS.values():
+            if len(hit := lines.pop(mark)):
+                marks[mark] = float(t[hit[-1]])
+        waits: tuple[list[int], list[float]] = ([], [])
+        slots: tuple[list[int], list[str]] = ([], [])
+        at = np.flatnonzero((code == _SCHED) | (code == _SUBMIT))
+        by_time = np.argsort(t[at], kind="stable")
+        at = at[by_time]
+        for r, c, i in zip(row[at].tolist(), code[at].tolist(), by_time.tolist()):
+            attrs = dict(_PAIR.findall(texts[i]))
+            if c == _SUBMIT:
+                waits[0].append(r)
+                waits[1].append(float(attrs.get("wait", "0")))
+            elif "slot" in attrs:
+                slots[0].append(r)
+                slots[1].append(attrs["slot"])
+        return cls._build([keys[i] for i in by_first.tolist()],
+                          {col: (row[hit], t[hit]) for col, hit in lines.items()},
+                          waits, slots, marks)
+
+    @classmethod
+    def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,
+               slots: tuple, marks: dict[str, float]) -> "TaskTable":
+        """The table from each column's (rows, values) in time order (the
+        last value of a row wins), the Task slots as (rows, texts) and the
+        run marks."""
+        n = len(uids)
+
+        def column(hit: tuple, fill: float) -> np.ndarray:
             out = np.full(n, fill)
-            out[np.array(hit[0], dtype=np.intp)] = hit[1]
+            out[np.asarray(hit[0], dtype=np.intp)] = hit[1]
             return out
 
-        units = np.array([
-            (row, a.node_uid, gpu, i)
-            for row, text in slots
-            for a in Slot.decode(text).assignments
-            for gpu, indices in ((0, a.core_indices), (1, a.gpu_indices))
-            for i in indices
-        ], dtype=np.int64).reshape(-1, 4)
-        unit_task, node, gpu, idx = units.T
+        pos, node, gpu, idx = np.array(slot_units(slots[1]), dtype=np.int64).reshape(-1, 4).T
         return cls(
-            uids=list(rows),
+            uids=uids,
             **{col: column(hit, np.nan) for col, hit in hits.items()},
             wait_s=column(waits, 0.0),
-            unit_task=unit_task,
+            unit_task=np.asarray(slots[0], dtype=np.int64)[pos],
             unit_key=(node * 2 + gpu) * (idx.max(initial=0) + 1) + idx,
             unit_gpu=gpu.astype(bool),
             **marks,

@@ -32,7 +32,7 @@ from .config import (
     to_flat,
 )
 from .pilot import PilotRun, build_pool, build_spec
-from .profiler import Event, load_profile
+from .profiler import Event, load_profile  # noqa: F401  perfbench's tracer wraps cli.load_profile
 from .scheduler import ResourcePool
 
 
@@ -62,8 +62,9 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
                 timeline_buckets: int = 120) -> dict[str, float]:
     """Write the per-repetition report CSVs; returns the summary metrics."""
     if events is None:
-        events = load_profile(os.path.join(rep_dir, "profile.log"))
-    table = analysis.TaskTable.from_events(events)
+        table = analysis.TaskTable.from_log(os.path.join(rep_dir, "profile.log"))
+    else:
+        table = analysis.TaskTable.from_events(events)
     pool = build_pool(cfg)
     report = analysis.component_overheads(table)
     ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
@@ -169,8 +170,7 @@ def emit_report(run_dir: str) -> str:
     for rep_dir in _rep_dirs(run_dir):
         try:
             cfg = _read_meta(rep_dir)
-            table = analysis.TaskTable.from_events(
-                load_profile(os.path.join(rep_dir, "profile.log")))
+            table = analysis.TaskTable.from_log(os.path.join(rep_dir, "profile.log"))
             pool = build_pool(cfg)
             ub = analysis.utilization(table, pool, gpu_weight=cfg.agent.gpu_weight)
             per_rep.append(_rep_metrics(cfg, table, pool, ub))

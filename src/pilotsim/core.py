@@ -75,7 +75,7 @@ class TaskSpec:
             raise ValueError(f"task duration_s must be > 0, got {self.duration_s}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """One task's live state: lifecycle state, the time of the last
     transition, placement and held descriptors. Every record of a run

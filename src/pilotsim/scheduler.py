@@ -15,8 +15,9 @@ a release frees room, and waiting tasks are placed in arrival order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import TaskSpec
 
@@ -82,6 +83,36 @@ class Slot:
                 SlotAssignment(node_uid=int(body), core_indices=cores, gpu_indices=gpus)
             )
         return cls(assignments=tuple(assignments))
+
+
+# a slot as `Slot.encode` writes it, and one node part of it
+_PART = r"n(\d+)(?:c(\d+(?:\.\d+)*))?(?:g(\d+(?:\.\d+)*))?"
+_SLOT_TEXT = re.compile(f"{_PART}(?:_{_PART})*", re.ASCII)
+_SLOT_PART = re.compile(_PART, re.ASCII)
+
+
+def slot_units(texts: Iterable[str]) -> list[int]:
+    """Every resource unit of the encoded slots, flattened to
+    (position in `texts`, node, 1 for a GPU else 0, unit index) quadruples
+    in `Slot.decode` order: node parts in order, cores before GPUs.
+
+    Text in the form `Slot.encode` writes is read by regex; anything else
+    goes through `Slot.decode`, which accepts or rejects it."""
+    out: list[int] = []
+    for pos, text in enumerate(texts):
+        if _SLOT_TEXT.fullmatch(text):
+            parts = [(int(node), cores.split(".") if cores else (),
+                      gpus.split(".") if gpus else ())
+                     for node, cores, gpus in _SLOT_PART.findall(text)]
+        else:
+            parts = [(a.node_uid, a.core_indices, a.gpu_indices)
+                     for a in Slot.decode(text).assignments]
+        for node, cores, gpus in parts:
+            for i in cores:
+                out += (pos, node, 0, int(i))
+            for i in gpus:
+                out += (pos, node, 1, int(i))
+    return out
 
 
 @dataclass

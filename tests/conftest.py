@@ -1,6 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from pilotsim import ExperimentConfig
+from pilotsim import ExperimentConfig, TaskTable
 
 
 @pytest.fixture
@@ -53,3 +56,15 @@ def task_events(events):
         if e.entity_kind == "Task":
             out.setdefault(e.entity_id, {})[e.name] = e
     return out
+
+
+def assert_same_table(got: TaskTable, want: TaskTable) -> None:
+    """Every field equal: uids, column dtypes and shapes, NaN positions."""
+    for f in dataclasses.fields(TaskTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), f.name
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name

@@ -20,7 +20,9 @@ import sys
 
 import pytest
 
-from pilotsim import analyze, parse_config_text, run_experiment
+from pilotsim import TaskTable, analyze, load_profile, parse_config_text, run_experiment
+
+from conftest import assert_same_table
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 REPORTS = ("report_overheads.csv", "report_utilization.csv",
@@ -130,6 +132,12 @@ def test_profile_log_hash(golden_runs, name):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_reports_match_golden(golden_runs, name):
     assert_reports_match(golden_runs[name], os.path.join(GOLDEN_DIR, name))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_log_reader_matches_reference(golden_runs, name):
+    log = os.path.join(golden_runs[name], "profile.log")
+    assert_same_table(TaskTable.from_log(log), TaskTable.from_events(load_profile(log)))
 
 
 def _regenerate(out_dir: str) -> None:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotsim import (
     DoubleFree,
     Node,
     ResourcePool,
     Slot,
+    SlotAssignment,
     TaskSpec,
 )
+from pilotsim.scheduler import slot_units
 
 
 def spec(cores=1, gpus=0):
@@ -192,3 +196,51 @@ class TestSlotEncoding:
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         slot = pool.try_schedule(spec(6, 2))
         assert Slot.decode(slot.encode()) == slot
+
+
+def decoded_units(texts):
+    """`slot_units` spelled out with `Slot.decode`."""
+    return [x for pos, text in enumerate(texts)
+            for a in Slot.decode(text).assignments
+            for gpu, indices in ((0, a.core_indices), (1, a.gpu_indices))
+            for i in indices
+            for x in (pos, a.node_uid, gpu, i)]
+
+
+def decode_outcome(decode, texts):
+    try:
+        return decode(texts)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+index_lists = st.lists(st.integers(0, 99), max_size=4)
+
+
+class TestSlotUnits:
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 999), index_lists, index_lists),
+                             min_size=1, max_size=3), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_encoded_slots_match_decode(self, slots):
+        texts = [Slot(tuple(SlotAssignment(n, tuple(c), tuple(g)) for n, c, g in parts)).encode()
+                 for parts in slots]
+        assert slot_units(texts) == decoded_units(texts)
+
+    @pytest.mark.parametrize("text", [
+        "n01c002", "n1", "n1g0.3", "n1c0_n2g1", "n١c0",  # accepted
+        "", "n", "n1c", "n1c0.", "n1g0c1", "c0", "n1_", "n-1c0", "n1c 0", "x1",  # mostly not
+    ])
+    def test_any_text_matches_decode(self, text):
+        texts = ["n1c0", text]
+        assert decode_outcome(slot_units, texts) == decode_outcome(decoded_units, texts)
+
+    def test_encoded_form_never_builds_a_slot(self, monkeypatch):
+        calls = []
+        decode = Slot.decode.__func__
+        monkeypatch.setattr(Slot, "decode", classmethod(
+            lambda cls, text: calls.append(text) or decode(cls, text)))
+        assert slot_units(["n3c0.1g2_n4c0", "n1"]) == [0, 3, 0, 0, 0, 3, 0, 1, 0, 3, 1, 2,
+                                                       0, 4, 0, 0]
+        assert calls == []
+        slot_units(["n١c0"])  # not ASCII: read by Slot.decode
+        assert calls == ["n١c0"]

@@ -19,7 +19,7 @@ import csv
 import os
 import sys
 import traceback
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -58,9 +58,10 @@ def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
 
 
 def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
-                events: Optional[list[Event]] = None,
+                events: Optional[Iterable[Event]] = None,
                 timeline_buckets: int = 120) -> dict[str, float]:
-    """Write the per-repetition report CSVs; returns the summary metrics."""
+    """Write the per-repetition report CSVs from its profile.log, or from
+    `events` when given; returns the summary metrics."""
     if events is None:
         table = analysis.TaskTable.from_log(os.path.join(rep_dir, "profile.log"))
     else:
@@ -127,9 +128,9 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         os.makedirs(rep_dir, exist_ok=True)
         seed = cfg.seed + rep
         try:
-            result = PilotRun(cfg, run_dir=rep_dir, seed=seed).run()
+            PilotRun(cfg, run_dir=rep_dir, seed=seed).run()
             _write_meta(rep_dir, cfg, seed, rep)
-            analyze_rep(rep_dir, cfg, events=result.events)
+            analyze_rep(rep_dir, cfg)  # as `pilotsim analyze` reads the log
         except (OSError, analysis.IncompleteRun) as exc:
             raise RunAborted(f"repetition {rep} aborted: {exc}") from exc
     return run_dir

@@ -40,7 +40,6 @@ from .profiler import (
     EV_RUNNING,
     EV_SENDING_LAUNCH_MSG,
     PILOT,
-    Event,
     EventSink,
 )
 from .scheduler import ResourcePool
@@ -163,17 +162,15 @@ class DvmHandle:
 
     def _crash(self, now: float) -> None:
         self.crashed = True
-        self.sink.record(
-            Event(now, PILOT, self.uid, COMP_DVM, EV_DVM_CRASH,
-                  {"live": str(len(self._live))})
-        )
+        self.sink.record(now, PILOT, self.uid, COMP_DVM, EV_DVM_CRASH,
+                         {"live": str(len(self._live))})
         entries = list(self._live.values())
         self._live.clear()
         for entry in entries:
             self.host.task_failed(entry.rec, FailureReason.DVM_CRASHED, now)
 
     def _stage_event(self, uid: str, name: str, t: float) -> None:
-        self.sink.record(Event(t, DVM_JOB, uid, COMP_DVM, name))
+        self.sink.record(t, DVM_JOB, uid, COMP_DVM, name)
 
 
 def dvm_start(
@@ -187,10 +184,8 @@ def dvm_start(
 ) -> DvmHandle:
     """Boot a DVM over `pool`: one simulated daemon per worker node."""
     handle = DvmHandle(config, pool, clock, rng, sink, host, uid=uid)
-    sink.record(
-        Event(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
-              {"daemons": str(handle.n_daemons),
-               # the log format keeps this attribute; only a flat overlay is modelled
-               "topology": "flat"})
-    )
+    sink.record(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
+                {"daemons": str(handle.n_daemons),
+                 # the log format keeps this attribute; only a flat overlay is modelled
+                 "topology": "flat"})
     return handle

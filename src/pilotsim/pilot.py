@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,11 +58,10 @@ from .profiler import (
     EV_TASK_FAIL,
     EV_UNSCHEDULE,
     EV_WORKLOAD_RECEIVED,
-    NO_ATTRS,
     PILOT,
     TASK,
-    Event,
     EventSink,
+    LogEvents,
 )
 from .scheduler import ResourcePool
 
@@ -88,17 +86,18 @@ def build_spec(cfg: ExperimentConfig) -> TaskSpec:
 @dataclass
 class _Partition:
     pool: ResourcePool
+    next: int  # arrival index of the queue head; partition p of k gets p, p+k, ...
     backend: object = None
     executors: list[Executor] = field(default_factory=list)
-    queue: deque[tuple[int, TaskRecord]] = field(default_factory=deque)  # (arrival, rec)
     rr: int = 0
 
 
 @dataclass
 class RunResult:
-    """What a finished run hands back; each task's history is in `events`."""
+    """What a finished run hands back; each task's history is in `events`,
+    read back from the profile text (`profiler.LogEvents`)."""
 
-    events: list[Event]
+    events: LogEvents
     pool: ResourcePool
     n_done: int
     n_failed: int
@@ -130,9 +129,9 @@ class PilotRun:
         self.pool = build_pool(cfg)
         self.fd = FdAccountant(cfg.backend.fd_limit, cfg.backend.fd_reserved)
         self.spec = build_spec(cfg)
-        self.groups = [
-            _Partition(pool=p) for p in make_partitions(self.pool, cfg.agent.partitions)
-        ]
+        self.groups = [_Partition(pool=p, next=i) for i, p in
+                       enumerate(make_partitions(self.pool, cfg.agent.partitions))]
+        self._t_arrival = 0.0  # every task arrives at agent_ready
 
         self._sched_busy = False
         self.n_done = 0
@@ -163,7 +162,7 @@ class PilotRun:
 
     def _pilot_start(self) -> None:
         cfg = self.cfg
-        self._event(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
+        self.sink.record(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
             "nodes": str(len(self.pool.nodes)),
             "agent_nodes": str(cfg.pool.agent_nodes),
             "clock": cfg.clock,
@@ -217,31 +216,32 @@ class PilotRun:
 
     def _agent_ready(self) -> None:
         now = self.clock.now_s
-        self._event(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
+        self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
         n, size = self.cfg.workload.n_tasks, self.cfg.workload.bundle_size
-        self._event(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
-                    {"n_tasks": str(n)})
-        spec, groups, k = self.spec, self.groups, len(self.groups)
+        self.sink.record(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
+                         {"n_tasks": str(n)})
         for b, lo in enumerate(range(0, n, size)):
-            hi = min(lo + size, n)
-            self._event(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
-                        EV_BUNDLE_RECEIVED, {"size": str(hi - lo)})
-            for idx in range(lo, hi):  # idx is the arrival index
-                rec = TaskRecord(f"task.{idx:06d}", spec, t_last=now, partition=idx % k)
-                groups[idx % k].queue.append((idx, rec))
+            self.sink.record(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
+                             EV_BUNDLE_RECEIVED, {"size": str(min(size, n - lo))})
+        self._t_arrival = now
         self._kick_sched()
 
     # -- scheduling lane -----------------------------------------------------
 
     def _kick_sched(self) -> None:
         """Place the earliest-arrived queue head that fits its partition;
-        only this lane takes capacity, so the placement succeeds."""
+        only this lane takes capacity, so the placement succeeds. The
+        task's record is made here."""
         if self._sched_busy:
             return
-        ready = [g for g in self.groups if g.queue and g.pool.fits(self.spec)]
+        n, k = self.cfg.workload.n_tasks, len(self.groups)
+        ready = [g for g in self.groups if g.next < n and g.pool.fits(self.spec)]
         if not ready:
             return
-        _, rec = min(ready, key=lambda g: g.queue[0][0]).queue.popleft()
+        group = min(ready, key=lambda g: g.next)
+        idx, group.next = group.next, group.next + k
+        rec = TaskRecord(f"task.{idx:06d}", self.spec, t_last=self._t_arrival,
+                         partition=idx % k)
         self._sched_busy = True
         self.clock.schedule_in(
             self.cfg.agent.schedule_cost_s, lambda: self._sched_complete(rec)
@@ -253,8 +253,8 @@ class PilotRun:
         rec.slot = group.pool.try_schedule(self.spec)
         now = self.clock.now_s
         advance_state(rec, TaskState.SCHEDULED, now)
-        self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
-                    {"slot": rec.slot.encode(), "cores": str(self.spec.cores)})
+        self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
+                         {"slot": rec.slot.encode(), "cores": str(self.spec.cores)})
         ex = group.executors[group.rr % len(group.executors)]
         group.rr += 1
         ex.enqueue(rec)
@@ -265,12 +265,12 @@ class PilotRun:
     def task_submitted(self, rec: TaskRecord, executor: Executor,
                        waited: float, now: float) -> None:
         advance_state(rec, TaskState.SUBMITTED, now)
-        self._event(now, TASK, rec.uid, COMP_EXECUTOR, EV_SUBMIT,
-                    {"wait": f"{waited:.6f}", "executor": executor.uid})
+        self.sink.record(now, TASK, rec.uid, COMP_EXECUTOR, EV_SUBMIT,
+                         {"wait": f"{waited:.6f}", "executor": executor.uid})
 
     def task_running(self, rec: TaskRecord, t: float) -> None:
         advance_state(rec, TaskState.RUNNING, t)
-        self._event(t, TASK, rec.uid, COMP_PAYLOAD, EV_RUNNING)
+        self.sink.record(t, TASK, rec.uid, COMP_PAYLOAD, EV_RUNNING)
 
     def task_collected(self, comp: Completion, now: float) -> None:
         rec = comp.rec
@@ -278,15 +278,15 @@ class PilotRun:
             return
         if comp.exit_status == 0:
             advance_state(rec, TaskState.DONE, comp.t_end)
-            self._event(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE,
-                        {"exit": "0"})
+            self.sink.record(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE,
+                             {"exit": "0"})
             self.n_done += 1
         else:
             advance_state(rec, TaskState.FAILED, comp.t_end)
             self._count_failure(FailureReason.NONZERO_EXIT)
-            self._event(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
-                        {"reason": FailureReason.NONZERO_EXIT.value,
-                         "exit": str(comp.exit_status)})
+            self.sink.record(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
+                             {"reason": FailureReason.NONZERO_EXIT.value,
+                              "exit": str(comp.exit_status)})
         self._release(rec, now)
         self._after_terminal()
 
@@ -295,8 +295,8 @@ class PilotRun:
             return
         advance_state(rec, TaskState.FAILED, now)
         self._count_failure(reason)
-        self._event(now, TASK, rec.uid, COMP_EXECUTOR, EV_TASK_FAIL,
-                    {"reason": reason.value})
+        self.sink.record(now, TASK, rec.uid, COMP_EXECUTOR, EV_TASK_FAIL,
+                         {"reason": reason.value})
         self._release(rec, now)
         self._after_terminal()
 
@@ -313,7 +313,7 @@ class PilotRun:
             self.fd.release(rec.fds_held)
             rec.fds_held = 0
         self.groups[rec.partition].pool.unschedule(rec.slot)
-        self._event(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
+        self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
         self._kick_sched()
 
     def _after_terminal(self) -> None:
@@ -323,14 +323,11 @@ class PilotRun:
 
     def _pilot_stop(self) -> None:
         now = self.clock.now_s
-        self._event(now, PILOT, "pilot", COMP_AGENT, EV_PILOT_STOP, {
+        self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_PILOT_STOP, {
             "n_done": str(self.n_done),
             "n_failed": str(self.n_failed),
         })
         self.sink.flush()
-
-    def _event(self, t, kind, uid, comp, name, attrs=NO_ATTRS) -> None:
-        self.sink.record(Event(t, kind, uid, comp, name, attrs))
 
 
 def run_pilot(cfg: ExperimentConfig, run_dir: Optional[str] = None,

@@ -11,15 +11,20 @@ so arbitrary text round-trips. Fields without them are written verbatim: the
 bytes are the same as percent-encoding every field.
 Producers append in call order; readers sort by timestamp (stable, so
 per-producer order survives for equal timestamps).
+
+The text is the only copy of a run's events: the sink formats each event
+from its fields, and `EventSink.events` decodes a line only when it is read.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 from urllib.parse import quote, unquote
 
 # entity kinds
@@ -80,7 +85,9 @@ class ProfileParseError(ValueError):
 
 @dataclass(slots=True)
 class Event:
-    """One profile line; attribute-less events share the read-only `NO_ATTRS`."""
+    """One profile line, decoded; attribute-less events share the read-only
+    `NO_ATTRS`. `encode` is the reference encoding, every field
+    percent-encoded; `EventSink.record` writes the same bytes."""
     t_s: float
     entity_kind: str
     entity_id: str
@@ -90,14 +97,7 @@ class Event:
     attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
 
     def encode(self) -> str:
-        attrs = self.attrs
-        raw = "".join((self.entity_kind, self.entity_id, self.component, self.name,
-                       *attrs, *attrs.values()))
-        if _RESERVED.search(raw) is None:
-            pairs = ";".join([f"{k}={v}" for k, v in attrs.items()])
-            return (f"{self.t_s:.6f},{self.entity_kind},{self.entity_id},"
-                    f"{self.component},{self.name},{pairs}")
-        pairs = ";".join(f"{_enc(k)}={_enc(v)}" for k, v in attrs.items())
+        pairs = ";".join(f"{_enc(k)}={_enc(v)}" for k, v in self.attrs.items())
         return (
             f"{self.t_s:.6f},{_enc(self.entity_kind)},{_enc(self.entity_id)},"
             f"{_enc(self.component)},{_enc(self.name)},{pairs}"
@@ -109,6 +109,8 @@ class Event:
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}")
         t_s = float(parts[0])
+        if not math.isfinite(t_s):
+            raise ValueError(f"time {parts[0]!r} is not finite")
         # only a line with a percent sign holds escaped text
         escaped = "%" in line
         attrs: dict[str, str] = {}
@@ -125,8 +127,36 @@ class Event:
         return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs or NO_ATTRS)
 
 
+class LogEvents(Sequence):
+    """A profile log's events in record order. The lines (each with its
+    newline) are read once, when first needed; a line is decoded when it is
+    read, so `len()` and `[-1]` decode at most one."""
+
+    def __init__(self, source: Union[str, io.StringIO]):
+        self._source = source  # a log path, or a sink's in-memory text
+        self._lines: Optional[list[str]] = None
+
+    def _text(self) -> list[str]:
+        if self._lines is None:
+            if isinstance(self._source, str):
+                with open(self._source, "r", encoding="utf-8") as fh:
+                    self._lines = list(fh)
+            else:
+                self._lines = self._source.getvalue().splitlines(keepends=True)
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self._text())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Event.decode(line.rstrip("\n")) for line in self._text()[i]]
+        return Event.decode(self._text()[i].rstrip("\n"))
+
+
 class EventSink:
-    """Buffered event writer that also keeps every event in memory.
+    """Buffered profile-log writer; the written text is the only copy of
+    the events. Without a path the lines go to an in-memory buffer.
 
     Writes are flushed explicitly at pilot termination. A crash-truncated
     log is detectable by the missing pilot_stop sentinel.
@@ -134,31 +164,35 @@ class EventSink:
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self._fh: Optional[io.TextIOWrapper] = None
-        if path is not None:
-            self._fh = open(path, "w", encoding="utf-8")
-        self.events: list[Event] = []
+        self._fh = io.StringIO() if path is None else open(path, "w", encoding="utf-8")
         self._closed = False
 
-    def record(self, event: Event) -> None:
+    def record(self, t: float, kind: str, uid: str, comp: str, name: str,
+               attrs: Mapping[str, str] = NO_ATTRS) -> None:
+        """Append one event as a line. The log keeps microseconds, and
+        `f"{t:.6f}"` writes the same text as rounding `t` to them first."""
         if self._closed:
             raise SinkClosed("event sink is closed")
-        # the log keeps microseconds; rounding here keeps the in-memory
-        # events equal to the reloaded ones (the written bytes are the same)
-        event.t_s = round(event.t_s, 6)
-        if self._fh is not None:
-            self._fh.write(event.encode() + "\n")
-        self.events.append(event)
+        if _RESERVED.search("".join((kind, uid, comp, name, *attrs, *attrs.values()))):
+            self._fh.write(Event(round(t, 6), kind, uid, comp, name, attrs).encode() + "\n")
+        else:
+            pairs = ";".join([f"{k}={v}" for k, v in attrs.items()])
+            self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},{pairs}\n")
+
+    @property
+    def events(self) -> LogEvents:
+        """The recorded events, read back from the text when first used."""
+        self.flush()
+        return LogEvents(self.path if self.path is not None else self._fh)
 
     def flush(self) -> None:
-        if self._fh is not None:
+        if not self._closed:
             self._fh.flush()
 
     def close(self) -> None:
         if self._closed:
             return
-        if self._fh is not None:
-            self._fh.flush()
+        if self.path is not None:  # the in-memory text stays readable
             self._fh.close()
         self._closed = True
 

@@ -299,7 +299,8 @@ class TestMainExitCodes:
         lambda lines: lines[:-1] + [lines[-1][:5]],
         lambda lines: lines[:3] + ["not an event\n"] + lines[3:],
         cut_in_first_slot,
-    ], ids=["no_pilot_stop", "cut_last_line", "garbage_line", "cut_in_slot"])
+        lambda lines: lines[:5] + ["nan" + lines[5][lines[5].index(","):]] + lines[6:],
+    ], ids=["no_pilot_stop", "cut_last_line", "garbage_line", "cut_in_slot", "nan_time"])
     def test_analyze_damaged_log_is_3_naming_the_rep(self, tmp_path, capsys, damage):
         run_dir = run_experiment(small_cfg(tmp_path, repetitions=2))
         log = os.path.join(run_dir, "rep_001", "profile.log")

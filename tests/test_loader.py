@@ -100,6 +100,7 @@ EDITS = {
     "equal_times_reversed": shuffled_equal_times,
     "duplicates": duplicated,
     "percent_escaped_ids": escaped_ids,
+    # errors now (see DAMAGE); kept here so every line ending is compared too
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
     "empty": lambda lines: [],
@@ -135,6 +136,8 @@ DAMAGE = {
     "bare_attr": lambda lines: lines[:4] + [lines[4].rstrip("\n") + ";bare\n"] + lines[5:],
     "empty_attr_piece": lambda lines: lines[:2] + [lines[2].rstrip("\n") + ";\n"] + lines[3:],
     "bad_time": non_finite("12:00"),
+    "nan_time": non_finite("nan"),
+    "inf_time": non_finite("inf"),
     "bad_wait": lambda lines: [line.replace("wait=", "wait=x", 1) for line in lines],
     "bad_slot_node": lambda lines: [line.replace("slot=n", "slot=m", 1) for line in lines],
     "seven_fields": lambda lines: lines[:6] + [lines[6].rstrip("\n") + ",x\n"] + lines[7:],

@@ -106,7 +106,7 @@ class TestRecordsReleased:
         assert ("DvmCrashed" in res.failures) == (capacity < 64)
         gc.collect()
         assert sum(r() is not None for r in refs) == 0
-        assert run.sink.events is res.events  # the run itself is still alive
+        assert run.n_done == res.n_done  # the run itself is still alive
 
 
 class TestPartitionsIntegration:
@@ -167,6 +167,22 @@ class TestSetup:
         small = self._traced_init_bytes(cfg(1024))
         large = self._traced_init_bytes(cfg(16384))
         assert abs(large - small) < 64 * 1024
+
+    def test_agent_ready_memory_does_not_grow_with_n_tasks(self, quick_cfg):
+        # a task's record is made when it is placed, from its arrival index
+        def ready_bytes(n):
+            run = PilotRun(quick_cfg(workload__n_tasks=n, pool__autosize=0,
+                                     pool__nodes=3), seed=1)
+            run._pilot_start()
+            tracemalloc.start()
+            try:
+                run._agent_ready()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        ready_bytes(1024)  # warm caches
+        assert abs(ready_bytes(16384) - ready_bytes(1024)) < 64 * 1024
 
     def test_negative_seed_override_is_config_error(self, quick_cfg, tmp_path):
         run_dir = tmp_path / "never"

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from urllib.parse import quote
 
 import numpy as np
@@ -9,6 +11,7 @@ from pilotsim import profiler
 from pilotsim import (
     Event,
     EventSink,
+    PilotRun,
     ProfileParseError,
     SinkClosed,
     load_profile,
@@ -17,6 +20,7 @@ from pilotsim import (
     to_flat,
 )
 from pilotsim.cli import main
+from pilotsim.profiler import NO_ATTRS
 
 from conftest import task_events, zero_overhead
 
@@ -32,6 +36,27 @@ reserved_text = st.text(
               st.characters(blacklist_categories=("Cs",))),
     max_size=20,
 )
+
+
+def near_tie(k, side):
+    """The half microsecond after k microseconds, or the float next to it
+    below (side -1) or above (side 1): where rounding the time first could
+    differ from formatting it."""
+    t = (k + 0.5) / 1e6
+    return math.nextafter(t, side * math.inf) if side else t
+
+
+times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(near_tie, st.integers(-10**13, 10**13), st.sampled_from([-1, 0, 1])),
+)
+
+
+def recorded(t, kind, uid, comp, name, attrs=NO_ATTRS):
+    """The text `EventSink.record` writes for one event."""
+    sink = EventSink()
+    sink.record(t, kind, uid, comp, name, attrs)
+    return sink._fh.getvalue()
 
 
 def quote_every_field(ev):
@@ -61,7 +86,7 @@ class TestRecord:
     def test_first_line_is_pilot_start(self, tmp_path):
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
-        sink.record(Event(0.0, "Pilot", "pilot", "Agent", "pilot_start"))
+        sink.record(0.0, "Pilot", "pilot", "Agent", "pilot_start")
         sink.close()
         with open(path) as fh:
             first = fh.readline()
@@ -71,7 +96,7 @@ class TestRecord:
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
         for i in range(5):
-            sink.record(Event(1.0, "Task", f"t{i}", "Executor", "submit"))
+            sink.record(1.0, "Task", f"t{i}", "Executor", "submit")
         sink.close()
         loaded = load_profile(path)
         assert [e.entity_id for e in loaded] == [f"t{i}" for i in range(5)]
@@ -80,7 +105,7 @@ class TestRecord:
         sink = EventSink(str(tmp_path / "p.log"))
         sink.close()
         with pytest.raises(SinkClosed):
-            sink.record(Event(0.0, "Pilot", "p", "Agent", "x"))
+            sink.record(0.0, "Pilot", "p", "Agent", "x")
 
     def test_per_producer_order_after_global_sort(self, tmp_path):
         # 10k events from 4 interleaved producers: after the stable sort by
@@ -93,8 +118,8 @@ class TestRecord:
         for _ in range(10000):
             p = int(rng.integers(4))
             t[p] += float(rng.uniform(0, 0.01))
-            sink.record(Event(t[p], "Executor", f"exec.{p}", "Executor", "op",
-                              {"seq": str(seq[p])}))
+            sink.record(t[p], "Executor", f"exec.{p}", "Executor", "op",
+                        {"seq": str(seq[p])})
             seq[p] += 1
         sink.close()
         loaded = load_profile(path)
@@ -106,20 +131,33 @@ class TestRecord:
 
 
 class TestEncode:
-    @given(text=reserved_text)
-    @example(text="")
-    @example(text="%")
-    @example(text="a=b;c")
-    @example(text="é")
-    @example(text="\t")
+    @given(text=reserved_text, t=times)
+    @example(text="", t=3.0)
+    @example(text="%", t=3.0)
+    @example(text="a=b;c", t=3.0)
+    @example(text="é", t=3.0)
+    @example(text="\t", t=3.0)
+    @example(text="", t=0.0000005)
+    @example(text="", t=1e300)
     @settings(max_examples=300, deadline=None)
-    def test_same_bytes_as_quoting_every_field(self, text):
+    def test_same_bytes_as_quoting_every_field(self, text, t):
+        # the sink formats from the fields what the reference encodes
+        # after rounding the time to the log's microseconds
         for i in range(6):
             fields = ["Task", "task.000001", "Executor", "submit", "k", "v"]
             fields[i] = text
-            for ev in (Event(3.0, *fields[:4], {fields[4]: fields[5]}),
-                       Event(3.0, *fields[:4])):
+            for attrs in ({fields[4]: fields[5]}, NO_ATTRS):
+                ev = Event(round(t, 6), *fields[:4], attrs)
                 assert ev.encode() == quote_every_field(ev)
+                assert recorded(t, *fields[:4], attrs) == ev.encode() + "\n"
+
+    def test_near_tie_times_match_rounding_first(self):
+        ts = [near_tie(k, side) for k in range(0, 10**10, 333_331) for side in (-1, 0, 1)]
+        sink = EventSink()
+        for t in ts:
+            sink.record(t, "Task", "t", "Executor", "submit")
+        want = [f"{round(t, 6):.6f},Task,t,Executor,submit," for t in ts]
+        assert sink._fh.getvalue().splitlines() == want
 
     def test_plain_run_never_quotes(self, quick_cfg, tmp_path, monkeypatch):
         calls = []
@@ -133,7 +171,7 @@ class TestEncode:
         assert res.n_done == 16
         assert calls == []
         sink = EventSink(str(tmp_path / "p.log"))
-        sink.record(Event(0.0, "Task", "task,1", "Executor", "submit"))
+        sink.record(0.0, "Task", "task,1", "Executor", "submit")
         sink.close()
         assert "task,1" in calls
 
@@ -150,9 +188,19 @@ class TestLoadProfile:
         path = str(tmp_path / "p.log")
         sink = EventSink(path)
         for ev in events:
-            sink.record(ev)
+            sink.record(ev.t_s, ev.entity_kind, ev.entity_id, ev.component, ev.name,
+                        ev.attrs)
         sink.close()
         assert load_profile(path) == events
+        assert list(sink.events) == events  # record order, here time order
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-Infinity"])
+    def test_non_finite_time_names_line_number(self, tmp_path, t):
+        path = tmp_path / "bad.log"
+        path.write_text(f"0.000000,Pilot,p,Agent,pilot_start,\n{t},Task,t,Executor,submit,\n")
+        with pytest.raises(ProfileParseError) as err:
+            load_profile(str(path))
+        assert err.value.line_no == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.log"
@@ -192,6 +240,61 @@ class TestRunEventChains:
                     ev.component, ev.name, tuple(sorted(ev.attrs.items())))
 
         assert sorted(map(key, res.events)) == sorted(map(key, loaded))
+
+
+def count_calls(monkeypatch, calls, name, wrap=lambda f: f):
+    """Make Event.<name> append its name to `calls` on every call."""
+    orig = getattr(Event, name)
+    fn = getattr(orig, "__func__", orig)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(Event, name, wrap(counting))
+
+
+class TestLeanPath:
+    """The profile text is the only copy of the events: a run builds no
+    `Event`, and reading them back decodes only the lines read."""
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_plain_run_builds_no_event(self, quick_cfg, tmp_path, monkeypatch, to_file):
+        run = PilotRun(quick_cfg(), run_dir=str(tmp_path / "rep") if to_file else None,
+                       seed=1)
+        calls = []
+        count_calls(monkeypatch, calls, "__init__")
+        count_calls(monkeypatch, calls, "encode")
+        count_calls(monkeypatch, calls, "decode", classmethod)
+        res = run.run()
+        assert res.n_done == 16
+        assert calls == []
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_len_and_last_decode_one_line(self, quick_cfg, tmp_path, monkeypatch, to_file):
+        res = run_pilot(quick_cfg(), run_dir=str(tmp_path / "rep") if to_file else None,
+                        seed=1)
+        calls = []
+        count_calls(monkeypatch, calls, "decode", classmethod)
+        assert len(res.events) > 16 * 5
+        assert res.events[-1].name == "pilot_stop"
+        assert calls == ["decode"]
+
+    def test_file_sink_memory_does_not_grow(self, tmp_path):
+        sink = EventSink(str(tmp_path / "p.log"))
+        attrs = {"slot": "n000001c7", "cores": "1"}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(100_000):
+                sink.record(i * 1e-3, "Task", f"task.{i:06d}", "Scheduler",
+                            "schedule_ok", attrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sink.close()
+        assert peak - base < 256 * 1024
+        assert len(sink.events) == 100_000
 
 
 class TestMetadata:

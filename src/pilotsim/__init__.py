@@ -30,10 +30,8 @@ from .launcher import (
     Executor,
     FdAccountant,
     LocalExecBackend,
-    RateLimiter,
     SimJsmBackend,
     make_partitions,
-    rate_gate,
 )
 from .dvm import DvmHandle, LatencySpec, dvm_start
 from .profiler import (
@@ -46,12 +44,10 @@ from .profiler import (
 from .analysis import (
     CATEGORIES,
     IncompleteRun,
-    Interval,
     OverheadReport,
     OverheadStats,
     TaskTable,
     UtilizationBreakdown,
-    aggregate_overhead,
     component_overheads,
     compute_ttx,
     ideal_ttx,

@@ -13,21 +13,23 @@ agent-node reservation through startup, scheduling warmup, submission
 wait, runtime slivers, payload execution, draining and teardown, down
 to units that idle through the whole run (unused GPUs, spare cores).
 
-Every metric derives from one table. `TaskTable.from_events` builds it
-in a single pass over events in memory; `TaskTable.from_log` builds the
-same table from a saved profile log, reading the lines in blocks into
-numpy columns without making an `Event` per line. It holds numpy
-columns with one row per task: the timestamp of each lifecycle event, NaN where the event is
-missing. It also holds the run marks, and one row per (task, resource
-unit) pair that expands each task's slot. TTX and the overhead intervals
-are column arithmetic; an interval union is a sort plus a running
-maximum. Utilization and the timeline share one set of weighted
-category segments: a task's segments count once per unit it held, the
-warmup and draining gaps come from each unit's visits in schedule
-order, and units that no task used are counted in bulk, so the cost
-grows with the number of tasks and not with the pool. The timeline
-integrates each category's coverage at the bucket edges. Every public
-function accepts either the events or a prebuilt table.
+Every metric derives from one table, and one reader builds it from
+profile text: `TaskTable.from_log` feeds it a saved log in blocks of
+lines, and `TaskTable.from_events` feeds it the recorded lines of a
+run's events (or the encoded lines of any other events). The reader
+splits each block into numpy columns without making an `Event` per line.
+The table holds numpy columns with one row per task: the timestamp of
+each lifecycle event, NaN where the event is missing. It also holds the
+run marks, and one row per (task, resource unit) pair that expands each
+task's slot. TTX and the overhead intervals are column arithmetic; an
+interval union is a sort plus a running maximum. Utilization and the
+timeline share one set of weighted category segments: a task's segments
+count once per unit it held, the warmup and draining gaps come from each
+unit's visits in schedule order, and units that no task used are counted
+in bulk, so the cost grows with the number of tasks and not with the
+pool. The timeline integrates each category's coverage at the bucket
+edges. Every public function accepts either the events or a prebuilt
+table.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from typing import Iterable, Optional, Sequence, Union
+from itertools import compress, count, islice, repeat
+from typing import Iterable, Optional, Union
+from urllib.parse import unquote
 
 import numpy as np
 
-from . import profiler
 from .core import TaskSpec
 from .profiler import (
     DVM_JOB,
@@ -59,6 +61,8 @@ from .profiler import (
     EV_WORKLOAD_RECEIVED,
     TASK,
     Event,
+    LogEvents,
+    ProfileParseError,
 )
 from .scheduler import ResourcePool, slot_units
 
@@ -94,20 +98,6 @@ class IncompleteRun(ValueError):
     """The profile log does not describe a completed run."""
 
 
-@dataclass
-class Interval:
-    start_s: float
-    end_s: float
-
-    def __post_init__(self):
-        if self.end_s < self.start_s:
-            raise ValueError(f"interval end {self.end_s} < start {self.start_s}")
-
-    @property
-    def length(self) -> float:
-        return self.end_s - self.start_s
-
-
 def _union_span(start: np.ndarray, end: np.ndarray) -> tuple[float, float]:
     """(union_s, span_s) of intervals given as start and end arrays."""
     if not len(start):
@@ -124,14 +114,6 @@ def _union_span(start: np.ndarray, end: np.ndarray) -> tuple[float, float]:
     lasts = np.append(firsts[1:] - 1, len(start) - 1)
     union = float(np.sum(reach[lasts] - start[firsts]))
     return (union, float(reach[-1] - start[0]))
-
-
-def aggregate_overhead(intervals: Sequence[Interval]) -> tuple[float, float]:
-    """(union_s, span_s) of an interval set; empty input gives (0, 0)."""
-    return _union_span(
-        np.array([iv.start_s for iv in intervals], dtype=float),
-        np.array([iv.end_s for iv in intervals], dtype=float),
-    )
 
 
 @dataclass
@@ -200,7 +182,7 @@ _MARKS = {
     EV_PILOT_STOP: "t_stop",
 }
 
-# `from_log` codes a line as kind * _N_NAMES + name: kind 0 for Task, 1 for
+# `_read` codes a line as kind * _N_NAMES + name: kind 0 for Task, 1 for
 # DvmJob, 2 for any other; name 0 for any name the table does not read
 _KIND_CODE = {TASK: 0, DVM_JOB: 1}
 _NAME_CODE = {name: i for i, name in enumerate(
@@ -213,15 +195,23 @@ _SCHED, _SUBMIT = _NAME_CODE[EV_SCHEDULE_OK], _NAME_CODE[EV_SUBMIT]  # of Task l
 _PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "="
 
 
-class _NotPlain(ValueError):
-    """The log needs the reference reader."""
+def _raise_first_error(block: str, line_no: int, source: str) -> None:
+    """Raise the error of the first line of `block` (its first line being
+    `line_no`) that `Event.decode` rejects."""
+    for no, line in enumerate(block.split("\n"), start=line_no):
+        if line:
+            try:
+                Event.decode(line)
+            except ValueError as exc:
+                raise ProfileParseError(source, no, str(exc)) from exc
+    raise AssertionError(f"{source}:{line_no}: a block failed a check that no line fails")
 
 
 @dataclass
 class TaskTable:
-    """Per-task columns of one run, built in one pass over its events
-    (`from_events`) or over its saved profile log (`from_log`); both
-    builders give equal tables for the same events.
+    """Per-task columns of one run, read in one pass over its profile
+    text: a saved log (`from_log`) or its events (`from_events`), which
+    give equal tables for the same run.
 
     Task rows are in order of each task's first event. Time columns hold
     NaN where the event is missing; `wait_s` is the enforced submission
@@ -250,88 +240,67 @@ class TaskTable:
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "TaskTable":
-        rows: dict[str, int] = {}
-        hits = {col: ([], []) for cols in _COLUMNS.values() for col in cols.values()}
-        by_kind = {kind: {name: hits[col] for name, col in cols.items()}
-                   for kind, cols in _COLUMNS.items()}
-        marks: dict[str, float] = {}
-        waits: tuple[list[int], list[float]] = ([], [])
-        slots: tuple[list[int], list[str]] = ([], [])
-        for ev in events:
-            by_name = by_kind.get(ev.entity_kind)
-            if by_name is None:
-                mark = _MARKS.get(ev.name)
-                if mark is not None:
-                    marks[mark] = ev.t_s
-                continue
-            row = rows.get(ev.entity_id)
-            if row is None:
-                row = rows[ev.entity_id] = len(rows)
-            hit = by_name.get(ev.name)
-            if hit is None:
-                continue
-            hit[0].append(row)
-            hit[1].append(ev.t_s)
-            if ev.entity_kind == TASK:
-                if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
-                    slots[0].append(row)
-                    slots[1].append(ev.attrs["slot"])
-                elif ev.name == EV_SUBMIT:
-                    waits[0].append(row)
-                    waits[1].append(float(ev.attrs.get("wait", "0")))
-        return cls._build(list(rows), hits, waits, slots, marks)
+        """The table of the log text of `events`: a run's events hand over
+        their recorded lines, any other event is encoded, so hand-built
+        events are taken in time order at microsecond resolution."""
+        lines = iter(events.lines() if isinstance(events, LogEvents)
+                     else (e.encode() + "\n" for e in events))
+        return cls._read(iter(lambda: "".join(islice(lines, 1 << 10)), ""), "<events>")
 
     @classmethod
     def from_log(cls, path: str) -> "TaskTable":
-        """The table of a saved profile log: field for field what
-        `from_events(load_profile(path))` builds, without building events.
-
-        The log is read in blocks of about 64 KiB. Of each line only its
-        time and a (kind, name) code are kept, plus the id of Task and
-        DvmJob lines and the attributes of Task schedule_ok and submit
-        lines. A log this reading might get wrong (a percent escape, a
-        line without six fields, a time that does not parse or is not
-        finite, an attribute without `=`) goes through `load_profile`
-        instead, so every error is that path's error."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls._from_plain_lines(fh)
-        except ValueError:  # _NotPlain, or a value the reference path rejects too
-            # looked up on the module, so a wrapper set on it sees the call
-            return cls.from_events(profiler.load_profile(path))
+        """The table of a saved profile log, read in blocks of about 64 KiB;
+        the first damaged line raises a `ProfileParseError` naming it."""
+        with open(path, "r", encoding="utf-8") as fh:
+            # whole lines: about 64 KiB, then the rest of the last line
+            return cls._read(iter(lambda: fh.read(1 << 16) + fh.readline(), ""), path)
 
     @classmethod
-    def _from_plain_lines(cls, fh) -> "TaskTable":
+    def _read(cls, blocks: Iterable[str], source: str) -> "TaskTable":
+        """The table of profile text given in blocks of whole lines.
+
+        Of each line only its time and a (kind, name) code are kept, plus
+        the id of Task and DvmJob lines and the attributes of Task
+        schedule_ok and submit lines. Escaped text never holds `,` `;` `=`
+        or a newline, so a block with a percent sign splits the same way
+        and only the fields read are unquoted. A block that fails a check
+        is decoded line by line to raise its first bad line's error."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
         texts: list[str] = []  # attributes of the Task schedule_ok and submit lines
-        # whole lines: about 64 KiB, then the rest of the last line
-        while block := fh.read(1 << 16) + fh.readline():
-            if "%" in block:
-                raise _NotPlain
+        line_no = 1  # of the next block's first line
+        for block in blocks:
+            first, line_no = line_no, line_no + block.count("\n")
             rows = list(filter(None, block.split("\n")))
-            n = len(rows)
+            if not (n := len(rows)):
+                continue
             # with a "\n" field between lines, lines of six fields put every
             # "\n" at a position 6 mod 7
             fields = ",\n,".join(rows).split(",")
-            if len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1:
-                raise _NotPlain
             attrs = fields[5::7]
             pairs = ";".join(filter(None, attrs))
-            if pairs and not all(map(str.__contains__, pairs.split(";"), repeat("="))):
-                raise _NotPlain
-            kind = np.fromiter(map(_KIND_CODE.get, fields[1::7], repeat(2)), np.int8, n)
+            try:
+                if (len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1
+                        or pairs and not all(map(str.__contains__, pairs.split(";"), repeat("=")))):
+                    raise ValueError
+                t = np.fromiter(map(float, fields[0::7]), float, n)
+                if not np.isfinite(t).all():
+                    raise ValueError
+            except ValueError:
+                _raise_first_error(block, first, source)
+            kinds, entities, names = fields[1::7], fields[2::7], fields[4::7]
+            if "%" in block:
+                kinds, entities, names = ([*map(unquote, f)] for f in (kinds, entities, names))
+            kind = np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, n)
             code = kind * _N_NAMES + np.fromiter(
-                map(_NAME_CODE.get, fields[4::7], repeat(0)), np.int8, n)
-            entity = compress(fields[2::7], (kind < 2).tolist())
+                map(_NAME_CODE.get, names, repeat(0)), np.int8, n)
+            entity = compress(entities, (kind < 2).tolist())
             ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
             texts += compress(attrs, ((code == _SCHED) | (code == _SUBMIT)).tolist())
-            times.append(np.fromiter(map(float, fields[0::7]), float, n))
+            times.append(t)
             codes.append(code)
         t = np.concatenate(times or [np.empty(0)])
         code = np.concatenate(codes or [np.empty(0, np.int8)])
-        if not np.isfinite(t).all():
-            raise _NotPlain
 
         # rows in order of each id's first event in time order
         entity = np.flatnonzero(code < 2 * _N_NAMES)
@@ -355,7 +324,9 @@ class TaskTable:
         by_time = np.argsort(t[at], kind="stable")
         at = at[by_time]
         for r, c, i in zip(row[at].tolist(), code[at].tolist(), by_time.tolist()):
-            attrs = dict(_PAIR.findall(texts[i]))
+            pairs = _PAIR.findall(texts[i])
+            attrs = (dict(pairs) if "%" not in texts[i]
+                     else {unquote(k): unquote(v) for k, v in pairs})
             if c == _SUBMIT:
                 waits[0].append(r)
                 waits[1].append(float(attrs.get("wait", "0")))

@@ -61,30 +61,6 @@ class FdAccountant:
         self.in_use -= n
 
 
-@dataclass
-class RateLimiter:
-    """Enforces a minimum delay between consecutive lane operations.
-
-    The delay is measured from the end of the previous operation, which
-    models an artificial sleep inserted before every submission; gaps
-    between recorded submissions therefore never fall below the delay.
-    """
-
-    last_op_end: Optional[float] = None
-
-    def mark_op_end(self, t: float) -> None:
-        self.last_op_end = t
-
-
-def rate_gate(state: RateLimiter, now_s: float, delay_s: float) -> float:
-    """Wait needed so consecutive submissions stay >= delay_s apart."""
-    if delay_s < 0:
-        raise ValueError("delay_s must be >= 0")
-    if state.last_op_end is None:
-        return delay_s
-    return max(0.0, state.last_op_end + delay_s - now_s)
-
-
 @dataclass(frozen=True)
 class Completion:
     """A finished payload as reported by a backend to its executor."""
@@ -121,13 +97,21 @@ class Executor:
         self.backend = backend
         self.host = host
         self.rng = rng
-        self.submit_gate = RateLimiter()
-        self.drain_gate = RateLimiter()
+        # end time of each lane's last operation, None before its first
+        self._submit_end: Optional[float] = None
+        self._drain_end: Optional[float] = None
         self._submit_q: deque[TaskRecord] = deque()
         self._drain_q: deque[Completion] = deque()
         self._submit_busy = False
         self._drain_busy = False
         self._last_submit_t: Optional[float] = None
+
+    def _gate(self, lane_end: Optional[float]) -> float:
+        """Wait before a lane's next operation: `submit_delay_s` after the
+        end of its last one (before its first), modelling an artificial
+        sleep, so recorded submissions are never closer than the delay."""
+        delay = self.config.submit_delay_s
+        return delay if lane_end is None else max(0.0, lane_end + delay - self.clock.now_s)
 
     # -- submit lane ---------------------------------------------------------
 
@@ -139,7 +123,7 @@ class Executor:
         if self._submit_busy or not self._submit_q:
             return
         self._submit_busy = True
-        wait = rate_gate(self.submit_gate, self.clock.now_s, self.config.submit_delay_s)
+        wait = self._gate(self._submit_end)
         self.clock.schedule_in(wait, lambda: self._do_submit(wait))
 
     def _do_submit(self, waited: float) -> None:
@@ -172,7 +156,7 @@ class Executor:
         self._end_submit_op(now)
 
     def _end_submit_op(self, now: float) -> None:
-        self.submit_gate.mark_op_end(now)
+        self._submit_end = now
         self._submit_busy = False
         self._kick_submit()
 
@@ -186,7 +170,7 @@ class Executor:
         if self._drain_busy or not self._drain_q:
             return
         self._drain_busy = True
-        wait = rate_gate(self.drain_gate, self.clock.now_s, self.config.submit_delay_s)
+        wait = self._gate(self._drain_end)
         self.clock.schedule_in(wait, self._do_collect)
 
     def _do_collect(self) -> None:
@@ -195,7 +179,7 @@ class Executor:
         self.clock.schedule_in(self.config.submit_cost_s, self._end_drain_op)
 
     def _end_drain_op(self) -> None:
-        self.drain_gate.mark_op_end(self.clock.now_s)
+        self._drain_end = self.clock.now_s
         self._drain_busy = False
         self._kick_drain()
 

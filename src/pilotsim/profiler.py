@@ -136,7 +136,8 @@ class LogEvents(Sequence):
         self._source = source  # a log path, or a sink's in-memory text
         self._lines: Optional[list[str]] = None
 
-    def _text(self) -> list[str]:
+    def lines(self) -> list[str]:
+        """The log lines as recorded, each with its newline; none is decoded."""
         if self._lines is None:
             if isinstance(self._source, str):
                 with open(self._source, "r", encoding="utf-8") as fh:
@@ -146,12 +147,12 @@ class LogEvents(Sequence):
         return self._lines
 
     def __len__(self) -> int:
-        return len(self._text())
+        return len(self.lines())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [Event.decode(line.rstrip("\n")) for line in self._text()[i]]
-        return Event.decode(self._text()[i].rstrip("\n"))
+            return [Event.decode(line.rstrip("\n")) for line in self.lines()[i]]
+        return Event.decode(self.lines()[i].rstrip("\n"))
 
 
 class EventSink:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pilotsim import ExperimentConfig, TaskTable
+from pilotsim.analysis import _COLUMNS, _MARKS
+from pilotsim.profiler import EV_SCHEDULE_OK, EV_SUBMIT, TASK
 
 
 @pytest.fixture
@@ -68,3 +70,39 @@ def assert_same_table(got: TaskTable, want: TaskTable) -> None:
             assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
+
+
+def reference_table(events) -> TaskTable:
+    """The table of `events` built one `Event` at a time, in the order
+    given: the oracle the log reader is compared against, through
+    `reference_table(load_profile(path))`."""
+    rows: dict[str, int] = {}
+    hits = {col: ([], []) for cols in _COLUMNS.values() for col in cols.values()}
+    by_kind = {kind: {name: hits[col] for name, col in cols.items()}
+               for kind, cols in _COLUMNS.items()}
+    marks: dict[str, float] = {}
+    waits: tuple[list[int], list[float]] = ([], [])
+    slots: tuple[list[int], list[str]] = ([], [])
+    for ev in events:
+        by_name = by_kind.get(ev.entity_kind)
+        if by_name is None:
+            mark = _MARKS.get(ev.name)
+            if mark is not None:
+                marks[mark] = ev.t_s
+            continue
+        row = rows.get(ev.entity_id)
+        if row is None:
+            row = rows[ev.entity_id] = len(rows)
+        hit = by_name.get(ev.name)
+        if hit is None:
+            continue
+        hit[0].append(row)
+        hit[1].append(ev.t_s)
+        if ev.entity_kind == TASK:
+            if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
+                slots[0].append(row)
+                slots[1].append(ev.attrs["slot"])
+            elif ev.name == EV_SUBMIT:
+                waits[0].append(row)
+                waits[1].append(float(ev.attrs.get("wait", "0")))
+    return TaskTable._build(list(rows), hits, waits, slots, marks)

@@ -16,12 +16,11 @@ from pilotsim import (
     DvmSimConfig,
     EventSink,
     ExperimentConfig,
-    Interval,
+    OverheadStats,
     ResourcePool,
     TaskRecord,
     TaskSpec,
     VirtualClock,
-    aggregate_overhead,
     compute_ttx,
     dvm_start,
     run_pilot,
@@ -244,14 +243,13 @@ class TestCriterion7AggregationOracle:
     BUDGET = 10.0
     RES = 0.001
 
-    def _sweep(self, intervals):
-        lo = min(iv.start_s for iv in intervals)
-        hi = max(iv.end_s for iv in intervals)
+    def _sweep(self, starts, ends):
+        lo, hi = min(starts), max(ends)
         n = int(math.ceil((hi - lo) / self.RES)) + 1
         grid = np.zeros(n, dtype=bool)
-        for iv in intervals:
-            a = int(round((iv.start_s - lo) / self.RES))
-            b = int(round((iv.end_s - lo) / self.RES))
+        for start, end in zip(starts, ends):
+            a = int(round((start - lo) / self.RES))
+            b = int(round((end - lo) / self.RES))
             grid[a:b] = True
         return float(grid.sum()) * self.RES
 
@@ -260,16 +258,15 @@ class TestCriterion7AggregationOracle:
         rng = np.random.default_rng(7)
         for _ in range(500):
             n = int(rng.integers(1, 65))
-            intervals = []
-            for _ in range(n):
+            starts, ends = np.empty(n), np.empty(n)
+            for i in range(n):
                 a = round(float(rng.uniform(0, 50)), 3)
                 length = round(float(rng.uniform(0, 8)), 3)
-                intervals.append(Interval(a, a + length))
-            union, _ = aggregate_overhead(intervals)
-            assert abs(union - self._sweep(intervals)) <= self.RES + 1e-9
-        single = [Interval(3.25, 9.5)]
-        union, span = aggregate_overhead(single)
-        assert union == single[0].length == span
+                starts[i], ends[i] = a, a + length
+            union = OverheadStats.from_arrays(starts, ends).union_s
+            assert abs(union - self._sweep(starts, ends)) <= self.RES + 1e-9
+        single = OverheadStats.from_arrays(np.array([3.25]), np.array([9.5]))
+        assert single.union_s == 9.5 - 3.25 == single.span_s
         took = time.monotonic() - t0
         assert took < self.BUDGET
         _passline(7, "500 interval sets match 1 ms sweep oracle", self.BUDGET, took)

@@ -7,11 +7,10 @@ from pilotsim import (
     CATEGORIES,
     Event,
     IncompleteRun,
-    Interval,
+    OverheadStats,
     ResourcePool,
     TaskSpec,
     TaskTable,
-    aggregate_overhead,
     component_overheads,
     compute_ttx,
     ideal_ttx,
@@ -25,55 +24,58 @@ from conftest import zero_overhead
 RES_MS = 0.001
 
 
-def sweep_oracle(intervals, resolution=RES_MS):
+def sweep_oracle(starts, ends, resolution=RES_MS):
     """Brute-force union measure: mark covered cells on a 1 ms grid."""
-    if not intervals:
+    if not len(starts):
         return 0.0
-    lo = min(iv.start_s for iv in intervals)
-    hi = max(iv.end_s for iv in intervals)
+    lo, hi = min(starts), max(ends)
     n = int(math.ceil((hi - lo) / resolution)) + 1
     grid = np.zeros(n, dtype=bool)
-    for iv in intervals:
-        a = int(round((iv.start_s - lo) / resolution))
-        b = int(round((iv.end_s - lo) / resolution))
+    for start, end in zip(starts, ends):
+        a = int(round((start - lo) / resolution))
+        b = int(round((end - lo) / resolution))
         grid[a:b] = True
     return float(grid.sum()) * resolution
 
 
+def aggregate(starts, ends) -> OverheadStats:
+    return OverheadStats.from_arrays(np.array(starts, dtype=float), np.array(ends, dtype=float))
+
+
 class TestAggregateOverhead:
     def test_staggered_chain(self):
-        intervals = [Interval(i, i + 5) for i in range(10)]
-        union, span = aggregate_overhead(intervals)
-        assert union == pytest.approx(14.0)
-        assert span == pytest.approx(14.0)
-        assert union == pytest.approx(sweep_oracle(intervals), abs=RES_MS)
+        starts = list(range(10))
+        ends = [a + 5 for a in starts]
+        st = aggregate(starts, ends)
+        assert st.union_s == pytest.approx(14.0)
+        assert st.span_s == pytest.approx(14.0)
+        assert st.union_s == pytest.approx(sweep_oracle(starts, ends), abs=RES_MS)
 
     def test_single_interval(self):
-        assert aggregate_overhead([Interval(0, 5)]) == (5.0, 5.0)
+        st = aggregate([0], [5])
+        assert (st.union_s, st.span_s) == (5.0, 5.0)
 
     def test_disjoint(self):
-        union, span = aggregate_overhead([Interval(0, 1), Interval(10, 11)])
-        assert union == pytest.approx(2.0)
-        assert span == pytest.approx(11.0)
+        st = aggregate([0, 10], [1, 11])
+        assert st.union_s == pytest.approx(2.0)
+        assert st.span_s == pytest.approx(11.0)
 
     def test_empty(self):
-        assert aggregate_overhead([]) == (0.0, 0.0)
+        st = aggregate([], [])
+        assert (st.union_s, st.span_s) == (0.0, 0.0)
 
     def test_union_never_exceeds_span_or_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            ivs = []
+            starts, ends = [], []
             for _ in range(int(rng.integers(1, 40))):
                 a = round(float(rng.uniform(0, 30)), 3)
-                ivs.append(Interval(a, a + round(float(rng.uniform(0, 5)), 3)))
-            union, span = aggregate_overhead(ivs)
-            assert union <= span + 1e-9
-            assert union <= sum(iv.length for iv in ivs) + 1e-9
-            assert union == pytest.approx(sweep_oracle(ivs), abs=RES_MS + 1e-9)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            Interval(5.0, 4.0)
+                starts.append(a)
+                ends.append(a + round(float(rng.uniform(0, 5)), 3))
+            st = aggregate(starts, ends)
+            assert st.union_s <= st.span_s + 1e-9
+            assert st.union_s <= sum(ends) - sum(starts) + 1e-9
+            assert st.union_s == pytest.approx(sweep_oracle(starts, ends), abs=RES_MS + 1e-9)
 
 
 class TestComputeTtx:

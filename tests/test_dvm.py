@@ -5,12 +5,11 @@ from pilotsim import (
     ConfigError,
     DvmSimConfig,
     EventSink,
-    Interval,
+    OverheadStats,
     ResourcePool,
     TaskRecord,
     TaskSpec,
     VirtualClock,
-    aggregate_overhead,
     dvm_start,
     parse_config_text,
 )
@@ -214,11 +213,10 @@ class TestDvmProperties:
                 lambda i=i: handle.submit_job(rec_of(f"t{i}", 0.5), ex, clock.now_s),
             )
         clock.run()
-        intervals = [
-            Interval(t["sending_launch_msg"], t["running"])
-            for t in stage_times(handle.sink).values()
-        ]
-        union, _ = aggregate_overhead(intervals)
+        times = stage_times(handle.sink).values()
+        union = OverheadStats.from_arrays(
+            np.array([t["sending_launch_msg"] for t in times]),
+            np.array([t["running"] for t in times])).union_s
         assert union == pytest.approx(sum(launch_latencies(handle.sink)))
 
     def test_topology_key_rejected(self):

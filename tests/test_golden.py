@@ -22,7 +22,7 @@ import pytest
 
 from pilotsim import TaskTable, analyze, load_profile, parse_config_text, run_experiment
 
-from conftest import assert_same_table
+from conftest import assert_same_table, reference_table
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 REPORTS = ("report_overheads.csv", "report_utilization.csv",
@@ -137,7 +137,7 @@ def test_reports_match_golden(golden_runs, name):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_log_reader_matches_reference(golden_runs, name):
     log = os.path.join(golden_runs[name], "profile.log")
-    assert_same_table(TaskTable.from_log(log), TaskTable.from_events(load_profile(log)))
+    assert_same_table(TaskTable.from_log(log), reference_table(load_profile(log)))
 
 
 def _regenerate(out_dir: str) -> None:

@@ -5,11 +5,9 @@ from pilotsim import (
     ConfigError,
     FailureReason,
     FdAccountant,
-    RateLimiter,
     ResourcePool,
     make_partitions,
     parse_config_text,
-    rate_gate,
     run_pilot,
 )
 
@@ -21,36 +19,53 @@ def submit_times(res):
     return sorted(h["submit"].t_s for h in task_events(res.events).values())
 
 
+def lanes(res):
+    """Each executor's submissions, [(time, enforced wait)], in time order."""
+    out = {}
+    for e in res.events:
+        if e.name == "submit":
+            out.setdefault(e.attrs["executor"], []).append((e.t_s, float(e.attrs["wait"])))
+    return out
+
+
 class TestRateGate:
-    def _serial_waits(self, n, delay):
-        state = RateLimiter()
-        now = 0.0
-        waits = []
-        for _ in range(n):
-            w = rate_gate(state, now, delay)
-            waits.append(w)
-            now += w  # submission happens here, zero processing
-            state.mark_op_end(now)
-        return waits
+    def test_serial_total_wait(self, quick_cfg):
+        # one executor: each submission waits the delay after the lane's last one
+        cfg = quick_cfg(workload__n_tasks=64, pool__nodes=3, agent__schedule_cost_s=0.0,
+                        backend__submit_delay_s=0.1)
+        (lane,) = lanes(run_pilot(cfg, seed=2)).values()
+        t, wait = zip(*lane)
+        assert len(t) == 64
+        assert sum(wait) >= 63 * 0.1 - 1e-6
+        assert all(b - a >= 0.1 - 1e-9 for a, b in zip(t, t[1:]))
 
-    def test_serial_16384_total_wait(self):
-        waits = self._serial_waits(16384, 0.1)
-        assert sum(waits) >= 1638.4 - 1e-6
+    def test_zero_delay_no_wait(self, quick_cfg):
+        cfg = quick_cfg(workload__n_tasks=32, backend__submit_delay_s=0.0)
+        (lane,) = lanes(run_pilot(cfg, seed=2)).values()
+        assert [w for _, w in lane] == [0.0] * 32
 
-    def test_zero_delay_no_wait(self):
-        assert self._serial_waits(100, 0.0) == [0.0] * 100
+    def test_per_executor_span_with_four_sub_agents(self, quick_cfg):
+        # 64 tasks round-robin over 4 executors, 0.01s delay each
+        cfg = quick_cfg(workload__n_tasks=64, pool__nodes=3, agent__schedule_cost_s=0.0,
+                        backend__submit_delay_s=0.01, subagents__n_sub_agents=4)
+        by_executor = lanes(run_pilot(cfg, seed=2))
+        assert len(by_executor) == 4
+        for lane in by_executor.values():
+            t, wait = zip(*lane)
+            assert len(t) == 16
+            assert sum(wait) >= 16 * 0.01 - 1e-9
+            assert t[-1] - t[0] >= 15 * 0.01 - 1e-9
 
-    def test_per_executor_span_with_four_sub_agents(self):
-        # 16384 tasks round-robin over 4 executors, 0.01s delay each
-        per_executor = 16384 // 4
-        waits = self._serial_waits(per_executor, 0.01)
-        assert sum(waits) >= 40.96 - 1e-9
-
-    def test_gap_enforced_after_idle(self):
-        state = RateLimiter()
-        state.mark_op_end(10.0)
-        assert rate_gate(state, 10.02, 0.1) == pytest.approx(0.08)
-        assert rate_gate(state, 20.0, 0.1) == 0.0
+    def test_gap_enforced_after_idle(self, quick_cfg):
+        # 8 one-core tasks on 4 worker cores: the lane idles through the
+        # first wave's 5 s payloads, far longer than the delay
+        cfg = quick_cfg(workload__n_tasks=8, pool__cores_per_node=4,
+                        backend__submit_delay_s=0.1)
+        (lane,) = lanes(run_pilot(cfg, seed=2)).values()
+        t, wait = zip(*lane)
+        assert wait[:4] == (0.1,) * 4
+        assert t[4] - t[3] > 5.0 and wait[4] == 0.0
+        assert all(b - a >= 0.1 - 1e-9 for a, b in zip(t, t[1:]))
 
 
 class TestFdAccountant:

@@ -1,6 +1,7 @@
 """`TaskTable.from_log` reads a saved profile log into the same table as
-`TaskTable.from_events(load_profile(path))`, field for field, and fails
-on a damaged log with exactly the reference path's error."""
+the per-`Event` oracle `reference_table(load_profile(path))`, field for
+field, and fails on a damaged log with exactly `load_profile`'s error;
+`TaskTable.from_events` reads a run's events through the same reader."""
 
 import os
 import re
@@ -9,10 +10,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pilotsim import Event, ProfileParseError, Slot, TaskTable, load_profile, run_pilot
+from pilotsim import (
+    Event,
+    ProfileParseError,
+    Slot,
+    TaskTable,
+    compute_ttx,
+    load_profile,
+    run_pilot,
+)
 from pilotsim.cli import main, run_experiment
 
-from conftest import assert_same_table, zero_overhead
+from conftest import assert_same_table, reference_table, zero_overhead
 
 
 def outcome(build):
@@ -25,7 +34,7 @@ def outcome(build):
 
 def assert_same_outcome(path: str) -> None:
     got = outcome(lambda: TaskTable.from_log(path))
-    want = outcome(lambda: TaskTable.from_events(load_profile(path)))
+    want = outcome(lambda: reference_table(load_profile(path)))
     if isinstance(want, TaskTable):
         assert isinstance(got, TaskTable), got
         assert_same_table(got, want)
@@ -89,6 +98,12 @@ def escaped_ids(lines):
     return [line.replace("task.000003", "task%2C000003") for line in lines]
 
 
+def escaped_attrs(lines):
+    # escapes in the keys and values that the table reads
+    return [line.replace("slot=n", "%73lot=%6E").replace("wait=0.", "w%61it=0%2E")
+            for line in lines]
+
+
 def non_finite(t):
     return lambda lines: lines[:5] + [with_time(lines[5], t)] + lines[6:]
 
@@ -100,6 +115,7 @@ EDITS = {
     "equal_times_reversed": shuffled_equal_times,
     "duplicates": duplicated,
     "percent_escaped_ids": escaped_ids,
+    "percent_escaped_attrs": escaped_attrs,
     # errors now (see DAMAGE); kept here so every line ending is compared too
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
@@ -166,6 +182,66 @@ def test_bare_attr_names_its_line(plain_log, tmp_path):
     assert err.value.reason == "bad attr 'bare'"
 
 
+BLOCK = 1 << 16  # characters `from_log` reads at a time, before ending the line
+
+
+@pytest.fixture(scope="module")
+def big_log(tmp_path_factory):
+    """Lines of a 1024-task run's log: over four reading blocks."""
+    from pilotsim import ExperimentConfig
+
+    cfg = zero_overhead(ExperimentConfig())
+    cfg.workload.n_tasks = 1024
+    cfg.workload.duration_s = 5.0
+    cfg.pool.autosize = 1
+    cfg.backend.max_rate_hz = None
+    cfg.backend.fd_limit = 65536
+    cfg.backend.fd_reserved = 0
+    rep = str(tmp_path_factory.mktemp("big") / "rep")
+    run_pilot(cfg, run_dir=rep, seed=5)
+    with open(os.path.join(rep, "profile.log"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert sum(map(len, lines)) > 4 * BLOCK
+    return lines
+
+
+def in_block_3(lines) -> int:
+    """Index of a line that starts past the second block boundary: a block
+    ends within one line of a multiple of BLOCK, and lines are far shorter."""
+    return int(np.searchsorted(np.cumsum([len(line) for line in lines]), 2.5 * BLOCK))
+
+
+def replaced(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+# (lines, index in block 3) -> lines edited at that index
+CROSS_BLOCK = {
+    "escaped_ids": lambda lines, i: (
+        lines[:i] + [line.replace("task.", "task%2C") for line in lines[i:]]),
+    "garbage_line": lambda lines, i: lines[:i] + ["not an event\n"] + lines[i:],
+    "bare_attr": lambda lines, i: replaced(lines, i, lines[i].rstrip("\n") + ";bare\n"),
+    "nan_time": lambda lines, i: replaced(lines, i, with_time(lines[i], "nan")),
+    "bad_time": lambda lines, i: replaced(lines, i, with_time(lines[i], "12:00")),
+    "seven_fields": lambda lines, i: replaced(lines, i, lines[i].rstrip("\n") + ",x\n"),
+    # an escape in block 1 and a garbage line in block 3
+    "escape_then_garbage": lambda lines, i: (
+        escaped_ids(lines[:i]) + ["not an event\n"] + lines[i:]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CROSS_BLOCK))
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_edit_past_the_second_block(big_log, tmp_path, edit, newline):
+    i = in_block_3(big_log)
+    path = write(tmp_path, "".join(CROSS_BLOCK[edit](big_log, i)), newline=newline)
+    assert_same_outcome(path)
+    if edit != "escaped_ids":
+        with pytest.raises(ProfileParseError) as err:
+            TaskTable.from_log(path)
+        assert err.value.line_no == i + 1  # counted across the blocks
+
+
 def count_calls(monkeypatch, cls, name):
     calls = []
     decode = getattr(cls, name).__func__
@@ -188,14 +264,28 @@ def test_plain_analyze_builds_no_event_or_slot(quick_cfg, tmp_path, monkeypatch,
     assert main(["analyze", run_dir]) == 0
     assert main(["report", run_dir]) == 0
     assert events == [] and slots == []
-    # the counter sees the reference path: an escaped id sends the log there
+    # an escaped id is unquoted by the same reader, still with no Event
     log = os.path.join(run_dir, "rep_000", "profile.log")
     with open(log, encoding="utf-8") as fh:
         text = fh.read()
     with open(log, "w", encoding="utf-8") as fh:
         fh.write(text.replace("task.000003", "task%2C000003"))
     assert main(["analyze", run_dir]) == 0
-    assert len(events) == text.count("\n") and slots == []
+    assert events == [] and slots == []
+    assert "task,000003" in TaskTable.from_log(log).uids
+
+
+def test_run_events_are_read_as_lines(quick_cfg, tmp_path, monkeypatch):
+    cfg = quick_cfg(workload__n_tasks=24, workload__cores_per_task=2)
+    res = run_pilot(cfg, seed=6)  # in memory: the events are the sink's text
+    run_pilot(cfg, run_dir=str(tmp_path / "rep"), seed=6)
+    events = count_calls(monkeypatch, Event, "decode")
+    table = TaskTable.from_events(res.events)
+    ttx = compute_ttx(res.events)
+    assert events == []
+    saved = TaskTable.from_log(str(tmp_path / "rep" / "profile.log"))
+    assert_same_table(table, saved)
+    assert ttx == compute_ttx(saved)
 
 
 def traced_peak(build) -> int:
@@ -213,5 +303,5 @@ def test_reader_memory_is_a_fraction_of_the_events(quick_cfg, tmp_path):
     run_pilot(cfg, run_dir=rep, seed=1)
     path = os.path.join(rep, "profile.log")
     lean = traced_peak(lambda: TaskTable.from_log(path))
-    full = traced_peak(lambda: TaskTable.from_events(load_profile(path)))
+    full = traced_peak(lambda: reference_table(load_profile(path)))
     assert lean < full / 2

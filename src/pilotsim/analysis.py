@@ -38,6 +38,7 @@ import csv
 import math
 import re
 from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from typing import Iterable, Optional, Union
@@ -241,19 +242,19 @@ class TaskTable:
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "TaskTable":
         """The table of the log text of `events`: a run's events hand over
-        their recorded lines, any other event is encoded, so hand-built
-        events are taken in time order at microsecond resolution."""
-        lines = iter(events.lines() if isinstance(events, LogEvents)
-                     else (e.encode() + "\n" for e in events))
+        their text, read as `from_log` reads it; any other event is encoded,
+        so hand-built events are taken in time order at microsecond resolution."""
+        if isinstance(events, LogEvents):
+            return cls._read(events.blocks(), "<events>")
+        lines = (e.encode() + "\n" for e in events)
         return cls._read(iter(lambda: "".join(islice(lines, 1 << 10)), ""), "<events>")
 
     @classmethod
     def from_log(cls, path: str) -> "TaskTable":
         """The table of a saved profile log, read in blocks of about 64 KiB;
         the first damaged line raises a `ProfileParseError` naming it."""
-        with open(path, "r", encoding="utf-8") as fh:
-            # whole lines: about 64 KiB, then the rest of the last line
-            return cls._read(iter(lambda: fh.read(1 << 16) + fh.readline(), ""), path)
+        with closing(LogEvents(path).blocks()) as blocks:  # closes the file on a raise
+            return cls._read(blocks, path)
 
     @classmethod
     def _read(cls, blocks: Iterable[str], source: str) -> "TaskTable":

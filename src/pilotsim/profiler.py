@@ -24,7 +24,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 from urllib.parse import quote, unquote
 
 # entity kinds
@@ -129,8 +129,8 @@ class Event:
 
 class LogEvents(Sequence):
     """A profile log's events in record order. The lines (each with its
-    newline) are read once, when first needed; a line is decoded when it is
-    read, so `len()` and `[-1]` decode at most one."""
+    newline) are read and kept when first needed; a line is decoded when it
+    is read, so `len()` and `[-1]` decode at most one."""
 
     def __init__(self, source: Union[str, io.StringIO]):
         self._source = source  # a log path, or a sink's in-memory text
@@ -145,6 +145,19 @@ class LogEvents(Sequence):
             else:
                 self._lines = self._source.getvalue().splitlines(keepends=True)
         return self._lines
+
+    def blocks(self) -> Iterator[str]:
+        """The log text in blocks of whole lines, about 64 KiB each, read
+        afresh: no line is cached or decoded."""
+        if isinstance(self._source, str):
+            with open(self._source, "r", encoding="utf-8") as fh:
+                yield from iter(lambda: fh.read(1 << 16) + fh.readline(), "")
+            return
+        text, start = self._source.getvalue(), 0
+        while start < len(text):
+            end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+            yield text[start:end]
+            start = end
 
     def __len__(self) -> int:
         return len(self.lines())

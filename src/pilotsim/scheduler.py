@@ -2,21 +2,24 @@
 
 Placement is deterministic first-fit: worker nodes in id order, resource
 indices in ascending order. A task that does not fit on any single node
-may spill across consecutive nodes. Agent nodes are reserved for the
+may spill across nodes in id order. Agent nodes are reserved for the
 runtime itself and never receive tasks.
 
-Running free-core and free-GPU totals make `fits(spec)` O(1); a task
-fits exactly when `try_schedule` would place it. The agent's scheduler
-lane starts a placement only for a task that fits, so every attempt
-succeeds. Modelling decision: a task is charged `agent.schedule_cost_s`
-once, for its placement; a task that does not fit waits uncharged until
-a release frees room, and waiting tasks are placed in arrival order.
-"""
+Each worker's bound cores and bound GPUs are two int bitmasks. Int bitsets
+over the workers hold those that fit the last placed (cores, GPUs) shape
+and those with a free core or GPU, so the first fit is a lowest set bit
+and a spill visits only workers with a unit the task needs. Free totals
+make `fits(spec)` O(1); a task fits exactly when `try_schedule` would
+place it, and the agent's scheduler lane starts a placement only for a
+task that fits. Modelling decision: a task is charged
+`agent.schedule_cost_s` once, for its placement; a task that does not fit
+waits uncharged until a release frees room, and waiting tasks are placed
+in arrival order."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import TaskSpec
@@ -115,35 +118,12 @@ def slot_units(texts: Iterable[str]) -> list[int]:
     return out
 
 
-@dataclass
-class _NodeState:
-    node: Node
-    core_used: list[bool] = field(default_factory=list)
-    gpu_used: list[bool] = field(default_factory=list)
-    free_cores: int = 0
-    free_gpus: int = 0
-
-    def __post_init__(self):
-        self.core_used = [False] * self.node.cores
-        self.gpu_used = [False] * self.node.gpus
-        self.free_cores = self.node.cores
-        self.free_gpus = self.node.gpus
-
-
-def _all_bound(indices: tuple[int, ...], used: list[bool]) -> bool:
-    """True when `indices` name distinct units that are bound in `used`."""
-    n = len(used)
-    for i in indices:
-        if not (0 <= i < n and used[i]):
-            return False
-    return len(indices) < 2 or len(set(indices)) == len(indices)
-
-
 class ResourcePool:
-    """Nodes x (cores, GPUs) with per-node occupancy bitmaps.
+    """Nodes x (cores, GPUs); each worker node's occupancy is one int
+    bitmask of its bound cores and one of its bound GPUs (bit i: unit i).
 
     The first `agent_nodes` nodes are reserved for the runtime; the rest
-    are worker nodes available to tasks.
+    are worker nodes available to tasks, numbered by their position.
     """
 
     def __init__(self, nodes: list[Node], agent_nodes: int = 1):
@@ -155,12 +135,13 @@ class ResourcePool:
             raise ValueError("agent_nodes must be >= 0")
         self.nodes = list(nodes)
         self.agent_nodes = agent_nodes
-        self._states = {n.uid: _NodeState(n) for n in self.worker_nodes}
-        self._worker_order = [n.uid for n in self.worker_nodes]
-        self._worker_index = {uid: i for i, uid in enumerate(self._worker_order)}
-        self._scan_hint = 0  # first worker index that may still have free cores
-        self._free_cores = sum(n.cores for n in self.worker_nodes)
-        self._free_gpus = sum(n.gpus for n in self.worker_nodes)
+        self._workers = self.worker_nodes
+        self._index = {n.uid: i for i, n in enumerate(self._workers)}
+        self._cores = [0] * len(self._workers)  # bound-core mask per worker
+        self._gpus = [0] * len(self._workers)  # bound-GPU mask per worker
+        self._free_cores = self.total_worker_cores
+        self._free_gpus = self.total_worker_gpus
+        self._shape: Optional[tuple[int, int]] = None  # set by the first placement
 
     @classmethod
     def uniform(
@@ -189,12 +170,6 @@ class ResourcePool:
     def total_worker_gpus(self) -> int:
         return sum(n.gpus for n in self.worker_nodes)
 
-    def free_core_count(self) -> int:
-        return self._free_cores
-
-    def free_gpu_count(self) -> int:
-        return self._free_gpus
-
     def fits(self, spec: TaskSpec) -> bool:
         """True when `try_schedule(spec)` would place the task now."""
         return self._free_cores >= spec.cores and self._free_gpus >= spec.gpus
@@ -203,30 +178,25 @@ class ResourcePool:
         """First-fit placement; returns None when there is no capacity now."""
         if not self.fits(spec):
             return None
-        # single-node placement first
-        for idx in range(self._scan_hint, len(self._worker_order)):
-            state = self._states[self._worker_order[idx]]
-            if state.free_cores >= spec.cores and state.free_gpus >= spec.gpus:
-                slot = Slot(
-                    assignments=(self._take(state, spec.cores, spec.gpus),)
-                )
-                self._advance_hint()
-                return slot
-        # multi-node spill, nodes in order
+        if (spec.cores, spec.gpus) != self._shape:
+            self._index_shape((spec.cores, spec.gpus))
+        if self._fit:  # single-node placement on the lowest fitting worker
+            i = (self._fit & -self._fit).bit_length() - 1
+            return Slot(assignments=(self._take(i, spec.cores, spec.gpus),))
+        # multi-node spill over the workers with a unit the task needs, in order
         assignments = []
         cores_left, gpus_left = spec.cores, spec.gpus
-        for uid in self._worker_order:
-            state = self._states[uid]
-            take_c = min(state.free_cores, cores_left)
-            take_g = min(state.free_gpus, gpus_left)
-            if take_c == 0 and take_g == 0:
-                continue
-            assignments.append(self._take(state, take_c, take_g))
-            cores_left -= take_c
-            gpus_left -= take_g
-            if cores_left == 0 and gpus_left == 0:
-                break
-        self._advance_hint()
+        candidates = self._open_cores | (self._open_gpus if spec.gpus else 0)
+        while cores_left or gpus_left:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            free_c, free_g = self._free(i)
+            take_c, take_g = min(free_c, cores_left), min(free_g, gpus_left)
+            if take_c or take_g:
+                assignments.append(self._take(i, take_c, take_g))
+                cores_left -= take_c
+                gpus_left -= take_g
         return Slot(assignments=tuple(assignments))
 
     def unschedule(self, slot: Slot) -> None:
@@ -237,54 +207,73 @@ class ResourcePool:
         n = len(assignments)
         if n > 1 and len({a.node_uid for a in assignments}) < n:
             raise DoubleFree(f"slot {slot.encode()} names a node twice")
+        freed = []
         for a in assignments:
-            state = self._states.get(a.node_uid)
-            if state is None:
+            i = self._index.get(a.node_uid)
+            if i is None:
                 raise DoubleFree(f"slot references unknown node {a.node_uid}")
-            if not _all_bound(a.core_indices, state.core_used):
+            cores = _bound_mask(a.core_indices, self._cores[i])
+            if cores is None:
                 raise DoubleFree(f"slot {slot.encode()} names a core that is not bound")
-            if not _all_bound(a.gpu_indices, state.gpu_used):
+            gpus = _bound_mask(a.gpu_indices, self._gpus[i])
+            if gpus is None:
                 raise DoubleFree(f"slot {slot.encode()} names a GPU that is not bound")
-        for a in assignments:
-            state = self._states[a.node_uid]
-            for i in a.core_indices:
-                state.core_used[i] = False
-            for i in a.gpu_indices:
-                state.gpu_used[i] = False
-            state.free_cores += len(a.core_indices)
-            state.free_gpus += len(a.gpu_indices)
-            self._free_cores += len(a.core_indices)
-            self._free_gpus += len(a.gpu_indices)
-            self._scan_hint = min(self._scan_hint, self._worker_index[a.node_uid])
+            freed.append((i, cores, gpus))
+        for i, cores, gpus in freed:
+            self._cores[i] ^= cores
+            self._gpus[i] ^= gpus
+            self._free_cores += cores.bit_count()
+            self._free_gpus += gpus.bit_count()
+            self._mark(i)
 
-    def _take(self, state: _NodeState, n_cores: int, n_gpus: int) -> SlotAssignment:
-        cores = []
-        for i, used in enumerate(state.core_used):
-            if len(cores) == n_cores:
-                break
-            if not used:
-                state.core_used[i] = True
-                cores.append(i)
-        gpus = []
-        for i, used in enumerate(state.gpu_used):
-            if len(gpus) == n_gpus:
-                break
-            if not used:
-                state.gpu_used[i] = True
-                gpus.append(i)
-        state.free_cores -= len(cores)
-        state.free_gpus -= len(gpus)
-        self._free_cores -= len(cores)
-        self._free_gpus -= len(gpus)
-        return SlotAssignment(
-            node_uid=state.node.uid,
-            core_indices=tuple(cores),
-            gpu_indices=tuple(gpus),
-        )
+    def _free(self, i: int) -> tuple[int, int]:
+        """Free cores and free GPUs of worker `i`."""
+        node = self._workers[i]
+        return node.cores - self._cores[i].bit_count(), node.gpus - self._gpus[i].bit_count()
 
-    def _advance_hint(self) -> None:
-        while (
-            self._scan_hint < len(self._worker_order)
-            and self._states[self._worker_order[self._scan_hint]].free_cores == 0
-        ):
-            self._scan_hint += 1
+    def _index_shape(self, shape: tuple[int, int]) -> None:
+        """Rebuild every pool-level set, the fit set for `shape`; O(nodes)."""
+        self._shape = shape
+        self._fit = 0  # bit i: worker i fits `_shape`
+        self._open_cores = 0  # bit i: worker i has a free core
+        self._open_gpus = 0  # bit i: worker i has a free GPU
+        for i in range(len(self._workers)):
+            self._mark(i)
+
+    def _mark(self, i: int) -> None:
+        """Set or clear worker `i`'s bit in the pool-level sets."""
+        bit = 1 << i
+        free_c, free_g = self._free(i)
+        cores, gpus = self._shape
+        self._fit = self._fit | bit if free_c >= cores and free_g >= gpus else self._fit & ~bit
+        self._open_cores = self._open_cores | bit if free_c else self._open_cores & ~bit
+        self._open_gpus = self._open_gpus | bit if free_g else self._open_gpus & ~bit
+
+    def _take(self, i: int, n_cores: int, n_gpus: int) -> SlotAssignment:
+        self._cores[i], cores = _pick(self._cores[i], n_cores)
+        self._gpus[i], gpus = _pick(self._gpus[i], n_gpus)
+        self._free_cores -= n_cores
+        self._free_gpus -= n_gpus
+        self._mark(i)
+        return SlotAssignment(self._workers[i].uid, cores, gpus)
+
+
+def _pick(bound: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """`bound` with its `k` lowest free units bound, and their indices."""
+    picked = []
+    for _ in range(k):
+        low = ~bound & (bound + 1)
+        bound |= low
+        picked.append(low.bit_length() - 1)
+    return bound, tuple(picked)
+
+
+def _bound_mask(indices: tuple[int, ...], bound: int) -> Optional[int]:
+    """The mask of `indices` if they name distinct units set in `bound`."""
+    mask = 0
+    for i in indices:
+        bit = 1 << i if 0 <= i < bound.bit_length() else 0
+        if not bit & bound & ~mask:
+            return None
+        mask |= bit
+    return mask

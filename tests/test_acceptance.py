@@ -12,20 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from pilotsim import (
-    DvmSimConfig,
-    EventSink,
-    ExperimentConfig,
-    OverheadStats,
-    ResourcePool,
-    TaskRecord,
-    TaskSpec,
-    VirtualClock,
-    compute_ttx,
-    dvm_start,
-    run_pilot,
-    utilization,
-)
+from pilotsim import ExperimentConfig, TaskSpec, compute_ttx, run_pilot, utilization
+from pilotsim.analysis import OverheadStats
+from pilotsim.config import DvmSimConfig
+from pilotsim.core import TaskRecord, VirtualClock
+from pilotsim.dvm import dvm_start
+from pilotsim.profiler import EventSink
+from pilotsim.scheduler import ResourcePool
 
 from conftest import task_events
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from pilotsim import (
-    CATEGORIES,
-    Event,
     IncompleteRun,
-    OverheadStats,
-    ResourcePool,
     TaskSpec,
     TaskTable,
     component_overheads,
@@ -17,7 +13,9 @@ from pilotsim import (
     run_pilot,
     utilization,
 )
-from pilotsim.analysis import timeline
+from pilotsim.analysis import CATEGORIES, OverheadStats, timeline
+from pilotsim.profiler import Event
+from pilotsim.scheduler import ResourcePool
 
 from conftest import zero_overhead
 

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from pilotsim import ConfigError, ExperimentConfig, parse_config_text, run_pilot, to_flat
+from pilotsim import ConfigError, ExperimentConfig, parse_config_text, run_pilot
+from pilotsim.config import to_flat
 from pilotsim.cli import analyze_rep, emit_report, main, run_experiment
 
 from conftest import zero_overhead

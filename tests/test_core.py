@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import (
-    ConfigError,
+from pilotsim import ConfigError, TaskSpec, run_pilot
+from pilotsim.core import (
     IllegalTransition,
-    PilotRun,
-    Slot,
     TaskRecord,
-    TaskSpec,
     TaskState,
     TimeRegression,
     VirtualClock,
     advance_state,
-    run_pilot,
 )
+from pilotsim.pilot import PilotRun
+from pilotsim.scheduler import Slot
 
 from conftest import zero_overhead
 

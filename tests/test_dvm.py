@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from pilotsim import (
-    ConfigError,
-    DvmSimConfig,
-    EventSink,
-    OverheadStats,
-    ResourcePool,
-    TaskRecord,
-    TaskSpec,
-    VirtualClock,
-    dvm_start,
-    parse_config_text,
-)
+from pilotsim import ConfigError, TaskSpec, parse_config_text
+from pilotsim.analysis import OverheadStats
+from pilotsim.config import DvmSimConfig
+from pilotsim.core import TaskRecord, VirtualClock
+from pilotsim.dvm import dvm_start
+from pilotsim.profiler import EventSink
+from pilotsim.scheduler import ResourcePool
 
 STAGES = ["init_complete", "pending_app_launch", "sending_launch_msg",
           "running", "notify_complete"]

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from pilotsim import (
-    ConfigError,
-    FailureReason,
-    FdAccountant,
-    ResourcePool,
-    make_partitions,
-    parse_config_text,
-    run_pilot,
-)
+from pilotsim import ConfigError, parse_config_text, run_pilot
+from pilotsim.core import FailureReason
+from pilotsim.launcher import FdAccountant, make_partitions
+from pilotsim.scheduler import ResourcePool
 
 from conftest import task_events, zero_overhead
 

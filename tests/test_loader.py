@@ -10,15 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pilotsim import (
-    Event,
-    ProfileParseError,
-    Slot,
-    TaskTable,
-    compute_ttx,
-    load_profile,
-    run_pilot,
-)
+from pilotsim import ProfileParseError, TaskTable, compute_ttx, load_profile, run_pilot
+from pilotsim.profiler import Event, LogEvents
+from pilotsim.scheduler import Slot
 from pilotsim.cli import main, run_experiment
 
 from conftest import assert_same_table, reference_table, zero_overhead
@@ -286,6 +280,23 @@ def test_run_events_are_read_as_lines(quick_cfg, tmp_path, monkeypatch):
     saved = TaskTable.from_log(str(tmp_path / "rep" / "profile.log"))
     assert_same_table(table, saved)
     assert ttx == compute_ttx(saved)
+
+
+def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
+    # a run's text is read in blocks, as `from_log` reads it: no line list
+    # is built, and none is left on the events afterwards
+    cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
+    rep = str(tmp_path / "rep")
+    in_memory, saved = run_pilot(cfg, seed=1), run_pilot(cfg, run_dir=rep, seed=1)
+    monkeypatch.setattr(LogEvents, "lines", lambda self: pytest.fail("lines listed"))
+    assert compute_ttx(in_memory.events) == compute_ttx(saved.events)
+    tracemalloc.start()
+    try:
+        compute_ttx(saved.events)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < os.path.getsize(os.path.join(rep, "profile.log")) / 20
 
 
 def traced_peak(build) -> int:

@@ -5,7 +5,9 @@ import weakref
 
 import pytest
 
-from pilotsim import ConfigError, PilotRun, TaskRecord, load_profile, pilot, run_pilot
+from pilotsim import ConfigError, load_profile, pilot, run_pilot
+from pilotsim.core import TaskRecord
+from pilotsim.pilot import PilotRun
 
 from conftest import task_events, zero_overhead
 

@@ -8,19 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotsim import profiler
-from pilotsim import (
-    Event,
-    EventSink,
-    PilotRun,
-    ProfileParseError,
-    SinkClosed,
-    load_profile,
-    parse_config_text,
-    run_pilot,
-    to_flat,
-)
+from pilotsim import ProfileParseError, load_profile, parse_config_text, run_pilot
+from pilotsim.config import to_flat
+from pilotsim.pilot import PilotRun
 from pilotsim.cli import main
-from pilotsim.profiler import NO_ATTRS
+from pilotsim.profiler import NO_ATTRS, Event, EventSink, SinkClosed
 
 from conftest import task_events, zero_overhead
 

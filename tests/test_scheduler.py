@@ -1,21 +1,28 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import (
-    DoubleFree,
-    Node,
-    ResourcePool,
-    Slot,
-    SlotAssignment,
-    TaskSpec,
-)
-from pilotsim.scheduler import slot_units
+from pilotsim import TaskSpec, parse_config_file, scheduler
+from pilotsim.pilot import PilotRun
+from pilotsim.scheduler import DoubleFree, Node, ResourcePool, Slot, SlotAssignment, slot_units
 
 
 def spec(cores=1, gpus=0):
     return TaskSpec(cores=cores, gpus=gpus, duration_s=1.0)
+
+
+def assert_free(pool, cores, gpus=None):
+    """`pool` has exactly `cores` free cores, and `gpus` free GPUs when
+    given, as `fits` sees them: it fits that many and not one more. A task
+    holds at least one core, so the GPUs show only while a core is free."""
+    assert cores == 0 or pool.fits(spec(cores))
+    assert not pool.fits(spec(cores + 1))
+    if gpus is not None and cores:
+        assert pool.fits(spec(1, gpus)) and not pool.fits(spec(1, gpus + 1))
 
 
 class NaiveFreeList:
@@ -75,7 +82,7 @@ class TestTrySchedule:
         pool = ResourcePool.uniform(26, cores_per_node=42, gpus_per_node=0, agent_nodes=1)
         slots = [pool.try_schedule(spec(1)) for i in range(1024)]
         assert all(s is not None for s in slots)
-        assert pool.free_core_count() == 25 * 42 - 1024
+        assert_free(pool, 25 * 42 - 1024)
 
     def test_multi_node_spill(self):
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
@@ -93,7 +100,7 @@ class TestTrySchedule:
         oracle = NaiveFreeList(5, 6, 2)
         live = []
         for step in range(400):
-            if live and (rng.random() < 0.45 or pool.free_core_count() == 0):
+            if live and (rng.random() < 0.45 or not pool.fits(spec(1))):
                 idx = int(rng.integers(len(live)))
                 slot, placement = live.pop(idx)
                 pool.unschedule(slot)
@@ -108,16 +115,36 @@ class TestTrySchedule:
                 else:
                     assert as_placement(slot) == placement
                     live.append((slot, placement))
-            assert pool.free_core_count() == oracle.n_free_cores()
+            assert_free(pool, oracle.n_free_cores())
+
+    @pytest.mark.parametrize("gpus", [0, 1])
+    def test_single_shape_trace_matches_naive_oracle(self, gpus):
+        # one 8-core shape on 42-core nodes: the fit set is kept, never rebuilt
+        rng = np.random.default_rng(5)
+        pool = ResourcePool.uniform(6, cores_per_node=42, gpus_per_node=6, agent_nodes=0)
+        oracle = NaiveFreeList(6, 42, 6)
+        live, spills = [], 0
+        for step in range(2000):
+            if live and (rng.random() < 0.3 or not pool.fits(spec(8, gpus))):
+                slot, placement = live.pop(int(rng.integers(len(live))))
+                pool.unschedule(slot)
+                oracle.free(placement)
+            else:
+                slot = pool.try_schedule(spec(8, gpus))
+                placement = oracle.alloc(8, gpus)
+                assert as_placement(slot) == placement
+                live.append((slot, placement))
+                spills += len(placement) > 1
+            assert_free(pool, oracle.n_free_cores())
+        assert spills > 20
 
 
 class TestUnschedule:
     def test_bind_then_release_restores_pool(self):
         pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
-        before = (pool.free_core_count(), pool.free_gpu_count())
         slot = pool.try_schedule(spec(3, 1))
         pool.unschedule(slot)
-        assert (pool.free_core_count(), pool.free_gpu_count()) == before
+        assert_free(pool, pool.total_worker_cores, pool.total_worker_gpus)
 
     def test_double_free_rejected(self):
         pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
@@ -135,10 +162,10 @@ class TestUnschedule:
         assert held.encode() == "n1c0.1.2.3g0"
         with pytest.raises(DoubleFree):
             pool.unschedule(Slot.decode(text))
-        assert (pool.free_core_count(), pool.free_gpu_count()) == (0, 1)
+        assert_free(pool, 0, 1)
         assert pool.try_schedule(spec(1)) is None  # no double booking
         pool.unschedule(held)
-        assert (pool.free_core_count(), pool.free_gpu_count()) == (4, 2)
+        assert_free(pool, 4, 2)
 
     def test_interleaved_counter_oracle(self):
         rng = np.random.default_rng(11)
@@ -157,7 +184,7 @@ class TestUnschedule:
                 if slot is not None:
                     live.append(slot)
                     bound += cores
-            assert pool.free_core_count() == capacity - bound
+            assert_free(pool, capacity - bound)
 
 
 class TestInvariants:
@@ -174,7 +201,7 @@ class TestInvariants:
                 if slot is not None:
                     live.append(slot)
             bound = sum(s.n_cores for s in live)
-            assert pool.free_core_count() + bound == total
+            assert_free(pool, total - bound)
             seen = set()
             for s in live:
                 for a in s.assignments:
@@ -185,7 +212,7 @@ class TestInvariants:
 
     def test_single_core_saturation(self):
         pool = ResourcePool.uniform(3, cores_per_node=7, gpus_per_node=0, agent_nodes=1)
-        free = pool.free_core_count()
+        free = pool.total_worker_cores
         for i in range(free):
             assert pool.try_schedule(spec(1)) is not None
         assert pool.try_schedule(spec(1)) is None
@@ -244,3 +271,46 @@ class TestSlotUnits:
         assert calls == []
         slot_units(["n١c0"])  # not ASCII: read by Slot.decode
         assert calls == ["n١c0"]
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def scheduler_lines(cfg) -> int:
+    """Line events run in frames of scheduler.py during `PilotRun.run()`."""
+    run = PilotRun(cfg, seed=1)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == scheduler.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run.run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestScaling:
+    @pytest.mark.parametrize("shape", ["8 cores", "1 core + 1 GPU"])
+    def test_scheduler_work_grows_linearly(self, shape):
+        # counted in executed lines, not seconds, so the bound is exact
+        counts = []
+        for n in (2048, 4096):
+            cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
+            cfg.workload.n_tasks = n
+            if shape == "8 cores":
+                cfg.workload.cores_per_task = 8
+            else:
+                cfg.workload.gpus_per_task = 1
+                cfg.pool.autosize = 0
+                cfg.pool.nodes = n // 6 + 2
+            counts.append(scheduler_lines(cfg))
+        assert counts[1] / counts[0] <= 2.2, counts

@@ -30,16 +30,12 @@ class TaskState(Enum):
     FAILED = "Failed"
 
 
-# forward chain; Failed is reachable from any non-terminal state
-_CHAIN = [
-    TaskState.NEW,
-    TaskState.SCHEDULED,
-    TaskState.SUBMITTED,
-    TaskState.RUNNING,
-    TaskState.DONE,
-]
-_CHAIN_INDEX = {s: i for i, s in enumerate(_CHAIN)}
-TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED})
+# Each state carries its one forward step (`successor`) and whether it is
+# terminal, so a transition is checked with `is`, without hashing a member.
+# Failed is reachable from any non-terminal state. The members above are
+# declared in chain order, with Failed last.
+for _state, _next in zip(TaskState, [*TaskState][1:5] + [None, None]):
+    _state.successor, _state.terminal = _next, _next is None
 
 
 class FailureReason(Enum):
@@ -98,15 +94,14 @@ def advance_state(rec: TaskRecord, new_state: TaskState, t: float) -> TaskRecord
     or a jump to Failed from any non-terminal state. `t` must not precede
     `rec.t_last`, the time of the previous transition.
     """
-    if rec.state in TERMINAL_STATES:
+    state = rec.state
+    if state.terminal:
         raise IllegalTransition(
-            f"task {rec.uid}: no transitions out of terminal state {rec.state.value}"
+            f"task {rec.uid}: no transitions out of terminal state {state.value}"
         )
-    if (new_state is not TaskState.FAILED
-            and _CHAIN_INDEX[new_state] != _CHAIN_INDEX[rec.state] + 1):
+    if new_state is not state.successor and new_state is not TaskState.FAILED:
         raise IllegalTransition(
-            f"task {rec.uid}: illegal transition "
-            f"{rec.state.value} -> {new_state.value}"
+            f"task {rec.uid}: illegal transition {state.value} -> {new_state.value}"
         )
     if t < rec.t_last:
         raise TimeRegression(
@@ -121,21 +116,20 @@ class Clock:
     """Event-driven time base shared by all runtime components.
 
     Callbacks are dispatched in timestamp order; ties break by insertion
-    order, which makes virtual runs fully deterministic.
+    order, which makes virtual runs fully deterministic. Every callback
+    enters the heap through `schedule_at` as a `(t, seq, fn)` entry; `fn`
+    takes no arguments (a bound method or a `functools.partial` of one).
+    `now_s` is the current time in seconds: a plain attribute on the
+    virtual clock, read from the OS on the real one.
     """
 
     def __init__(self):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now_s(self) -> float:
-        return self._now
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
-        if t < self._now:
-            t = self._now
+        if t < self.now_s:
+            t = self.now_s
         heapq.heappush(self._heap, (t, next(self._seq), fn))
 
     def schedule_in(self, dt: float, fn: Callable[[], None]) -> None:
@@ -151,10 +145,13 @@ class Clock:
 class VirtualClock(Clock):
     """Min-heap virtual time: advances only through scheduled events."""
 
+    now_s = 0.0  # until the loop sets the time of the event it runs
+
     def run(self) -> None:
-        while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
-            self._now = t
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            t, _, fn = pop(heap)
+            self.now_s = t
             fn()
 
 

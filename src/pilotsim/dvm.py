@@ -22,6 +22,7 @@ capacity and launch latency in a config file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -69,7 +70,7 @@ class LatencySpec:
         return self.mean_s  # pragma: no cover - acceptance probability ~0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class _LiveEntry:
     rec: TaskRecord
     executor: object  # duck-typed: needs enqueue_completion()
@@ -117,12 +118,12 @@ class DvmHandle:
         if self.crashed:
             return False
         self._live[rec.uid] = _LiveEntry(rec=rec, executor=executor)
-        self._stage_event(rec.uid, EV_INIT_COMPLETE, now)
+        self.sink.record(now, DVM_JOB, rec.uid, COMP_DVM, EV_INIT_COMPLETE)
         if len(self._live) > self.config.capacity_tasks:
             self._crash(now)
             return True
         setup = self._setup.sample(self.rng)
-        self.clock.schedule_in(setup, lambda: self._to_pending(rec.uid))
+        self.clock.schedule_in(setup, partial(self._to_pending, rec.uid))
         return True
 
     # -- stage walk: a job missing from the live set has failed ---------------
@@ -131,19 +132,19 @@ class DvmHandle:
         if uid not in self._live:
             return
         now = self.clock.now_s
-        self._stage_event(uid, EV_PENDING_APP_LAUNCH, now)
-        self._stage_event(uid, EV_SENDING_LAUNCH_MSG, now)
+        self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_PENDING_APP_LAUNCH)
+        self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_SENDING_LAUNCH_MSG)
         launch = self._launch_msg.sample(self.rng)
-        self.clock.schedule_in(launch, lambda: self._to_running(uid))
+        self.clock.schedule_in(launch, partial(self._to_running, uid))
 
     def _to_running(self, uid: str) -> None:
         entry = self._live.get(uid)
         if entry is None:
             return
         now = self.clock.now_s
-        self._stage_event(uid, EV_RUNNING, now)
+        self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_RUNNING)
         self.host.task_running(entry.rec, now)
-        self.clock.schedule_in(entry.rec.spec.duration_s, lambda: self._payload_end(uid))
+        self.clock.schedule_in(entry.rec.spec.duration_s, partial(self._payload_end, uid))
 
     def _payload_end(self, uid: str) -> None:
         entry = self._live.get(uid)
@@ -151,13 +152,13 @@ class DvmHandle:
             return
         entry.t_payload_end = self.clock.now_s
         notify = self._notify.sample(self.rng)
-        self.clock.schedule_in(notify, lambda: self._to_notify(uid))
+        self.clock.schedule_in(notify, partial(self._to_notify, uid))
 
     def _to_notify(self, uid: str) -> None:
         entry = self._live.pop(uid, None)
         if entry is None:
             return
-        self._stage_event(uid, EV_NOTIFY_COMPLETE, self.clock.now_s)
+        self.sink.record(self.clock.now_s, DVM_JOB, uid, COMP_DVM, EV_NOTIFY_COMPLETE)
         entry.executor.enqueue_completion(Completion(entry.rec, 0, entry.t_payload_end))
 
     def _crash(self, now: float) -> None:
@@ -168,9 +169,6 @@ class DvmHandle:
         self._live.clear()
         for entry in entries:
             self.host.task_failed(entry.rec, FailureReason.DVM_CRASHED, now)
-
-    def _stage_event(self, uid: str, name: str, t: float) -> None:
-        self.sink.record(t, DVM_JOB, uid, COMP_DVM, name)
 
 
 def dvm_start(

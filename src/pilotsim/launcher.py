@@ -24,6 +24,7 @@ import os
 import subprocess
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -61,7 +62,7 @@ class FdAccountant:
         self.in_use -= n
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Completion:
     """A finished payload as reported by a backend to its executor."""
 
@@ -124,7 +125,7 @@ class Executor:
             return
         self._submit_busy = True
         wait = self._gate(self._submit_end)
-        self.clock.schedule_in(wait, lambda: self._do_submit(wait))
+        self.clock.schedule_in(wait, partial(self._do_submit, wait))
 
     def _do_submit(self, waited: float) -> None:
         rec = self._submit_q.popleft()
@@ -140,7 +141,7 @@ class Executor:
             return
         self._last_submit_t = now
         self.host.task_submitted(rec, self, waited, now)
-        self.clock.schedule_in(self.config.submit_cost_s, lambda: self._dispatch(rec))
+        self.clock.schedule_in(self.config.submit_cost_s, partial(self._dispatch, rec))
 
     def _over_rate(self, now: float) -> bool:
         if self.config.max_rate_hz is None or self._last_submit_t is None:
@@ -266,7 +267,7 @@ class SimJsmBackend:
             return False
         self._live[rec.uid] = (rec, executor)
         delay = self.latency.sample(self.rng)
-        self.clock.schedule_in(delay, lambda: self._to_running(rec.uid))
+        self.clock.schedule_in(delay, partial(self._to_running, rec.uid))
         return True
 
     def _destabilize(self, now: float) -> None:
@@ -282,7 +283,7 @@ class SimJsmBackend:
         rec, _ = self._live[uid]
         now = self.clock.now_s
         self.host.task_running(rec, now)
-        self.clock.schedule_in(rec.spec.duration_s, lambda: self._payload_end(uid))
+        self.clock.schedule_in(rec.spec.duration_s, partial(self._payload_end, uid))
 
     def _payload_end(self, uid: str) -> None:
         if uid not in self._live:

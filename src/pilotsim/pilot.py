@@ -16,13 +16,13 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .config import ExperimentConfig, check_seed
 from .core import (
-    TERMINAL_STATES,
     Clock,
     FailureReason,
     RealClock,
@@ -234,18 +234,19 @@ class PilotRun:
         task's record is made here."""
         if self._sched_busy:
             return
-        n, k = self.cfg.workload.n_tasks, len(self.groups)
-        ready = [g for g in self.groups if g.next < n and g.pool.fits(self.spec)]
-        if not ready:
+        n, k, spec = self.cfg.workload.n_tasks, len(self.groups), self.spec
+        group = None
+        for g in self.groups:  # queue heads' arrival indices are distinct
+            if g.next < n and (group is None or g.next < group.next) and g.pool.fits(spec):
+                group = g
+        if group is None:
             return
-        group = min(ready, key=lambda g: g.next)
         idx, group.next = group.next, group.next + k
-        rec = TaskRecord(f"task.{idx:06d}", self.spec, t_last=self._t_arrival,
+        rec = TaskRecord(f"task.{idx:06d}", spec, t_last=self._t_arrival,
                          partition=idx % k)
         self._sched_busy = True
-        self.clock.schedule_in(
-            self.cfg.agent.schedule_cost_s, lambda: self._sched_complete(rec)
-        )
+        self.clock.schedule_in(self.cfg.agent.schedule_cost_s,
+                               partial(self._sched_complete, rec))
 
     def _sched_complete(self, rec: TaskRecord) -> None:
         self._sched_busy = False
@@ -274,7 +275,7 @@ class PilotRun:
 
     def task_collected(self, comp: Completion, now: float) -> None:
         rec = comp.rec
-        if rec.state in TERMINAL_STATES:
+        if rec.state.terminal:
             return
         if comp.exit_status == 0:
             advance_state(rec, TaskState.DONE, comp.t_end)
@@ -288,17 +289,15 @@ class PilotRun:
                              {"reason": FailureReason.NONZERO_EXIT.value,
                               "exit": str(comp.exit_status)})
         self._release(rec, now)
-        self._after_terminal()
 
     def task_failed(self, rec: TaskRecord, reason: FailureReason, now: float) -> None:
-        if rec.state in TERMINAL_STATES:
+        if rec.state.terminal:
             return
         advance_state(rec, TaskState.FAILED, now)
         self._count_failure(reason)
         self.sink.record(now, TASK, rec.uid, COMP_EXECUTOR, EV_TASK_FAIL,
                          {"reason": reason.value})
         self._release(rec, now)
-        self._after_terminal()
 
     # -- internals -------------------------------------------------------------
 
@@ -308,16 +307,14 @@ class PilotRun:
 
     def _release(self, rec: TaskRecord, now: float) -> None:
         """Return a task's descriptors and slot; runs once per task, when
-        it turns terminal (the host hooks return early after that)."""
+        it turns terminal (the host hooks return early after that). After
+        the last task the agent tears down."""
         if rec.fds_held:
             self.fd.release(rec.fds_held)
             rec.fds_held = 0
         self.groups[rec.partition].pool.unschedule(rec.slot)
         self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
         self._kick_sched()
-
-    def _after_terminal(self) -> None:
-        # true once: each task turns terminal exactly once
         if self.n_done + self.n_failed == self.cfg.workload.n_tasks:
             self.clock.schedule_in(self.cfg.agent.termination_s, self._pilot_stop)
 

@@ -128,23 +128,13 @@ class Event:
 
 
 class LogEvents(Sequence):
-    """A profile log's events in record order. The lines (each with its
-    newline) are read and kept when first needed; a line is decoded when it
-    is read, so `len()` and `[-1]` decode at most one."""
+    """A profile log's events in record order, read afresh from the text
+    on every use: no line is kept, and a line is decoded only when it is
+    read, so `len()` decodes none and `[-1]` decodes one. The sink writes
+    lines of printable ASCII, so a newline is the only line break."""
 
     def __init__(self, source: Union[str, io.StringIO]):
         self._source = source  # a log path, or a sink's in-memory text
-        self._lines: Optional[list[str]] = None
-
-    def lines(self) -> list[str]:
-        """The log lines as recorded, each with its newline; none is decoded."""
-        if self._lines is None:
-            if isinstance(self._source, str):
-                with open(self._source, "r", encoding="utf-8") as fh:
-                    self._lines = list(fh)
-            else:
-                self._lines = self._source.getvalue().splitlines(keepends=True)
-        return self._lines
 
     def blocks(self) -> Iterator[str]:
         """The log text in blocks of whole lines, about 64 KiB each, read
@@ -159,13 +149,23 @@ class LogEvents(Sequence):
             yield text[start:end]
             start = end
 
+    def __iter__(self) -> Iterator[Event]:
+        for block in self.blocks():
+            yield from map(Event.decode, block.splitlines())
+
     def __len__(self) -> int:
-        return len(self.lines())
+        # only the last block can end in a line without its newline
+        return sum(b.count("\n") + (not b.endswith("\n")) for b in self.blocks())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [Event.decode(line.rstrip("\n")) for line in self.lines()[i]]
-        return Event.decode(self.lines()[i].rstrip("\n"))
+            return list(self)[i]
+        i = range(len(self))[i]  # from the front; IndexError when out of range
+        for block in self.blocks():
+            lines = block.splitlines()
+            if i < len(lines):
+                return Event.decode(lines[i])
+            i -= len(lines)
 
 
 class EventSink:
@@ -187,11 +187,15 @@ class EventSink:
         `f"{t:.6f}"` writes the same text as rounding `t` to them first."""
         if self._closed:
             raise SinkClosed("event sink is closed")
-        if _RESERVED.search("".join((kind, uid, comp, name, *attrs, *attrs.values()))):
-            self._fh.write(Event(round(t, 6), kind, uid, comp, name, attrs).encode() + "\n")
-        else:
-            pairs = ";".join([f"{k}={v}" for k, v in attrs.items()])
+        if not attrs:  # most events: no pairs to join
+            if not _RESERVED.search(kind + uid + comp + name):
+                self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},\n")
+                return
+        elif not _RESERVED.search("".join((kind, uid, comp, name, *attrs, *attrs.values()))):
+            pairs = ";".join(map("=".join, attrs.items()))
             self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},{pairs}\n")
+            return
+        self._fh.write(Event(round(t, 6), kind, uid, comp, name, attrs).encode() + "\n")
 
     @property
     def events(self) -> LogEvents:

@@ -6,6 +6,7 @@ import importlib.util
 import os
 
 from pilotsim import parse_config_text, run_pilot
+from pilotsim.pilot import PilotRun
 
 from conftest import zero_overhead
 
@@ -55,6 +56,20 @@ def traced(cfg):
     finally:
         tracer.uninstall()
     return res, tracer.layer_metrics(log_bytes=0)
+
+
+def test_every_event_is_counted(quick_cfg):
+    # every callback enters the heap through Clock.schedule_at, the method
+    # the tracer counts: each push takes one sequence number
+    tracer = load_trace_layers().Tracer()
+    run = PilotRun(quick_cfg(workload__n_tasks=40), seed=1)
+    tracer.install()
+    try:
+        res = run.run()
+    finally:
+        tracer.uninstall()
+    assert res.n_done == 40
+    assert tracer.layer_metrics(log_bytes=0)["core.events_dispatched"] == next(run.clock._seq)
 
 
 def test_multiwave_every_attempt_places(quick_cfg):

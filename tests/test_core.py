@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -115,6 +116,39 @@ class TestAdvanceState:
         assert rec.state is TaskState.FAILED
         with pytest.raises(IllegalTransition):
             advance_state(rec, TaskState.SUBMITTED, 3.0)
+
+    # the lifecycle rule, spelled out: one step along the chain, or to
+    # Failed from any state that is not Done or Failed
+    CHAIN = [TaskState.NEW, TaskState.SCHEDULED, TaskState.SUBMITTED,
+             TaskState.RUNNING, TaskState.DONE]
+    TERMINAL = {TaskState.DONE, TaskState.FAILED}
+
+    @classmethod
+    def legal(cls, src, dst):
+        if src in cls.TERMINAL:
+            return False
+        return dst is TaskState.FAILED or cls.CHAIN.index(dst) == cls.CHAIN.index(src) + 1
+
+    @pytest.mark.parametrize("src,dst", itertools.product(TaskState, TaskState),
+                             ids=lambda s: s.value)
+    def test_every_pair_follows_the_rule(self, src, dst):
+        rec = TaskRecord("t0", TaskSpec(cores=1, duration_s=900.0), state=src, t_last=1.0)
+        if self.legal(src, dst):
+            advance_state(rec, dst, 2.0)
+            assert (rec.state, rec.t_last) == (dst, 2.0)
+        else:
+            msg = (f"no transitions out of terminal state {src.value}"
+                   if src in self.TERMINAL else
+                   f"illegal transition {src.value} -> {dst.value}")
+            with pytest.raises(IllegalTransition, match=re.escape(f"task t0: {msg}")):
+                advance_state(rec, dst, 2.0)
+            assert (rec.state, rec.t_last) == (src, 1.0)
+
+    def test_members_carry_the_rule(self):
+        for src in TaskState:
+            assert src.terminal is (src in self.TERMINAL)
+            forward = [dst for dst in self.CHAIN if self.legal(src, dst)]
+            assert [src.successor] == (forward or [None])
 
     @given(ts=st.lists(st.floats(min_value=0, max_value=1e6,
                                  allow_nan=False), min_size=4, max_size=4))

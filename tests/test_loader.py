@@ -288,7 +288,9 @@ def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
     cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
     rep = str(tmp_path / "rep")
     in_memory, saved = run_pilot(cfg, seed=1), run_pilot(cfg, run_dir=rep, seed=1)
-    monkeypatch.setattr(LogEvents, "lines", lambda self: pytest.fail("lines listed"))
+    for name in ("__iter__", "__len__", "__getitem__"):  # only `blocks()` is read
+        monkeypatch.setattr(LogEvents, name,
+                            lambda self, *a, name=name: pytest.fail(f"{name} called"))
     assert compute_ttx(in_memory.events) == compute_ttx(saved.events)
     tracemalloc.start()
     try:
@@ -297,6 +299,45 @@ def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert kept < os.path.getsize(os.path.join(rep, "profile.log")) / 20
+
+
+def test_len_and_last_event_keep_no_lines(quick_cfg, tmp_path):
+    # what the benchmark reads of every run: the line count and the last
+    # event; neither leaves the log's lines behind
+    cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
+    rep = str(tmp_path / "rep")
+    res = run_pilot(cfg, run_dir=rep, seed=1)
+    path = os.path.join(rep, "profile.log")
+    tracemalloc.start()
+    try:
+        n, last = len(res.events), res.events[-1]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < os.path.getsize(path) / 20
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert n == len(lines) and last.name == "pilot_stop"
+
+
+@pytest.mark.parametrize("saved", [False, True], ids=["in memory", "saved"])
+def test_log_events_index_and_iterate_like_a_list(quick_cfg, tmp_path, saved):
+    rep = str(tmp_path / "rep") if saved else None
+    res = run_pilot(quick_cfg(workload__n_tasks=24), run_dir=rep, seed=3)
+    events = res.events
+    if saved:
+        with open(os.path.join(rep, "profile.log"), encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = "".join(events.blocks())
+    want = [Event.decode(line) for line in text.splitlines()]
+    assert list(events) == want and len(events) == len(want)
+    for i in (0, 1, 17, len(want) - 1, -1, -len(want)):
+        assert events[i] == want[i]
+    assert events[3:9] == want[3:9] and events[::-5] == want[::-5]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            events[i]
 
 
 def traced_peak(build) -> int:

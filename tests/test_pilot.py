@@ -1,11 +1,13 @@
 import gc
+import os
+import sys
 import tempfile
 import tracemalloc
 import weakref
 
 import pytest
 
-from pilotsim import ConfigError, load_profile, pilot, run_pilot
+from pilotsim import ConfigError, load_profile, parse_config_file, pilot, run_pilot
 from pilotsim.core import TaskRecord
 from pilotsim.pilot import PilotRun
 
@@ -215,3 +217,29 @@ class TestPilotStart:
         assert start.name == "pilot_start"
         assert len(res.pool.nodes) == 4  # 3 worker nodes + 1 agent node
         assert start.attrs["nodes"] == str(len(res.pool.nodes))
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+class TestHotLoop:
+    def test_python_calls_per_task(self):
+        # counted, not timed: every Python-level call the event loop makes
+        # for the paper's optimized config, divided by the tasks
+        cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
+        cfg.workload.n_tasks = 1024
+        run = PilotRun(cfg, seed=1)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            res = run.run()
+        finally:
+            sys.setprofile(previous)
+        assert res.n_done == 1024
+        assert calls / 1024 <= 100, calls / 1024

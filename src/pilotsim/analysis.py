@@ -154,9 +154,7 @@ class OverheadReport:
 class UtilizationBreakdown:
     resource_seconds: dict[str, float]
     percents: dict[str, float]
-    total_resource_seconds: float
     window_s: float
-    n_units: float  # weighted unit count
 
 
 # -- the task table -----------------------------------------------------------
@@ -460,9 +458,9 @@ def _or(a: np.ndarray, b) -> np.ndarray:
 
 def _segments(
     table: TaskTable, pool: ResourcePool, gpu_weight: float
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per category, the (start, end, weight) arrays of its non-empty
-    segments; plus the weighted unit count of the pool."""
+    segments."""
     table.require_complete()
     t_ready, t_stop = table.t_ready, table.t_stop
     t_term = table.t_terminal
@@ -528,7 +526,7 @@ def _segments(
         a, b, w = (np.concatenate(col) for col in zip(*items))
         keep = b > a  # drops empty segments and those with a missing end
         segments[cat] = (a[keep], b[keep], w[keep])
-    return segments, agent_w + worker_w
+    return segments
 
 
 def utilization(
@@ -542,7 +540,7 @@ def utilization(
     sum to 100 by construction.
     """
     table = _as_table(events)
-    segments, n_units = _segments(table, pool, gpu_weight)
+    segments = _segments(table, pool, gpu_weight)
     rs = {cat: float(np.dot(b - a, w)) for cat, (a, b, w) in segments.items()}
     total = sum(rs.values())
     if total <= 0:
@@ -551,9 +549,7 @@ def utilization(
     return UtilizationBreakdown(
         resource_seconds=rs,
         percents=percents,
-        total_resource_seconds=total,
         window_s=table.t_stop,
-        n_units=n_units,
     )
 
 
@@ -578,7 +574,7 @@ def timeline(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Bucket midpoints and, per category, the average units in each bucket."""
     table = _as_table(events)
-    segments, _ = _segments(table, pool, gpu_weight)
+    segments = _segments(table, pool, gpu_weight)
     t_stop = table.t_stop
     if t_stop <= 0:
         raise IncompleteRun("empty utilization window")

@@ -7,14 +7,18 @@ Config files are plain text, one dotted key per line::
     workload.n_tasks=16384
     backend.submit_delay_s=0.1
 
-The same representation is echoed into each run directory as metadata,
-so any run can be replayed from its own echo.
+The dataclasses below are the schema. Each flat key is a top-level field
+or `section.field`, typed by its declared default, and `to_flat`,
+`from_flat` and `validate` all read that one key table. Every number
+must be finite and >= 0; `validate` spells out only the other bounds and
+the rules across fields. The same representation is echoed into each
+run directory as metadata, so any run can be replayed from its own echo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 DEFAULT_CORES_PER_NODE = 42
 DEFAULT_GPUS_PER_NODE = 6
@@ -25,16 +29,10 @@ class ConfigError(ValueError):
 
 
 def check_seed(seed: int) -> None:
-    """A seed is a non-negative integer, whether it comes from a config
-    or overrides one."""
+    """A seed that overrides a config's own (which `validate` checks) is
+    a non-negative integer too."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
-def worker_nodes_for(n_tasks: int, cores_per_task: int = 1,
-                     cores_per_node: int = DEFAULT_CORES_PER_NODE) -> int:
-    """Worker nodes needed to run `n_tasks` fully concurrently."""
-    return math.ceil(n_tasks * cores_per_task / cores_per_node)
 
 
 @dataclass
@@ -127,14 +125,11 @@ class ExperimentConfig:
         return points
 
     def effective_nodes(self) -> int:
-        """Pool size, auto-derived from the workload when autosize is set."""
+        """Pool size, auto-derived from the workload when autosize is set:
+        enough worker nodes to run every task at once, plus the agent's."""
         if self.pool.autosize:
-            workers = worker_nodes_for(
-                self.workload.n_tasks,
-                self.workload.cores_per_task,
-                self.pool.cores_per_node,
-            )
-            return workers + self.pool.agent_nodes
+            cores = self.workload.n_tasks * self.workload.cores_per_task
+            return math.ceil(cores / self.pool.cores_per_node) + self.pool.agent_nodes
         return self.pool.nodes
 
     def validate(self) -> None:
@@ -142,25 +137,23 @@ class ExperimentConfig:
         the validated sections as they are."""
         wl, pl, be, sa, dv, ag = (self.workload, self.pool, self.backend,
                                   self.subagents, self.dvm, self.agent)
+        # NaN fails every comparison, so `0 <= val < inf` also rejects it
+        for key, (section, name, kind) in _KEYS.items():
+            if kind is not str:
+                val = getattr(getattr(self, section) if section else self, name)
+                if val is not None and not 0 <= val < math.inf:
+                    raise ConfigError(f"{key} must be finite and >= 0, got {val}")
         if self.clock not in ("virtual", "real"):
             raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        check_seed(self.seed)
-        # NaN fails every range check below, so non-finite floats go first
-        for section in _SECTIONS:
-            obj = getattr(self, section)
-            for f in fields(obj):
-                val = getattr(obj, f.name)
-                if isinstance(val, float) and not math.isfinite(val):
-                    raise ConfigError(f"{section}.{f.name} must be finite, got {val}")
         if wl.n_tasks < 1 or wl.cores_per_task < 1 or wl.duration_s <= 0:
             raise ConfigError("workload needs n_tasks>=1, cores>=1, duration>0")
-        if wl.gpus_per_task < 0:
-            raise ConfigError("gpus_per_task must be >= 0")
         if wl.bundle_size < 1:
             raise ConfigError("bundle_size must be >= 1")
         self.sweep_points()
+        if pl.cores_per_node < 1 or pl.autosize not in (0, 1):
+            raise ConfigError("pool needs cores_per_node >= 1 and autosize 0 or 1")
         nodes = self.effective_nodes()
         if nodes < 2 or pl.agent_nodes < 1 or pl.agent_nodes >= nodes:
             raise ConfigError("pool needs >=1 agent node and >=1 worker node")
@@ -170,26 +163,18 @@ class ExperimentConfig:
             raise ConfigError("local_exec backend requires the real clock")
         if be.kind == "sim_jsm" and be.fd_limit != 4096:
             raise ConfigError("the JSM open-files limit is fixed at 4096")
-        if be.submit_delay_s < 0 or be.submit_cost_s < 0:
-            raise ConfigError("submit_delay_s and submit_cost_s must be >= 0")
         if be.fd_per_task < 1:
             raise ConfigError("fd_per_task must be >= 1")
         if be.fd_reserved >= be.fd_limit:
             raise ConfigError("fd_reserved must be < fd_limit")
-        if be.max_rate_hz is not None and be.max_rate_hz <= 0:
+        if be.max_rate_hz == 0:
             raise ConfigError("max_rate_hz must be > 0 (none turns the rate check off)")
-        if not 0.0 <= be.fail_prob_over_rate <= 1.0:
+        if be.fail_prob_over_rate > 1.0:
             raise ConfigError("fail_prob_over_rate must be in [0, 1]")
         if sa.n_sub_agents < 1 or sa.executors_per_sub_agent < 1:
             raise ConfigError("sub-agent counts must be >= 1")
         if dv.capacity_tasks < 1:
             raise ConfigError("dvm capacity_tasks must be >= 1")
-        if min(dv.setup_mean_s, dv.setup_std_s, dv.launch_mean_s,
-               dv.launch_std_s, dv.notify_mean_s, dv.notify_std_s) < 0:
-            raise ConfigError("dvm latency means and stddevs must be >= 0")
-        if min(ag.startup_s, ag.termination_s, ag.schedule_cost_s, ag.gpu_weight) < 0:
-            raise ConfigError(
-                "agent startup_s, termination_s, schedule_cost_s and gpu_weight must be >= 0")
         if ag.poll_interval_s <= 0:
             raise ConfigError("agent.poll_interval_s must be > 0")
         if ag.partitions < 1:
@@ -210,78 +195,48 @@ class ExperimentConfig:
             raise ConfigError("gpus_per_task exceeds partition capacity")
 
 
-_SECTIONS = {
-    "workload": WorkloadConfig,
-    "pool": PoolConfig,
-    "backend": BackendConfig,
-    "subagents": SubAgentConfig,
-    "dvm": DvmSimConfig,
-    "agent": AgentConfig,
-    "sweep": SweepConfig,
-}
-
-_TOP_FIELDS = {"name": str, "clock": str, "repetitions": int, "seed": int,
-               "output_dir": str}
-
-
-def _convert(name: str, kind, raw: str):
-    raw = raw.strip()
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected integer, got {raw!r}")
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected number, got {raw!r}")
-    return raw
+def _key_table() -> dict[str, tuple[str, str, type]]:
+    """Flat key -> (section, attribute, type of the declared default), in
+    declaration order; a top-level key has the section "". The dataclasses
+    above are the schema, and this is the only walk over them."""
+    keys = {}
+    for f in fields(ExperimentConfig):
+        if f.default_factory is MISSING:
+            keys[f.name] = ("", f.name, type(f.default))
+        else:
+            for g in fields(f.default_factory):
+                keys[f"{f.name}.{g.name}"] = (f.name, g.name, type(g.default))
+    return keys
 
 
-def _field_kind(f) -> type:
-    # dataclass field types arrive as strings under deferred annotations
-    t = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "str")
-    t = str(t)
-    if t.startswith("int"):
-        return int
-    if t.startswith("float"):
-        return float
-    return str
+_KEYS = _key_table()
 
 
 def to_flat(cfg: ExperimentConfig) -> dict[str, str]:
     flat: dict[str, str] = {}
-    for key in _TOP_FIELDS:
-        flat[key] = str(getattr(cfg, key))
-    for section, cls in _SECTIONS.items():
-        obj = getattr(cfg, section)
-        for f in fields(cls):
-            val = getattr(obj, f.name)
-            flat[f"{section}.{f.name}"] = "none" if val is None else str(val)
+    for key, (section, name, _) in _KEYS.items():
+        val = getattr(getattr(cfg, section) if section else cfg, name)
+        flat[key] = "none" if val is None else str(val)
     return flat
 
 
 def from_flat(flat: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    section_fields = {
-        section: {f.name: f for f in fields(cls)} for section, cls in _SECTIONS.items()
-    }
     for key, raw in flat.items():
-        if key in _TOP_FIELDS:
-            setattr(cfg, key, _convert(key, _TOP_FIELDS[key], raw))
-            continue
-        if "." not in key:
-            raise ConfigError(f"unknown config key {key!r}")
-        section, _, name = key.partition(".")
-        if section not in section_fields or name not in section_fields[section]:
-            raise ConfigError(f"unknown config key {key!r}")
-        obj = getattr(cfg, section)
-        if key == "backend.max_rate_hz" and raw.strip().lower() in ("none", ""):
-            obj.max_rate_hz = None
-            continue
-        f = section_fields[section][name]
-        setattr(obj, name, _convert(key, _field_kind(f), raw))
+        try:
+            section, name, kind = _KEYS[key]
+        except KeyError:
+            raise ConfigError(f"unknown config key {key!r}") from None
+        value = raw.strip()
+        # the one nullable key: "none" turns the rate check off
+        if key == "backend.max_rate_hz" and value.lower() in ("none", ""):
+            value = None
+        elif kind is not str:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+        setattr(getattr(cfg, section) if section else cfg, name, value)
     cfg.validate()
     return cfg
 

@@ -42,8 +42,8 @@ class FdAccountant:
     """
 
     def __init__(self, limit: int, reserved: int = 0):
-        if reserved >= limit:
-            raise ValueError("reserved must be < limit")
+        if not 0 <= reserved < limit:
+            raise ValueError("reserved must be >= 0 and < limit")
         self.limit = limit
         self.reserved = reserved
         self.in_use = 0

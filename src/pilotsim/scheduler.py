@@ -57,8 +57,8 @@ class Slot:
         """Compact textual form used in profile event attributes."""
         parts = []
         for a in self.assignments:
-            cores = ".".join(str(i) for i in a.core_indices)
-            gpus = ".".join(str(i) for i in a.gpu_indices)
+            cores = ".".join(map(str, a.core_indices))
+            gpus = ".".join(map(str, a.gpu_indices))
             part = f"n{a.node_uid}"
             if cores:
                 part += f"c{cores}"

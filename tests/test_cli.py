@@ -33,6 +33,27 @@ def write_cfg(path, cfg):
             fh.write(f"{k}={v}\n")
 
 
+# the meta.txt echo order; the key table must never reorder it
+FLAT_KEYS = [
+    "name", "clock", "repetitions", "seed", "output_dir",
+    "workload.n_tasks", "workload.cores_per_task", "workload.gpus_per_task",
+    "workload.duration_s", "workload.bundle_size",
+    "pool.nodes", "pool.cores_per_node", "pool.gpus_per_node", "pool.agent_nodes",
+    "pool.autosize",
+    "backend.kind", "backend.submit_delay_s", "backend.submit_cost_s",
+    "backend.max_rate_hz", "backend.fail_prob_over_rate", "backend.fd_limit",
+    "backend.fd_reserved", "backend.fd_per_task",
+    "subagents.n_sub_agents", "subagents.executors_per_sub_agent",
+    "dvm.capacity_tasks", "dvm.setup_mean_s", "dvm.setup_std_s", "dvm.launch_mean_s",
+    "dvm.launch_std_s", "dvm.notify_mean_s", "dvm.notify_std_s",
+    "agent.startup_s", "agent.termination_s", "agent.schedule_cost_s",
+    "agent.partitions", "agent.poll_interval_s", "agent.gpu_weight",
+    "sweep.n_tasks",
+]
+NUMERIC_KEYS = [k for k in FLAT_KEYS if k not in (
+    "name", "clock", "output_dir", "backend.kind", "sweep.n_tasks")]
+
+
 class TestConfigParsing:
     def test_flat_round_trip(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -53,6 +74,16 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("workload.n_tasks=many\n")
+
+    def test_flat_keys_keep_their_order(self):
+        assert list(to_flat(ExperimentConfig())) == FLAT_KEYS
+        assert len(NUMERIC_KEYS) == 34
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_every_number_is_finite_and_non_negative(self, key, value):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{key}={value}\n")
 
     def test_max_rate_none(self):
         cfg = parse_config_text("backend.max_rate_hz=none\n")
@@ -268,6 +299,10 @@ class TestMainExitCodes:
         "agent.gpu_weight=-1",
         "seed=-1",  # numpy's generator refuses it, after rep_000 exists
         "agent.poll_interval_s=0",  # the local poller would spin
+        "backend.fd_reserved=-5",  # tasks could hold more than fd_limit
+        "pool.autosize=-7",
+        "pool.autosize=2",
+        "pool.autosize=1\npool.cores_per_node=0",  # would divide by zero
     ])
     def test_invalid_config_is_2_and_runs_nothing(self, tmp_path, bad):
         cfg_path = tmp_path / "bad.cfg"

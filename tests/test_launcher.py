@@ -97,8 +97,10 @@ class TestFdAccountant:
             assert acct.in_use <= 64 - 10
 
     def test_reserved_must_be_below_limit(self):
-        with pytest.raises(ValueError):
-            FdAccountant(limit=10, reserved=10)
+        # a negative reservation would let in_use pass the limit
+        for reserved in (10, -5):
+            with pytest.raises(ValueError):
+                FdAccountant(limit=10, reserved=reserved)
 
 
 class TestProfileValidation:

@@ -18,18 +18,21 @@ profile text: `TaskTable.from_log` feeds it a saved log in blocks of
 lines, and `TaskTable.from_events` feeds it the recorded lines of a
 run's events (or the encoded lines of any other events). The reader
 splits each block into numpy columns without making an `Event` per line.
-The table holds numpy columns with one row per task: the timestamp of
-each lifecycle event, NaN where the event is missing. It also holds the
-run marks, and one row per (task, resource unit) pair that expands each
-task's slot. TTX and the overhead intervals are column arithmetic; an
-interval union is a sort plus a running maximum. Utilization and the
-timeline share one set of weighted category segments: a task's segments
-count once per unit it held, the warmup and draining gaps come from each
-unit's visits in schedule order, and units that no task used are counted
-in bulk, so the cost grows with the number of tasks and not with the
-pool. The timeline integrates each category's coverage at the bucket
-edges. Every public function accepts either the events or a prebuilt
-table.
+It reads the submission waits in one regex pass over all their texts
+and decodes the slots column by column, so on a plain log no Python
+code runs once per task. The table holds numpy columns with one row per
+task: the timestamp of each lifecycle event, NaN where the event is
+missing. It also holds the run marks, and one row per (task, resource
+unit) pair that expands each task's slot. TTX and the overhead
+intervals are column arithmetic; an interval union is a sort plus a
+running maximum. Utilization and the timeline share one set of weighted
+category segments, which the table keeps for the last pool asked: a
+task's segments count once per unit it held, the warmup and draining
+gaps come from each unit's visits in schedule order, and units that no
+task used are counted in bulk, so the cost grows with the number of
+tasks and not with the pool. The timeline integrates each category's
+coverage at the bucket edges. Every public function accepts either the
+events or a prebuilt table.
 """
 
 from __future__ import annotations
@@ -192,6 +195,7 @@ _CODE_FIELD = {_KIND_CODE[kind] * _N_NAMES + _NAME_CODE[name]: col
 _CODE_FIELD.update({2 * _N_NAMES + _NAME_CODE[name]: m for name, m in _MARKS.items()})
 _SCHED, _SUBMIT = _NAME_CODE[EV_SCHEDULE_OK], _NAME_CODE[EV_SUBMIT]  # of Task lines
 _PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "="
+_TWO_EQ = re.compile(r"=[^;]*=")  # a piece with two "="
 
 
 def _raise_first_error(block: str, line_no: int, source: str) -> None:
@@ -204,6 +208,32 @@ def _raise_first_error(block: str, line_no: int, source: str) -> None:
             except ValueError as exc:
                 raise ProfileParseError(source, no, str(exc)) from exc
     raise AssertionError(f"{source}:{line_no}: a block failed a check that no line fails")
+
+
+def _all_pairs(text: str) -> bool:
+    """Whether every piece of the `;`-joined attributes `text` holds "=".
+    One "=" a piece and no piece with two settles most texts by counting."""
+    return (text.count("=") == text.count(";") + 1 and not _TWO_EQ.search(text)
+            or all(map(str.__contains__, text.split(";"), repeat("="))))
+
+
+def _attr_values(text: str, order: list[int], key: str, default: Optional[str] = None) -> list:
+    """The value of `key` in each newline-ended attribute text of `text`,
+    taken in `order`: `default` where it is missing, and as `Event.decode`
+    reads it, the last piece with the key. One regex pass reads them when
+    every text starts with the key, holds it once and has no escape; if
+    one text does not, every text is read on its own."""
+    head = f"{key}="
+    # n texts with n heads, each at a text's start: one head per text
+    if "%" not in text and text.count(head) == len(order) == (
+            text.startswith(head) + text.count("\n" + head)):
+        return list(map(re.findall(f"{head}([^;\n]*)", text).__getitem__, order))
+    values = []
+    for line in map(text.split("\n").__getitem__, order):
+        pairs = _PAIR.findall(line)
+        attrs = dict(pairs) if "%" not in line else {unquote(k): unquote(v) for k, v in pairs}
+        values.append(attrs.get(key, default))
+    return values
 
 
 @dataclass
@@ -259,14 +289,20 @@ class TaskTable:
         """The table of profile text given in blocks of whole lines.
 
         Of each line only its time and a (kind, name) code are kept, plus
-        the id of Task and DvmJob lines and the attributes of Task
-        schedule_ok and submit lines. Escaped text never holds `,` `;` `=`
-        or a newline, so a block with a percent sign splits the same way
-        and only the fields read are unquoted. A block that fails a check
-        is decoded line by line to raise its first bad line's error."""
+        the id of Task and DvmJob lines and, joined per block, the
+        attributes of Task submit and schedule_ok lines. Escaped text never
+        holds `,` `;` `=` or a newline, so a block with a percent sign
+        splits the same way and only the fields read are unquoted. A block
+        that fails a check is decoded line by line to raise its first bad
+        line's error. The waits and the slots are each read in one regex
+        pass over all their texts; if one text of a kind is escaped or its
+        key is missing, repeated or not first, every text of that kind is
+        read line by line in time order, which is slower."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
-        texts: list[str] = []  # attributes of the Task schedule_ok and submit lines
+        # per block, the attributes of its Task submit and schedule_ok lines,
+        # each ending in a newline
+        texts: dict[int, list[str]] = {_SUBMIT: [], _SCHED: []}
         line_no = 1  # of the next block's first line
         for block in blocks:
             first, line_no = line_no, line_no + block.count("\n")
@@ -280,7 +316,7 @@ class TaskTable:
             pairs = ";".join(filter(None, attrs))
             try:
                 if (len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1
-                        or pairs and not all(map(str.__contains__, pairs.split(";"), repeat("=")))):
+                        or pairs and not _all_pairs(pairs)):
                     raise ValueError
                 t = np.fromiter(map(float, fields[0::7]), float, n)
                 if not np.isfinite(t).all():
@@ -295,46 +331,54 @@ class TaskTable:
                 map(_NAME_CODE.get, names, repeat(0)), np.int8, n)
             entity = compress(entities, (kind < 2).tolist())
             ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
-            texts += compress(attrs, ((code == _SCHED) | (code == _SUBMIT)).tolist())
+            for c, kept in texts.items():
+                kept.append("\n".join([*compress(attrs, (code == c).tolist()), ""]))
             times.append(t)
             codes.append(code)
         t = np.concatenate(times or [np.empty(0)])
         code = np.concatenate(codes or [np.empty(0, np.int8)])
-
-        # rows in order of each id's first event in time order
-        entity = np.flatnonzero(code < 2 * _N_NAMES)
         uid = np.concatenate(ids or [np.empty(0, np.intp)])
-        _, first = np.unique(uid[np.argsort(t[entity], kind="stable")], return_index=True)
-        by_first = np.argsort(first)
         keys = list(index)
+        del times, codes, ids, index
+
+        # rows in order of each id's first event in time order: its least
+        # time, and of its lines at that time the one read first
+        entity = np.flatnonzero(code < 2 * _N_NAMES)
+        t_first = np.full(len(keys), np.inf)
+        np.minimum.at(t_first, uid, t[entity])
+        at_first = t[entity] == t_first[uid]
+        line_first = np.full(len(keys), len(t))
+        np.minimum.at(line_first, uid[at_first], entity[at_first])
+        by_first = np.lexsort((line_first, t_first))
         row = np.full(len(t), -1, dtype=np.intp)
         row[entity] = np.argsort(by_first)[uid]
+        del entity, uid, at_first
 
-        order = np.argsort(t, kind="stable")
-        code_order = code[order]
-        lines = {field: order[code_order == c] for c, field in _CODE_FIELD.items()}
+        # each column's lines, stably sorted by time
+        lines = {field: np.flatnonzero(code == c) for c, field in _CODE_FIELD.items()}
+        lines = {field: hit[np.argsort(t[hit], kind="stable")] for field, hit in lines.items()}
         marks = {}
         for mark in _MARKS.values():
             if len(hit := lines.pop(mark)):
                 marks[mark] = float(t[hit[-1]])
-        waits: tuple[list[int], list[float]] = ([], [])
-        slots: tuple[list[int], list[str]] = ([], [])
-        at = np.flatnonzero((code == _SCHED) | (code == _SUBMIT))
-        by_time = np.argsort(t[at], kind="stable")
-        at = at[by_time]
-        for r, c, i in zip(row[at].tolist(), code[at].tolist(), by_time.tolist()):
-            pairs = _PAIR.findall(texts[i])
-            attrs = (dict(pairs) if "%" not in texts[i]
-                     else {unquote(k): unquote(v) for k, v in pairs})
-            if c == _SUBMIT:
-                waits[0].append(r)
-                waits[1].append(float(attrs.get("wait", "0")))
-            elif "slot" in attrs:
-                slots[0].append(r)
-                slots[1].append(attrs["slot"])
-        return cls._build([keys[i] for i in by_first.tolist()],
-                          {col: (row[hit], t[hit]) for col, hit in lines.items()},
-                          waits, slots, marks)
+
+        def values(c: int, key: str, default: Optional[str] = None) -> tuple:
+            # the rows and `key` values of the Task lines coded `c`, in time
+            # order as `lines` holds them
+            hit = lines[_CODE_FIELD[c]]
+            order = np.searchsorted(np.flatnonzero(code == c), hit).tolist()
+            return row[hit], _attr_values("".join(texts.pop(c)), order, key, default)
+
+        task_rows, waits = values(_SUBMIT, "wait", "0")
+        waits = (task_rows, np.fromiter(map(float, waits), float, len(task_rows)))
+        task_rows, slots = values(_SCHED, "slot")
+        if None in slots:  # a schedule_ok without a slot holds no units
+            held = [s is not None for s in slots]
+            task_rows, slots = task_rows[held], list(compress(slots, held))
+        hits = {col: (row[hit], t[hit]) for col, hit in lines.items()}
+        uids = list(map(keys.__getitem__, by_first.tolist()))
+        del t, code, row, lines, keys  # before the table's columns are built
+        return cls._build(uids, hits, waits, (task_rows, slots), marks)
 
     @classmethod
     def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,
@@ -349,7 +393,7 @@ class TaskTable:
             out[np.asarray(hit[0], dtype=np.intp)] = hit[1]
             return out
 
-        pos, node, gpu, idx = np.array(slot_units(slots[1]), dtype=np.int64).reshape(-1, 4).T
+        pos, node, gpu, idx = slot_units(slots[1]).T
         return cls(
             uids=uids,
             **{col: column(hit, np.nan) for col, hit in hits.items()},
@@ -460,7 +504,11 @@ def _segments(
     table: TaskTable, pool: ResourcePool, gpu_weight: float
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per category, the (start, end, weight) arrays of its non-empty
-    segments."""
+    segments. The table keeps those of the last pool and weight asked, so
+    utilization and the timeline of one analysis build them once."""
+    kept = table.__dict__.get("_segments")
+    if kept and kept[0] is pool and kept[1] == gpu_weight:
+        return kept[2]
     table.require_complete()
     t_ready, t_stop = table.t_ready, table.t_stop
     t_term = table.t_terminal
@@ -526,6 +574,7 @@ def _segments(
         a, b, w = (np.concatenate(col) for col in zip(*items))
         keep = b > a  # drops empty segments and those with a missing end
         segments[cat] = (a[keep], b[keep], w[keep])
+    table._segments = (pool, gpu_weight, segments)
     return segments
 
 

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Optional
+
+import numpy as np
 
 from .core import TaskSpec
 
@@ -48,10 +51,6 @@ class Slot:
     """A concrete placement: which cores/GPUs on which nodes a task holds."""
 
     assignments: tuple[SlotAssignment, ...]
-
-    @property
-    def n_cores(self) -> int:
-        return sum(len(a.core_indices) for a in self.assignments)
 
     def encode(self) -> str:
         """Compact textual form used in profile event attributes."""
@@ -88,34 +87,48 @@ class Slot:
         return cls(assignments=tuple(assignments))
 
 
-# a slot as `Slot.encode` writes it, and one node part of it
-_PART = r"n(\d+)(?:c(\d+(?:\.\d+)*))?(?:g(\d+(?:\.\d+)*))?"
-_SLOT_TEXT = re.compile(f"{_PART}(?:_{_PART})*", re.ASCII)
-_SLOT_PART = re.compile(_PART, re.ASCII)
+# a slot as `Slot.encode` writes it; an int of at most 18 digits fits int64
+_INT = r"\d{1,18}"
+_PART = rf"n{_INT}(?:c{_INT}(?:\.{_INT})*)?(?:g{_INT}(?:\.{_INT})*)?"
+_SLOT = rf"{_PART}(?:_{_PART})*"
+_SLOT_TEXT = re.compile(_SLOT, re.ASCII)
+_SLOT_LINE = re.compile(rf"^{_SLOT}$()", re.ASCII | re.MULTILINE)  # finds "" per slot line
 
 
-def slot_units(texts: Iterable[str]) -> list[int]:
-    """Every resource unit of the encoded slots, flattened to
-    (position in `texts`, node, 1 for a GPU else 0, unit index) quadruples
-    in `Slot.decode` order: node parts in order, cores before GPUs.
+def slot_units(texts: list[str]) -> np.ndarray:
+    """Every resource unit of the encoded slots, as rows of (position in
+    `texts`, node, 1 for a GPU else 0, unit index) in `Slot.decode` order:
+    node parts in order, cores before GPUs.
 
-    Text in the form `Slot.encode` writes is read by regex; anything else
-    goes through `Slot.decode`, which accepts or rejects it."""
-    out: list[int] = []
-    for pos, text in enumerate(texts):
-        if _SLOT_TEXT.fullmatch(text):
-            parts = [(int(node), cores.split(".") if cores else (),
-                      gpus.split(".") if gpus else ())
-                     for node, cores, gpus in _SLOT_PART.findall(text)]
-        else:
-            parts = [(a.node_uid, a.core_indices, a.gpu_indices)
-                     for a in Slot.decode(text).assignments]
-        for node, cores, gpus in parts:
-            for i in cores:
-                out += (pos, node, 0, int(i))
-            for i in gpus:
-                out += (pos, node, 1, int(i))
-    return out
+    The texts in the form `Slot.encode` writes are read column by column:
+    each int is tagged by the letter before it (n for a text's first node,
+    m for a later node, c or g for a unit group's first index, . for its
+    next one). Any other text goes through `Slot.decode`, which accepts or
+    rejects it."""
+    joined = "\n".join(texts)  # one pass checks them all, when they all hold
+    if len(_SLOT_LINE.findall(joined)) == len(texts) == joined.count("\n") + 1:
+        plain = np.ones(len(texts), bool)
+    else:
+        plain = np.fromiter(map(bool, map(_SLOT_TEXT.fullmatch, texts)), bool, len(texts))
+    tagged = "".join(compress(texts, plain.tolist())).replace("_n", "m")
+    value = np.fromstring(tagged.translate(str.maketrans("nmcg.", "     ")), np.int64, sep=" ")
+    kind = np.frombuffer(tagged.translate(str.maketrans("", "", "0123456789")).encode(), np.uint8)
+    at = np.arange(len(kind))
+    node = (kind == ord("n")) | (kind == ord("m"))
+    group = kind[np.maximum.accumulate(np.where(kind != ord("."), at, 0))]
+    unit = ~node
+    units = np.column_stack((np.flatnonzero(plain)[np.cumsum(kind == ord("n"))[unit] - 1],
+                             value[np.maximum.accumulate(np.where(node, at, 0))][unit],
+                             group[unit] == ord("g"), value[unit]))
+    if plain.all():
+        return units
+    decoded = [x for pos in np.flatnonzero(~plain).tolist()
+               for a in Slot.decode(texts[pos]).assignments
+               for gpu, indices in ((0, a.core_indices), (1, a.gpu_indices))
+               for i in indices
+               for x in (pos, a.node_uid, gpu, i)]
+    units = np.concatenate((units, np.array(decoded, dtype=np.int64).reshape(-1, 4)))
+    return units[np.argsort(units[:, 0], kind="stable")]
 
 
 class ResourcePool:

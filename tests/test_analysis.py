@@ -13,7 +13,8 @@ from pilotsim import (
     run_pilot,
     utilization,
 )
-from pilotsim.analysis import CATEGORIES, OverheadStats, timeline
+from pilotsim.analysis import CATEGORIES, OverheadStats, _segments, timeline
+from pilotsim.cli import analyze_rep
 from pilotsim.profiler import Event
 from pilotsim.scheduler import ResourcePool
 
@@ -268,3 +269,24 @@ class TestTimeline:
                 assert grid[cat].min() >= 0.0
                 assert float(grid[cat].sum()) * width == pytest.approx(
                     ub.resource_seconds[cat], rel=1e-6, abs=1e-9), (trial, cat)
+
+    def test_segments_are_kept_on_the_table(self, quick_cfg):
+        res = run_pilot(quick_cfg(workload__n_tasks=24), seed=2)
+        table = TaskTable.from_events(res.events)
+        segments = _segments(table, res.pool, 1.0)
+        utilization(table, res.pool)
+        timeline(table, res.pool)
+        assert _segments(table, res.pool, 1.0) is segments
+        assert _segments(table, res.pool, 0.5) is not segments  # another weight: built anew
+
+    def test_one_analysis_builds_the_segments_once(self, quick_cfg, tmp_path, monkeypatch):
+        # utilization and the timeline share one build; each build reads
+        # `t_terminal` once, and nothing else in an analysis reads it
+        cfg = quick_cfg(workload__n_tasks=24)
+        run_pilot(cfg, run_dir=str(tmp_path), seed=2)
+        builds = []
+        terminal = TaskTable.t_terminal.fget
+        monkeypatch.setattr(TaskTable, "t_terminal",
+                            property(lambda table: builds.append(1) or terminal(table)))
+        analyze_rep(str(tmp_path), cfg)
+        assert len(builds) == 1

@@ -48,7 +48,8 @@ class TestMakeWorkload:
         for e in events:
             if e.name == "schedule_ok":
                 assert e.attrs["cores"] == "2"
-                total += Slot.decode(e.attrs["slot"]).n_cores
+                slot = Slot.decode(e.attrs["slot"])
+                total += sum(len(a.core_indices) for a in slot.assignments)
         assert total == 20
 
     @pytest.mark.parametrize("n,cores,dur", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0),

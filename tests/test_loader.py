@@ -88,6 +88,13 @@ def duplicated(lines):
     return out
 
 
+def moved_ahead(lines):
+    # a task's later line first in the file: rows still follow each
+    # task's first event in time order, not its first line in the file
+    i = next(i for i, line in enumerate(lines) if "task.000001,Executor,submit" in line)
+    return lines[:1] + [lines[i]] + lines[1:i] + lines[i + 1:]
+
+
 def escaped_ids(lines):
     return [line.replace("task.000003", "task%2C000003") for line in lines]
 
@@ -98,8 +105,41 @@ def escaped_attrs(lines):
             for line in lines]
 
 
+def escaped_values(lines):
+    # escapes in the values alone: the keys read as they are
+    return [line.replace("slot=n", "slot=%6E").replace("wait=0.", "wait=0%2E")
+            for line in lines]
+
+
 def non_finite(t):
     return lambda lines: lines[:5] + [with_time(lines[5], t)] + lines[6:]
+
+
+def replaced(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+def edit_first(marker, edit):
+    """(lines, start=0) -> lines with `edit` applied to the first line at
+    or past index `start` that holds `marker`."""
+    def apply(lines, start=0):
+        i = next(i for i in range(start, len(lines)) if marker in lines[i])
+        return replaced(lines, i, edit(lines[i]))
+    return apply
+
+
+# attributes that the one-pass reader leaves to the per-line reader
+ATTR_EDITS = {
+    "attrs_reordered": edit_first(",schedule_ok,", lambda line: re.sub(
+        r"(slot=[^;\n]*);(cores=[^;\n]*)", r"\2;\1", line)),
+    "wait_repeated": edit_first(",submit,", lambda line: line.replace("wait=", "wait=9.5;wait=")),
+    "wait_missing": edit_first(",submit,", lambda line: re.sub(r"wait=[^;\n]*;?", "", line)),
+    "slot_missing": edit_first(",schedule_ok,", lambda line: re.sub(r"slot=[^;\n]*;?", "", line)),
+    "slot_only_decode_reads": edit_first(",schedule_ok,", lambda line: line.replace(
+        "slot=n", "slot=n+")),
+    # the key still once per line, but not at the line's start
+    "wait_key_prefixed": edit_first(",submit,", lambda line: line.replace("wait=", "xwait=")),
+}
 
 
 EDITS = {
@@ -108,8 +148,14 @@ EDITS = {
     "blank_lines": lambda lines: ["\n"] + lines[:4] + ["\n", "\n"] + lines[4:] + ["\n"],
     "equal_times_reversed": shuffled_equal_times,
     "duplicates": duplicated,
+    "line_moved_ahead": moved_ahead,
     "percent_escaped_ids": escaped_ids,
     "percent_escaped_attrs": escaped_attrs,
+    "percent_escaped_values": escaped_values,
+    # a piece with two "=": its value holds the second one
+    "attr_value_holds_eq": edit_first(",schedule_ok,", lambda line: line.replace(
+        "cores=", "cores=1=")),
+    **ATTR_EDITS,
     # errors now (see DAMAGE); kept here so every line ending is compared too
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
@@ -145,6 +191,9 @@ DAMAGE = {
     "cut_in_slot": cut_in_first_slot,
     "bare_attr": lambda lines: lines[:4] + [lines[4].rstrip("\n") + ";bare\n"] + lines[5:],
     "empty_attr_piece": lambda lines: lines[:2] + [lines[2].rstrip("\n") + ";\n"] + lines[3:],
+    # as many "=" as pieces, but one piece holds two and one none
+    "bare_attr_beside_two_eq": lambda lines: (
+        lines[:4] + [lines[4].rstrip("\n") + ";bare;x=1=2\n"] + lines[5:]),
     "bad_time": non_finite("12:00"),
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
@@ -205,10 +254,6 @@ def in_block_3(lines) -> int:
     return int(np.searchsorted(np.cumsum([len(line) for line in lines]), 2.5 * BLOCK))
 
 
-def replaced(lines, i, line):
-    return lines[:i] + [line] + lines[i + 1:]
-
-
 # (lines, index in block 3) -> lines edited at that index
 CROSS_BLOCK = {
     "escaped_ids": lambda lines, i: (
@@ -221,6 +266,7 @@ CROSS_BLOCK = {
     # an escape in block 1 and a garbage line in block 3
     "escape_then_garbage": lambda lines, i: (
         escaped_ids(lines[:i]) + ["not an event\n"] + lines[i:]),
+    **ATTR_EDITS,  # read, not raised
 }
 
 
@@ -230,7 +276,7 @@ def test_edit_past_the_second_block(big_log, tmp_path, edit, newline):
     i = in_block_3(big_log)
     path = write(tmp_path, "".join(CROSS_BLOCK[edit](big_log, i)), newline=newline)
     assert_same_outcome(path)
-    if edit != "escaped_ids":
+    if edit != "escaped_ids" and edit not in ATTR_EDITS:
         with pytest.raises(ProfileParseError) as err:
             TaskTable.from_log(path)
         assert err.value.line_no == i + 1  # counted across the blocks
@@ -299,6 +345,35 @@ def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert kept < os.path.getsize(os.path.join(rep, "profile.log")) / 20
+
+
+def test_reader_heap_peak_is_bounded_by_the_log(quick_cfg, tmp_path):
+    # of each line the reader keeps its time, code and id, and of a Task
+    # submit or schedule_ok line its attributes; each whole-log list is
+    # dropped once it is concatenated or read
+    cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
+    rep = str(tmp_path / "rep")
+    run_pilot(cfg, run_dir=rep, seed=1)
+    path = os.path.join(rep, "profile.log")
+    ratio = traced_peak(lambda: TaskTable.from_log(path)) / os.path.getsize(path)
+    assert ratio <= 1.5, ratio
+
+
+def test_patterns_compile_on_python_3_10():
+    # pyproject.toml allows Python 3.10, whose `re` has no possessive
+    # quantifiers and no atomic groups: a module using them fails to import
+    import importlib
+    import pkgutil
+
+    import pilotsim
+
+    newer = re.compile(r"(?<!\\)[*+?}]\+|\(\?>")
+    for info in pkgutil.iter_modules(pilotsim.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"pilotsim.{info.name}")
+            for name, value in vars(module).items():
+                if isinstance(value, re.Pattern):
+                    assert not newer.search(value.pattern), f"{info.name}.{name}"
 
 
 def test_len_and_last_event_keep_no_lines(quick_cfg, tmp_path):

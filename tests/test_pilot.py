@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from pilotsim import ConfigError, load_profile, parse_config_file, pilot, run_pilot
+from pilotsim import ConfigError, TaskTable, load_profile, parse_config_file, pilot, run_pilot
 from pilotsim.core import TaskRecord
 from pilotsim.pilot import PilotRun
 
@@ -243,3 +243,25 @@ class TestHotLoop:
             sys.setprofile(previous)
         assert res.n_done == 1024
         assert calls / 1024 <= 100, calls / 1024
+
+    def test_log_reader_calls_per_task(self, tmp_path):
+        # counted, not timed: every Python-level and C-level call made while
+        # the paper's optimized run is read back from its log, per task;
+        # calls inside a C function (each `float` a `map` makes) count none
+        cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
+        cfg.workload.n_tasks = 4096
+        run_pilot(cfg, run_dir=str(tmp_path), seed=1)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" or event == "c_call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            table = TaskTable.from_log(str(tmp_path / "profile.log"))
+        finally:
+            sys.setprofile(previous)
+        assert len(table.uids) == 4096
+        assert calls / 4096 <= 1, calls / 4096

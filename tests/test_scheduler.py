@@ -15,6 +15,11 @@ def spec(cores=1, gpus=0):
     return TaskSpec(cores=cores, gpus=gpus, duration_s=1.0)
 
 
+def n_cores(slot: Slot) -> int:
+    """The cores a slot holds, over all its nodes."""
+    return sum(len(a.core_indices) for a in slot.assignments)
+
+
 def assert_free(pool, cores, gpus=None):
     """`pool` has exactly `cores` free cores, and `gpus` free GPUs when
     given, as `fits` sees them: it fits that many and not one more. A task
@@ -177,7 +182,7 @@ class TestUnschedule:
             if live and rng.random() < 0.4:
                 slot = live.pop(int(rng.integers(len(live))))
                 pool.unschedule(slot)
-                bound -= slot.n_cores
+                bound -= n_cores(slot)
             else:
                 cores = int(rng.integers(1, 5))
                 slot = pool.try_schedule(spec(cores))
@@ -200,7 +205,7 @@ class TestInvariants:
                 slot = pool.try_schedule(spec(int(rng.integers(1, 4))))
                 if slot is not None:
                     live.append(slot)
-            bound = sum(s.n_cores for s in live)
+            bound = sum(map(n_cores, live))
             assert_free(pool, total - bound)
             seen = set()
             for s in live:
@@ -234,6 +239,11 @@ def decoded_units(texts):
             for x in (pos, a.node_uid, gpu, i)]
 
 
+def units(texts):
+    """`slot_units` as a flat list of its (position, node, GPU, index) rows."""
+    return slot_units(texts).ravel().tolist()
+
+
 def decode_outcome(decode, texts):
     try:
         return decode(texts)
@@ -251,26 +261,41 @@ class TestSlotUnits:
     def test_encoded_slots_match_decode(self, slots):
         texts = [Slot(tuple(SlotAssignment(n, tuple(c), tuple(g)) for n, c, g in parts)).encode()
                  for parts in slots]
-        assert slot_units(texts) == decoded_units(texts)
+        assert units(texts) == decoded_units(texts)
 
     @pytest.mark.parametrize("text", [
-        "n01c002", "n1", "n1g0.3", "n1c0_n2g1", "n١c0",  # accepted
+        "n01c002", "n1", "n1g0.3", "n1c0_n2g1", "n١c0", "n+1c0",  # accepted
         "", "n", "n1c", "n1c0.", "n1g0c1", "c0", "n1_", "n-1c0", "n1c 0", "x1",  # mostly not
     ])
     def test_any_text_matches_decode(self, text):
         texts = ["n1c0", text]
-        assert decode_outcome(slot_units, texts) == decode_outcome(decoded_units, texts)
+        assert decode_outcome(units, texts) == decode_outcome(decoded_units, texts)
 
     def test_encoded_form_never_builds_a_slot(self, monkeypatch):
         calls = []
         decode = Slot.decode.__func__
         monkeypatch.setattr(Slot, "decode", classmethod(
             lambda cls, text: calls.append(text) or decode(cls, text)))
-        assert slot_units(["n3c0.1g2_n4c0", "n1"]) == [0, 3, 0, 0, 0, 3, 0, 1, 0, 3, 1, 2,
-                                                       0, 4, 0, 0]
+        assert units(["n3c0.1g2_n4c0", "n1"]) == [0, 3, 0, 0, 0, 3, 0, 1, 0, 3, 1, 2,
+                                                  0, 4, 0, 0]
         assert calls == []
         slot_units(["n١c0"])  # not ASCII: read by Slot.decode
         assert calls == ["n١c0"]
+
+    def test_a_newline_does_not_split_a_text(self):
+        # as many lines in the encoded form as texts, but not one a text
+        texts = ["n1\nn2", "x"]
+        assert decode_outcome(units, texts) == decode_outcome(decoded_units, texts)
+
+    def test_only_texts_off_the_encoded_form_are_decoded(self, monkeypatch):
+        texts = ["n+1c0", "n2c1.3", "n١c0g1", "n3g0_n4c2", "n01c002"]
+        expected = decoded_units(texts)
+        calls = []
+        decode = Slot.decode.__func__
+        monkeypatch.setattr(Slot, "decode", classmethod(
+            lambda cls, text: calls.append(text) or decode(cls, text)))
+        assert units(texts) == expected
+        assert calls == ["n+1c0", "n١c0g1"]
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")

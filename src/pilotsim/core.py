@@ -82,7 +82,7 @@ class TaskRecord:
     spec: TaskSpec
     state: TaskState = TaskState.NEW
     t_last: float = 0.0
-    slot: Optional["Slot"] = None  # bound placement, see scheduler module
+    slot: Optional[tuple] = None  # (slot text, held masks), see scheduler module
     partition: int = 0  # index of the agent partition that places the task
     fds_held: int = 0  # file descriptors charged at submission, until release
 
@@ -116,8 +116,9 @@ class Clock:
     """Event-driven time base shared by all runtime components.
 
     Callbacks are dispatched in timestamp order; ties break by insertion
-    order, which makes virtual runs fully deterministic. Every callback
-    enters the heap through `schedule_at` as a `(t, seq, fn)` entry; `fn`
+    order, which makes virtual runs fully deterministic. `schedule_at` is
+    the one entry point: every callback enters the heap there, at an
+    absolute time (a delay is `now_s + dt`), as a `(t, seq, fn)` entry; `fn`
     takes no arguments (a bound method or a `functools.partial` of one).
     `now_s` is the current time in seconds: a plain attribute on the
     virtual clock, read from the OS on the real one.
@@ -131,9 +132,6 @@ class Clock:
         if t < self.now_s:
             t = self.now_s
         heapq.heappush(self._heap, (t, next(self._seq), fn))
-
-    def schedule_in(self, dt: float, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now_s + dt, fn)
 
     def pending(self) -> int:
         return len(self._heap)

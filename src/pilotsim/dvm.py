@@ -124,7 +124,7 @@ class DvmHandle:
             self._crash(now)
             return True
         setup = self._setup.sample(self.rng)
-        self.clock.schedule_in(setup, partial(self._to_pending, rec.uid))
+        self.clock.schedule_at(now + setup, partial(self._to_pending, rec.uid))
         return True
 
     # -- stage walk: a job missing from the live set has failed ---------------
@@ -136,7 +136,7 @@ class DvmHandle:
         self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_PENDING_APP_LAUNCH)
         self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_SENDING_LAUNCH_MSG)
         launch = self._launch_msg.sample(self.rng)
-        self.clock.schedule_in(launch, partial(self._to_running, uid))
+        self.clock.schedule_at(now + launch, partial(self._to_running, uid))
 
     def _to_running(self, uid: str) -> None:
         entry = self._live.get(uid)
@@ -145,15 +145,16 @@ class DvmHandle:
         now = self.clock.now_s
         self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_RUNNING)
         self.host.task_running(entry.rec, now)
-        self.clock.schedule_in(entry.rec.spec.duration_s, partial(self._payload_end, uid))
+        self.clock.schedule_at(now + entry.rec.spec.duration_s,
+                               partial(self._payload_end, uid))
 
     def _payload_end(self, uid: str) -> None:
         entry = self._live.get(uid)
         if entry is None:
             return
-        entry.t_payload_end = self.clock.now_s
+        entry.t_payload_end = now = self.clock.now_s
         notify = self._notify.sample(self.rng)
-        self.clock.schedule_in(notify, partial(self._to_notify, uid))
+        self.clock.schedule_at(now + notify, partial(self._to_notify, uid))
 
     def _to_notify(self, uid: str) -> None:
         entry = self._live.pop(uid, None)

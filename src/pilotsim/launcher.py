@@ -125,7 +125,7 @@ class Executor:
             return
         self._submit_busy = True
         wait = self._gate(self._submit_end)
-        self.clock.schedule_in(wait, partial(self._do_submit, wait))
+        self.clock.schedule_at(self.clock.now_s + wait, partial(self._do_submit, wait))
 
     def _do_submit(self, waited: float) -> None:
         rec = self._submit_q.popleft()
@@ -141,7 +141,7 @@ class Executor:
             return
         self._last_submit_t = now
         self.host.task_submitted(rec, self, waited, now)
-        self.clock.schedule_in(self.config.submit_cost_s, partial(self._dispatch, rec))
+        self.clock.schedule_at(now + self.config.submit_cost_s, partial(self._dispatch, rec))
 
     def _over_rate(self, now: float) -> bool:
         if self.config.max_rate_hz is None or self._last_submit_t is None:
@@ -172,12 +172,13 @@ class Executor:
             return
         self._drain_busy = True
         wait = self._gate(self._drain_end)
-        self.clock.schedule_in(wait, self._do_collect)
+        self.clock.schedule_at(self.clock.now_s + wait, self._do_collect)
 
     def _do_collect(self) -> None:
         comp = self._drain_q.popleft()
-        self.host.task_collected(comp, self.clock.now_s)
-        self.clock.schedule_in(self.config.submit_cost_s, self._end_drain_op)
+        now = self.clock.now_s
+        self.host.task_collected(comp, now)
+        self.clock.schedule_at(now + self.config.submit_cost_s, self._end_drain_op)
 
     def _end_drain_op(self) -> None:
         self._drain_end = self.clock.now_s
@@ -224,7 +225,7 @@ class LocalExecBackend:
     def _ensure_poller(self) -> None:
         if not self._poller_on:
             self._poller_on = True
-            self.clock.schedule_in(self.poll_interval_s, self._poll)
+            self.clock.schedule_at(self.clock.now_s + self.poll_interval_s, self._poll)
 
     def _poll(self) -> None:
         now = self.clock.now_s
@@ -235,7 +236,7 @@ class LocalExecBackend:
                 fh.close()
             executor.enqueue_completion(Completion(rec, proc.returncode, now))
         if self._procs:
-            self.clock.schedule_in(self.poll_interval_s, self._poll)
+            self.clock.schedule_at(now + self.poll_interval_s, self._poll)
         else:
             self._poller_on = False
 
@@ -267,7 +268,7 @@ class SimJsmBackend:
             return False
         self._live[rec.uid] = (rec, executor)
         delay = self.latency.sample(self.rng)
-        self.clock.schedule_in(delay, partial(self._to_running, rec.uid))
+        self.clock.schedule_at(now + delay, partial(self._to_running, rec.uid))
         return True
 
     def _destabilize(self, now: float) -> None:
@@ -283,7 +284,7 @@ class SimJsmBackend:
         rec, _ = self._live[uid]
         now = self.clock.now_s
         self.host.task_running(rec, now)
-        self.clock.schedule_in(rec.spec.duration_s, partial(self._payload_end, uid))
+        self.clock.schedule_at(now + rec.spec.duration_s, partial(self._payload_end, uid))
 
     def _payload_end(self, uid: str) -> None:
         if uid not in self._live:

@@ -102,7 +102,6 @@ class RunResult:
     n_done: int
     n_failed: int
     failures: dict[str, int]
-    executors: list[Executor]
 
 
 class PilotRun:
@@ -137,7 +136,6 @@ class PilotRun:
         self.n_done = 0
         self.n_failed = 0
         self.failures: dict[str, int] = {}
-        self.executors: list[Executor] = []
         self._tmp_stdio: Optional[str] = None  # made and removed by this run
 
     # -- lifecycle -----------------------------------------------------------
@@ -146,18 +144,16 @@ class PilotRun:
         self.clock.schedule_at(0.0, self._pilot_start)
         try:
             self.clock.run()
-        finally:
+        finally:  # an aborted run too leaves the lines recorded so far on disk
             if self._tmp_stdio:
                 shutil.rmtree(self._tmp_stdio, ignore_errors=True)
-        self.sink.flush()
-        self.sink.close()
+            self.sink.close()
         return RunResult(
             events=self.sink.events,
             pool=self.pool,
             n_done=self.n_done,
             n_failed=self.n_failed,
             failures=dict(self.failures),
-            executors=self.executors,
         )
 
     def _pilot_start(self) -> None:
@@ -170,7 +166,7 @@ class PilotRun:
         })
         self._build_backends()
         self._build_executors()
-        self.clock.schedule_in(cfg.agent.startup_s, self._agent_ready)
+        self.clock.schedule_at(self.clock.now_s + cfg.agent.startup_s, self._agent_ready)
 
     def _build_backends(self) -> None:
         cfg = self.cfg
@@ -212,7 +208,6 @@ class PilotRun:
                 rng=self.rng,
             )
             group.executors.append(ex)
-            self.executors.append(ex)
 
     def _agent_ready(self) -> None:
         now = self.clock.now_s
@@ -245,7 +240,7 @@ class PilotRun:
         rec = TaskRecord(f"task.{idx:06d}", spec, t_last=self._t_arrival,
                          partition=idx % k)
         self._sched_busy = True
-        self.clock.schedule_in(self.cfg.agent.schedule_cost_s,
+        self.clock.schedule_at(self.clock.now_s + self.cfg.agent.schedule_cost_s,
                                partial(self._sched_complete, rec))
 
     def _sched_complete(self, rec: TaskRecord) -> None:
@@ -255,7 +250,7 @@ class PilotRun:
         now = self.clock.now_s
         advance_state(rec, TaskState.SCHEDULED, now)
         self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
-                         {"slot": rec.slot.encode(), "cores": str(self.spec.cores)})
+                         {"slot": rec.slot[0], "cores": str(self.spec.cores)})
         ex = group.executors[group.rr % len(group.executors)]
         group.rr += 1
         ex.enqueue(rec)
@@ -316,7 +311,7 @@ class PilotRun:
         self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_UNSCHEDULE)
         self._kick_sched()
         if self.n_done + self.n_failed == self.cfg.workload.n_tasks:
-            self.clock.schedule_in(self.cfg.agent.termination_s, self._pilot_stop)
+            self.clock.schedule_at(now + self.cfg.agent.termination_s, self._pilot_stop)
 
     def _pilot_stop(self) -> None:
         now = self.clock.now_s

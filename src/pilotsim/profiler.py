@@ -172,8 +172,8 @@ class EventSink:
     """Buffered profile-log writer; the written text is the only copy of
     the events. Without a path the lines go to an in-memory buffer.
 
-    Writes are flushed explicitly at pilot termination. A crash-truncated
-    log is detectable by the missing pilot_stop sentinel.
+    The run closes the sink when its loop ends, normally or by an error, so
+    an aborted run's log holds every line recorded, without pilot_stop.
     """
 
     def __init__(self, path: Optional[str] = None):

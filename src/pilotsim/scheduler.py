@@ -5,6 +5,10 @@ indices in ascending order. A task that does not fit on any single node
 may spill across nodes in id order. Agent nodes are reserved for the
 runtime itself and never receive tasks.
 
+A placement is a `(text, held)` tuple: the slot text the profile logs, as
+`Slot.encode` writes it ("n3c0.1g2_n4c0"), and per node one `(node uid,
+core mask, GPU mask)` (bit i: unit i). `Slot` is only the text's codec.
+
 Each worker's bound cores and bound GPUs are two int bitmasks. Int bitsets
 over the workers hold those that fit the last placed (cores, GPUs) shape
 and those with a free core or GPU, so the first fit is a lowest set bit
@@ -48,7 +52,7 @@ class SlotAssignment:
 
 @dataclass(frozen=True)
 class Slot:
-    """A concrete placement: which cores/GPUs on which nodes a task holds."""
+    """A slot text decoded: which cores/GPUs on which nodes a task holds."""
 
     assignments: tuple[SlotAssignment, ...]
 
@@ -187,17 +191,18 @@ class ResourcePool:
         """True when `try_schedule(spec)` would place the task now."""
         return self._free_cores >= spec.cores and self._free_gpus >= spec.gpus
 
-    def try_schedule(self, spec: TaskSpec) -> Optional[Slot]:
-        """First-fit placement; returns None when there is no capacity now."""
+    def try_schedule(self, spec: TaskSpec) -> Optional[tuple[str, tuple]]:
+        """First-fit `(text, held)` placement; None when there is no capacity now."""
         if not self.fits(spec):
             return None
         if (spec.cores, spec.gpus) != self._shape:
             self._index_shape((spec.cores, spec.gpus))
         if self._fit:  # single-node placement on the lowest fitting worker
             i = (self._fit & -self._fit).bit_length() - 1
-            return Slot(assignments=(self._take(i, spec.cores, spec.gpus),))
+            text, held = self._take(i, spec.cores, spec.gpus)
+            return text, (held,)
         # multi-node spill over the workers with a unit the task needs, in order
-        assignments = []
+        parts, held = [], []
         cores_left, gpus_left = spec.cores, spec.gpus
         candidates = self._open_cores | (self._open_gpus if spec.gpus else 0)
         while cores_left or gpus_left:
@@ -207,30 +212,30 @@ class ResourcePool:
             free_c, free_g = self._free(i)
             take_c, take_g = min(free_c, cores_left), min(free_g, gpus_left)
             if take_c or take_g:
-                assignments.append(self._take(i, take_c, take_g))
+                part, node = self._take(i, take_c, take_g)
+                parts.append(part)
+                held.append(node)
                 cores_left -= take_c
                 gpus_left -= take_g
-        return Slot(assignments=tuple(assignments))
+        return "_".join(parts), tuple(held)
 
-    def unschedule(self, slot: Slot) -> None:
-        """Release every resource held by `slot`. A slot that names a unit
-        that is not bound (out of range or already free), or names a unit
-        or a node twice, raises DoubleFree and leaves the pool unchanged."""
-        assignments = slot.assignments
-        n = len(assignments)
-        if n > 1 and len({a.node_uid for a in assignments}) < n:
-            raise DoubleFree(f"slot {slot.encode()} names a node twice")
+    def unschedule(self, placement: tuple[str, tuple]) -> None:
+        """Release every unit a `(text, held)` placement holds. A placement
+        whose masks name a unit that is not bound (out of range, negative
+        or already free), or that names a node twice or a node of another
+        pool, raises DoubleFree and leaves the pool unchanged."""
+        text, held = placement
+        if len(held) > 1 and len({uid for uid, _, _ in held}) < len(held):
+            raise DoubleFree(f"slot {text} names a node twice")
         freed = []
-        for a in assignments:
-            i = self._index.get(a.node_uid)
+        for uid, cores, gpus in held:
+            i = self._index.get(uid)
             if i is None:
-                raise DoubleFree(f"slot references unknown node {a.node_uid}")
-            cores = _bound_mask(a.core_indices, self._cores[i])
-            if cores is None:
-                raise DoubleFree(f"slot {slot.encode()} names a core that is not bound")
-            gpus = _bound_mask(a.gpu_indices, self._gpus[i])
-            if gpus is None:
-                raise DoubleFree(f"slot {slot.encode()} names a GPU that is not bound")
+                raise DoubleFree(f"slot references unknown node {uid}")
+            if cores & ~self._cores[i]:
+                raise DoubleFree(f"slot {text} names a core that is not bound")
+            if gpus & ~self._gpus[i]:
+                raise DoubleFree(f"slot {text} names a GPU that is not bound")
             freed.append((i, cores, gpus))
         for i, cores, gpus in freed:
             self._cores[i] ^= cores
@@ -262,31 +267,28 @@ class ResourcePool:
         self._open_cores = self._open_cores | bit if free_c else self._open_cores & ~bit
         self._open_gpus = self._open_gpus | bit if free_g else self._open_gpus & ~bit
 
-    def _take(self, i: int, n_cores: int, n_gpus: int) -> SlotAssignment:
-        self._cores[i], cores = _pick(self._cores[i], n_cores)
-        self._gpus[i], gpus = _pick(self._gpus[i], n_gpus)
+    def _take(self, i: int, n_cores: int, n_gpus: int) -> tuple[str, tuple[int, int, int]]:
+        """Bind the lowest free `n_cores` cores and `n_gpus` GPUs of worker
+        `i`: their slot text part and their (node uid, core mask, GPU mask)."""
+        uid = self._workers[i].uid
+        part, cores, gpus = f"n{uid}", 0, 0
+        if n_cores:
+            self._cores[i], cores, indices = _pick(self._cores[i], n_cores)
+            part += "c" + indices
+        if n_gpus:
+            self._gpus[i], gpus, indices = _pick(self._gpus[i], n_gpus)
+            part += "g" + indices
         self._free_cores -= n_cores
         self._free_gpus -= n_gpus
         self._mark(i)
-        return SlotAssignment(self._workers[i].uid, cores, gpus)
+        return part, (uid, cores, gpus)
 
 
-def _pick(bound: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """`bound` with its `k` lowest free units bound, and their indices."""
-    picked = []
+def _pick(bound: int, k: int) -> tuple[int, int, str]:
+    """`bound` with its `k` lowest free units bound, their mask and their text."""
+    picked, before = [], bound
     for _ in range(k):
         low = ~bound & (bound + 1)
         bound |= low
         picked.append(low.bit_length() - 1)
-    return bound, tuple(picked)
-
-
-def _bound_mask(indices: tuple[int, ...], bound: int) -> Optional[int]:
-    """The mask of `indices` if they name distinct units set in `bound`."""
-    mask = 0
-    for i in indices:
-        bit = 1 << i if 0 <= i < bound.bit_length() else 0
-        if not bit & bound & ~mask:
-            return None
-        mask |= bit
-    return mask
+    return bound, bound ^ before, ".".join(map(str, picked))

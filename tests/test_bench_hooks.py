@@ -5,6 +5,8 @@ them fails here, not in the benchmark."""
 import importlib.util
 import os
 
+import pytest
+
 from pilotsim import parse_config_text, run_pilot
 from pilotsim.pilot import PilotRun
 
@@ -58,11 +60,16 @@ def traced(cfg):
     return res, tracer.layer_metrics(log_bytes=0)
 
 
-def test_every_event_is_counted(quick_cfg):
+@pytest.mark.parametrize("over", [
+    {},
+    {"backend__kind": "sim_jsm", "backend__fd_limit": 4096},  # one executor
+    {"agent__partitions": 2, "subagents__n_sub_agents": 2, "pool__nodes": 3},
+], ids=["sim_dvm", "sim_jsm", "partitions=2"])
+def test_every_event_is_counted(quick_cfg, over):
     # every callback enters the heap through Clock.schedule_at, the method
     # the tracer counts: each push takes one sequence number
     tracer = load_trace_layers().Tracer()
-    run = PilotRun(quick_cfg(workload__n_tasks=40), seed=1)
+    run = PilotRun(quick_cfg(workload__n_tasks=40, **over), seed=1)
     tracer.install()
     try:
         res = run.run()

@@ -185,7 +185,7 @@ class TestVirtualClock:
 
         def outer():
             seen.append(clock.now_s)
-            clock.schedule_in(3.0, lambda: seen.append(clock.now_s))
+            clock.schedule_at(clock.now_s + 3.0, lambda: seen.append(clock.now_s))
 
         clock.schedule_at(1.0, outer)
         clock.run()

@@ -7,9 +7,11 @@ import weakref
 
 import pytest
 
-from pilotsim import ConfigError, TaskTable, load_profile, parse_config_file, pilot, run_pilot
+from pilotsim import (ConfigError, TaskTable, load_profile, parse_config_file, pilot, run_pilot,
+                      scheduler)
 from pilotsim.core import TaskRecord
 from pilotsim.pilot import PilotRun
+from pilotsim.scheduler import Slot, SlotAssignment
 
 from conftest import task_events, zero_overhead
 
@@ -131,6 +133,22 @@ class TestPartitionsIntegration:
             run_pilot(cfg, seed=1)
 
 
+class TestAbortedRun:
+    def test_log_is_closed_and_keeps_recorded_lines(self, quick_cfg, tmp_path, monkeypatch):
+        def fail(pool, placement):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(scheduler.ResourcePool, "unschedule", fail)
+        run = PilotRun(quick_cfg(), run_dir=str(tmp_path), seed=1)
+        with pytest.raises(RuntimeError, match="forced"):
+            run.run()
+        assert run.sink._fh.closed
+        log = run.sink.events  # the file's lines, in record order
+        # the first release fails right after its task's done event
+        assert log[0].name == "pilot_start" and log[-1].name == "done"
+        assert [e for e in log if e.name == "pilot_stop"] == []
+
+
 class TestRealClockSmoke:
     def test_local_exec_single_sleep(self, quick_cfg, tmp_path):
         cfg = quick_cfg(workload__n_tasks=1, workload__duration_s=1.0)
@@ -242,7 +260,28 @@ class TestHotLoop:
         finally:
             sys.setprofile(previous)
         assert res.n_done == 1024
-        assert calls / 1024 <= 100, calls / 1024
+        assert calls / 1024 <= 72, calls / 1024
+
+    def test_plain_run_builds_no_slot(self, tmp_path, monkeypatch):
+        # placements are masks and slot text: `Slot` and `SlotAssignment`
+        # are only the text's codec, built neither by a run nor by its reader
+        built = []
+
+        def counted(init):
+            def __init__(self, *args, **kwargs):
+                built.append(type(self))
+                init(self, *args, **kwargs)
+            return __init__
+
+        for cls in (Slot, SlotAssignment):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        assert Slot.decode("n1c0") and built == [SlotAssignment, Slot]
+        built.clear()
+        cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
+        cfg.workload.n_tasks = 1024
+        run_pilot(cfg, run_dir=str(tmp_path), seed=1)
+        assert len(TaskTable.from_log(str(tmp_path / "profile.log")).uids) == 1024
+        assert built == []
 
     def test_log_reader_calls_per_task(self, tmp_path):
         # counted, not timed: every Python-level and C-level call made while

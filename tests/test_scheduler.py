@@ -15,9 +15,9 @@ def spec(cores=1, gpus=0):
     return TaskSpec(cores=cores, gpus=gpus, duration_s=1.0)
 
 
-def n_cores(slot: Slot) -> int:
-    """The cores a slot holds, over all its nodes."""
-    return sum(len(a.core_indices) for a in slot.assignments)
+def n_cores(placement) -> int:
+    """The cores a placement holds, over all its nodes."""
+    return sum(len(a.core_indices) for a in Slot.decode(placement[0]).assignments)
 
 
 def assert_free(pool, cores, gpus=None):
@@ -72,8 +72,20 @@ class NaiveFreeList:
         return sum(len(f) for f in self.free_cores)
 
 
-def as_placement(slot: Slot):
-    return [(a.node_uid, a.core_indices, a.gpu_indices) for a in slot.assignments]
+def as_placement(placement):
+    """A placement's slot text as the oracle's (node, cores, GPUs) list."""
+    return [(a.node_uid, a.core_indices, a.gpu_indices)
+            for a in Slot.decode(placement[0]).assignments]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def masks_text(placement) -> str:
+    """The slot text of the units a placement's masks name."""
+    return Slot(tuple(SlotAssignment(uid, bits(cores), bits(gpus))
+                      for uid, cores, gpus in placement[1])).encode()
 
 
 class TestTrySchedule:
@@ -91,8 +103,9 @@ class TestTrySchedule:
 
     def test_multi_node_spill(self):
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
-        slot = pool.try_schedule(spec(6))
-        assert [len(a.core_indices) for a in slot.assignments] == [4, 2]
+        text, held = pool.try_schedule(spec(6))
+        assert text == "n1c0.1.2.3_n2c0.1"
+        assert held == ((1, 0b1111, 0), (2, 0b11, 0))
 
     def test_no_capacity_is_not_an_error(self):
         pool = ResourcePool([Node(0, cores=2, gpus=0)], agent_nodes=0)
@@ -143,6 +156,27 @@ class TestTrySchedule:
             assert_free(pool, oracle.n_free_cores())
         assert spills > 20
 
+    def test_text_matches_masks(self):
+        # mixed shapes with GPUs spill often: the text built as units are
+        # bound names the units the masks hold, and every live unit once
+        rng = np.random.default_rng(13)
+        pool = ResourcePool.uniform(5, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        live, spills = [], 0
+        for step in range(600):
+            if live and (rng.random() < 0.4 or not pool.fits(spec(1))):
+                pool.unschedule(live.pop(int(rng.integers(len(live)))))
+                continue
+            placement = pool.try_schedule(spec(int(rng.integers(1, 7)), int(rng.integers(0, 3))))
+            if placement is None:
+                continue
+            assert placement[0] == masks_text(placement)
+            live.append(placement)
+            spills += len(placement[1]) > 1
+            units = [(uid, kind, i) for _, held in live for uid, cores, gpus in held
+                     for kind, mask in (("c", cores), ("g", gpus)) for i in bits(mask)]
+            assert len(units) == len(set(units))
+        assert spills > 50
+
 
 class TestUnschedule:
     def test_bind_then_release_restores_pool(self):
@@ -158,15 +192,25 @@ class TestUnschedule:
         with pytest.raises(DoubleFree):
             pool.unschedule(slot)
 
-    @pytest.mark.parametrize("text", ["n1c-1", "n1c4", "n1g-2", "n1c0.0", "n1c0_n1c0"])
-    def test_unbound_index_rejected_and_pool_unchanged(self, text):
-        # the 4-core node is fully held; a negative index would free the core
-        # another slot holds, one past the end would raise IndexError
+    @pytest.mark.parametrize("text,masks,message", [pytest.param(*row, id=row[0]) for row in [
+        ("n1c4", ((1, 1 << 4, 0),), "names a core that is not bound"),
+        ("n1g2", ((1, 0, 1 << 2),), "names a GPU that is not bound"),
+        ("n1g1", ((1, 0, 1 << 1),), "names a GPU that is not bound"),
+        ("n1c-1", ((1, -1, 0),), "names a core that is not bound"),
+        ("n1g-2", ((1, 0, -2),), "names a GPU that is not bound"),
+        ("n1c0_n1c0", ((1, 1, 0), (1, 1, 0)), "names a node twice"),
+        ("n7c0", ((7, 1, 0),), "references unknown node 7"),
+        ("n1c0_n0c0", ((1, 1, 0), (0, 1, 0)), "references unknown node 0"),
+    ]])
+    def test_unbound_index_rejected_and_pool_unchanged(self, text, masks, message):
+        # the 4-core node is fully held; a negative mask (the placement of a
+        # negative index) names units past the end and, for -1, held ones
+        # too; node 0 is the agent node, not in this pool
         pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         held = pool.try_schedule(spec(4, 1))
-        assert held.encode() == "n1c0.1.2.3g0"
-        with pytest.raises(DoubleFree):
-            pool.unschedule(Slot.decode(text))
+        assert held == ("n1c0.1.2.3g0", ((1, 0b1111, 0b1),))
+        with pytest.raises(DoubleFree, match=message):
+            pool.unschedule((text, masks))
         assert_free(pool, 0, 1)
         assert pool.try_schedule(spec(1)) is None  # no double booking
         pool.unschedule(held)
@@ -209,7 +253,7 @@ class TestInvariants:
             assert_free(pool, total - bound)
             seen = set()
             for s in live:
-                for a in s.assignments:
+                for a in Slot.decode(s[0]).assignments:
                     for c in a.core_indices:
                         key = (a.node_uid, "c", c)
                         assert key not in seen
@@ -226,8 +270,8 @@ class TestInvariants:
 class TestSlotEncoding:
     def test_round_trip(self):
         pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
-        slot = pool.try_schedule(spec(6, 2))
-        assert Slot.decode(slot.encode()) == slot
+        text, _ = pool.try_schedule(spec(6, 2))
+        assert Slot.decode(text).encode() == text == "n1c0.1.2.3g0.1_n2c0.1"
 
 
 def decoded_units(texts):

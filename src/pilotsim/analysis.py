@@ -520,13 +520,9 @@ def _segments(
     def add(cat, a, b, w) -> None:
         parts[cat].append(np.broadcast_arrays(*(np.atleast_1d(x) for x in (a, b, w))))
 
-    def node_weight(nodes) -> float:
-        return sum(n.cores + n.gpus * gpu_weight for n in nodes)
-
-    agent_w = node_weight(pool.agent_node_list)
-    worker_w = node_weight(pool.worker_nodes)
-    add(CAT_AGENT_NODES, 0.0, t_stop, agent_w)
-    add(CAT_PILOT_STARTUP, 0.0, t_ready, worker_w)
+    node_w = pool.cores_per_node + pool.gpus_per_node * gpu_weight
+    add(CAT_AGENT_NODES, 0.0, t_stop, pool.agent_nodes * node_w)
+    add(CAT_PILOT_STARTUP, 0.0, t_ready, len(pool.workers) * node_w)
 
     # visits: unit rows ordered by unit, then schedule time, then task order
     unit_w = np.where(table.unit_gpu, gpu_weight, 1.0)

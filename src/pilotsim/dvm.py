@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -71,13 +70,6 @@ class LatencySpec:
         return self.mean_s  # pragma: no cover - acceptance probability ~0.5
 
 
-@dataclass(slots=True)
-class _LiveEntry:
-    rec: TaskRecord
-    executor: object  # duck-typed: needs enqueue_completion()
-    t_payload_end: Optional[float] = None
-
-
 class DvmHandle:
     """One running DVM: daemons, live jobs, capacity and crash state."""
 
@@ -91,8 +83,6 @@ class DvmHandle:
         host,
         uid: str = "dvm.0",
     ):
-        if not pool.worker_nodes:
-            raise ValueError("DVM needs at least one worker node")
         self.uid = uid
         self.config = config
         self._setup = LatencySpec(config.setup_mean_s, config.setup_std_s)
@@ -102,8 +92,8 @@ class DvmHandle:
         self.rng = rng
         self.sink = sink
         self.host = host
-        self.n_daemons = len(pool.worker_nodes)
-        self._live: dict[str, _LiveEntry] = {}
+        self.n_daemons = len(pool.workers)
+        self._live: dict[str, tuple[TaskRecord, object]] = {}  # uid: (rec, executor)
         self.crashed = False
 
     @property
@@ -118,7 +108,7 @@ class DvmHandle:
         """
         if self.crashed:
             return False
-        self._live[rec.uid] = _LiveEntry(rec=rec, executor=executor)
+        self._live[rec.uid] = (rec, executor)
         self.sink.record(now, DVM_JOB, rec.uid, COMP_DVM, EV_INIT_COMPLETE)
         if len(self._live) > self.config.capacity_tasks:
             self._crash(now)
@@ -142,26 +132,26 @@ class DvmHandle:
         entry = self._live.get(uid)
         if entry is None:
             return
+        rec = entry[0]
         now = self.clock.now_s
         self.sink.record(now, DVM_JOB, uid, COMP_DVM, EV_RUNNING)
-        self.host.task_running(entry.rec, now)
-        self.clock.schedule_at(now + entry.rec.spec.duration_s,
-                               partial(self._payload_end, uid))
+        self.host.task_running(rec, now)
+        self.clock.schedule_at(now + rec.spec.duration_s, partial(self._payload_end, uid))
 
     def _payload_end(self, uid: str) -> None:
-        entry = self._live.get(uid)
-        if entry is None:
+        if uid not in self._live:
             return
-        entry.t_payload_end = now = self.clock.now_s
+        now = self.clock.now_s
         notify = self._notify.sample(self.rng)
-        self.clock.schedule_at(now + notify, partial(self._to_notify, uid))
+        self.clock.schedule_at(now + notify, partial(self._to_notify, uid, now))
 
-    def _to_notify(self, uid: str) -> None:
+    def _to_notify(self, uid: str, t_payload_end: float) -> None:
         entry = self._live.pop(uid, None)
         if entry is None:
             return
+        rec, executor = entry
         self.sink.record(self.clock.now_s, DVM_JOB, uid, COMP_DVM, EV_NOTIFY_COMPLETE)
-        entry.executor.enqueue_completion(Completion(entry.rec, 0, entry.t_payload_end))
+        executor.enqueue_completion(Completion(rec, 0, t_payload_end))
 
     def _crash(self, now: float) -> None:
         self.crashed = True
@@ -169,8 +159,8 @@ class DvmHandle:
                          {"live": str(len(self._live))})
         entries = list(self._live.values())
         self._live.clear()
-        for entry in entries:
-            self.host.task_failed(entry.rec, FailureReason.DVM_CRASHED, now)
+        for rec, _ in entries:
+            self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
 
 
 def dvm_start(

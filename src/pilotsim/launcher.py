@@ -15,7 +15,9 @@ which `ExperimentConfig.validate` has already checked.
 
 Backends are pluggable: the simulated DVM (dvm module), a simulated JSM
 backend, and a real local-process backend that spawns OS processes with
-stdio redirected to files (three real descriptors per task).
+stdio redirected to files (three real descriptors per task); a task whose
+files cannot be opened or whose process cannot be spawned fails alone.
+Nothing here knows the nodes: `ResourcePool.split` cuts the partitions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .config import BackendConfig
 from .core import Clock, FailureReason, TaskRecord
-from .scheduler import ResourcePool
 
 
 class FdAccountant:
@@ -205,9 +206,10 @@ class LocalExecBackend:
 
     def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
         base = os.path.join(self.stdio_dir, rec.uid)
-        files = [open(f"{base}.in", "w+b"), open(f"{base}.out", "wb"),
-                 open(f"{base}.err", "wb")]
+        files = []
         try:
+            for suffix, mode in ((".in", "w+b"), (".out", "wb"), (".err", "wb")):
+                files.append(open(base + suffix, mode))
             proc = subprocess.Popen(
                 ["sleep", str(rec.spec.duration_s)],
                 stdin=files[0], stdout=files[1], stderr=files[2],
@@ -291,27 +293,3 @@ class SimJsmBackend:
             return
         rec, executor = self._live.pop(uid)
         executor.enqueue_completion(Completion(rec, 0, self.clock.now_s))
-
-
-def make_partitions(pool: ResourcePool, k: int) -> list[ResourcePool]:
-    """Split worker nodes into k contiguous disjoint pools.
-
-    Partition pools carry no agent nodes of their own; the caller pairs
-    each partition with its own backend instance and meta-schedules
-    tasks round-robin across partitions.
-    """
-    workers = pool.worker_nodes
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(workers):
-        raise ValueError(f"k ({k}) exceeds worker node count ({len(workers)})")
-    if k == 1:
-        return [pool]
-    base, extra = divmod(len(workers), k)
-    parts = []
-    lo = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        parts.append(ResourcePool(workers[lo : lo + size], agent_nodes=0))
-        lo += size
-    return parts

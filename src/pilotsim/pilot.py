@@ -39,7 +39,6 @@ from .launcher import (
     FdAccountant,
     LocalExecBackend,
     SimJsmBackend,
-    make_partitions,
 )
 from .profiler import (
     COMP_AGENT,
@@ -68,7 +67,7 @@ from .scheduler import ResourcePool
 
 def build_pool(cfg: ExperimentConfig) -> ResourcePool:
     """The node pool a configuration describes."""
-    return ResourcePool.uniform(
+    return ResourcePool(
         cfg.effective_nodes(),
         cores_per_node=cfg.pool.cores_per_node,
         gpus_per_node=cfg.pool.gpus_per_node,
@@ -129,7 +128,7 @@ class PilotRun:
         self.fd = FdAccountant(cfg.backend.fd_limit, cfg.backend.fd_reserved)
         self.spec = build_spec(cfg)
         self.groups = [_Partition(pool=p, next=i) for i, p in
-                       enumerate(make_partitions(self.pool, cfg.agent.partitions))]
+                       enumerate(self.pool.split(cfg.agent.partitions))]
         self._t_arrival = 0.0  # every task arrives at agent_ready
 
         self._sched_busy = False
@@ -159,7 +158,7 @@ class PilotRun:
     def _pilot_start(self) -> None:
         cfg = self.cfg
         self.sink.record(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
-            "nodes": str(len(self.pool.nodes)),
+            "nodes": str(self.pool.n_nodes),
             "agent_nodes": str(cfg.pool.agent_nodes),
             "clock": cfg.clock,
             "seed": str(self.seed),

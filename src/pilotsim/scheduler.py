@@ -1,9 +1,13 @@
 """Agent-side scheduler: tracks free cores/GPUs per node and binds tasks to slots.
 
+A pool is one node shape: a node count, cores and GPUs per node, and how
+many of its nodes are agent nodes, reserved for the runtime itself; no
+node is an object. `ResourcePool.split` cuts the worker nodes into the
+contiguous partitions of a multi-partition agent.
+
 Placement is deterministic first-fit: worker nodes in id order, resource
 indices in ascending order. A task that does not fit on any single node
-may spill across nodes in id order. Agent nodes are reserved for the
-runtime itself and never receive tasks.
+may spill across nodes in id order. Agent nodes never receive tasks.
 
 A placement is a `(text, held)` tuple: the slot text the profile logs, as
 `Slot.encode` writes it ("n3c0.1g2_n4c0"), and per node one `(node uid,
@@ -34,13 +38,6 @@ from .core import TaskSpec
 
 class DoubleFree(ValueError):
     """Raised when a slot is released twice or was never bound."""
-
-
-@dataclass(frozen=True)
-class Node:
-    uid: int
-    cores: int = 42
-    gpus: int = 6
 
 
 @dataclass(frozen=True)
@@ -136,56 +133,66 @@ def slot_units(texts: list[str]) -> np.ndarray:
 
 
 class ResourcePool:
-    """Nodes x (cores, GPUs); each worker node's occupancy is one int
-    bitmask of its bound cores and one of its bound GPUs (bit i: unit i).
+    """`n_nodes` nodes of `cores_per_node` cores and `gpus_per_node` GPUs;
+    each worker node's occupancy is one int bitmask of its bound cores and
+    one of its bound GPUs (bit i: unit i).
 
-    The first `agent_nodes` nodes are reserved for the runtime; the rest
-    are worker nodes available to tasks, numbered by their position.
+    Its node uids run from `first_uid`; the first `agent_nodes` nodes are
+    reserved for the runtime; the rest, `workers`, are available to tasks.
     """
 
-    def __init__(self, nodes: list[Node], agent_nodes: int = 1):
-        if agent_nodes >= len(nodes):
-            raise ValueError(
-                f"agent_nodes ({agent_nodes}) must be < total nodes ({len(nodes)})"
-            )
-        if agent_nodes < 0:
-            raise ValueError("agent_nodes must be >= 0")
-        self.nodes = list(nodes)
-        self.agent_nodes = agent_nodes
-        self._workers = self.worker_nodes
-        self._index = {n.uid: i for i, n in enumerate(self._workers)}
-        self._cores = [0] * len(self._workers)  # bound-core mask per worker
-        self._gpus = [0] * len(self._workers)  # bound-GPU mask per worker
-        self._free_cores = self.total_worker_cores
-        self._free_gpus = self.total_worker_gpus
-        self._shape: Optional[tuple[int, int]] = None  # set by the first placement
-
-    @classmethod
-    def uniform(
-        cls,
+    def __init__(
+        self,
         n_nodes: int,
         cores_per_node: int = 42,
         gpus_per_node: int = 6,
         agent_nodes: int = 1,
-    ) -> "ResourcePool":
-        nodes = [Node(uid=i, cores=cores_per_node, gpus=gpus_per_node) for i in range(n_nodes)]
-        return cls(nodes, agent_nodes=agent_nodes)
+        first_uid: int = 0,
+    ):
+        if agent_nodes >= n_nodes:
+            raise ValueError(
+                f"agent_nodes ({agent_nodes}) must be < total nodes ({n_nodes})"
+            )
+        if agent_nodes < 0:
+            raise ValueError("agent_nodes must be >= 0")
+        self.n_nodes = n_nodes
+        self.cores_per_node = cores_per_node
+        self.gpus_per_node = gpus_per_node
+        self.agent_nodes = agent_nodes
+        self.workers = range(first_uid + agent_nodes, first_uid + n_nodes)
+        self._uids = list(self.workers)  # uid ints shared by placements, not one each
+        self.total_worker_cores = len(self.workers) * cores_per_node
+        self.total_worker_gpus = len(self.workers) * gpus_per_node
+        self._cores = [0] * len(self.workers)  # bound-core mask per worker
+        self._gpus = [0] * len(self.workers)  # bound-GPU mask per worker
+        self._free_cores = self.total_worker_cores
+        self._free_gpus = self.total_worker_gpus
+        self._shape: Optional[tuple[int, int]] = None  # set by the first placement
 
-    @property
-    def worker_nodes(self) -> list[Node]:
-        return self.nodes[self.agent_nodes :]
+    def split(self, k: int) -> list["ResourcePool"]:
+        """The worker nodes as k contiguous disjoint pools; `[self]` when k
+        is 1.
 
-    @property
-    def agent_node_list(self) -> list[Node]:
-        return self.nodes[: self.agent_nodes]
-
-    @property
-    def total_worker_cores(self) -> int:
-        return sum(n.cores for n in self.worker_nodes)
-
-    @property
-    def total_worker_gpus(self) -> int:
-        return sum(n.gpus for n in self.worker_nodes)
+        Partition pools carry no agent nodes of their own; the caller pairs
+        each partition with its own backend instance and meta-schedules
+        tasks round-robin across partitions.
+        """
+        n = len(self.workers)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k > n:
+            raise ValueError(f"k ({k}) exceeds worker node count ({n})")
+        if k == 1:
+            return [self]
+        base, extra = divmod(n, k)
+        parts = []
+        lo = self.workers.start
+        for i in range(k):
+            size = base + (1 if i < extra else 0)
+            parts.append(ResourcePool(size, self.cores_per_node, self.gpus_per_node,
+                                      agent_nodes=0, first_uid=lo))
+            lo += size
+        return parts
 
     def fits(self, spec: TaskSpec) -> bool:
         """True when `try_schedule(spec)` would place the task now."""
@@ -229,9 +236,9 @@ class ResourcePool:
             raise DoubleFree(f"slot {text} names a node twice")
         freed = []
         for uid, cores, gpus in held:
-            i = self._index.get(uid)
-            if i is None:
+            if uid not in self.workers:
                 raise DoubleFree(f"slot references unknown node {uid}")
+            i = uid - self.workers.start
             if cores & ~self._cores[i]:
                 raise DoubleFree(f"slot {text} names a core that is not bound")
             if gpus & ~self._gpus[i]:
@@ -246,8 +253,8 @@ class ResourcePool:
 
     def _free(self, i: int) -> tuple[int, int]:
         """Free cores and free GPUs of worker `i`."""
-        node = self._workers[i]
-        return node.cores - self._cores[i].bit_count(), node.gpus - self._gpus[i].bit_count()
+        return (self.cores_per_node - self._cores[i].bit_count(),
+                self.gpus_per_node - self._gpus[i].bit_count())
 
     def _index_shape(self, shape: tuple[int, int]) -> None:
         """Rebuild every pool-level set, the fit set for `shape`; O(nodes)."""
@@ -255,7 +262,7 @@ class ResourcePool:
         self._fit = 0  # bit i: worker i fits `_shape`
         self._open_cores = 0  # bit i: worker i has a free core
         self._open_gpus = 0  # bit i: worker i has a free GPU
-        for i in range(len(self._workers)):
+        for i in range(len(self.workers)):
             self._mark(i)
 
     def _mark(self, i: int) -> None:
@@ -270,7 +277,7 @@ class ResourcePool:
     def _take(self, i: int, n_cores: int, n_gpus: int) -> tuple[str, tuple[int, int, int]]:
         """Bind the lowest free `n_cores` cores and `n_gpus` GPUs of worker
         `i`: their slot text part and their (node uid, core mask, GPU mask)."""
-        uid = self._workers[i].uid
+        uid = self._uids[i]
         part, cores, gpus = f"n{uid}", 0, 0
         if n_cores:
             self._cores[i], cores, indices = _pick(self._cores[i], n_cores)

@@ -117,7 +117,7 @@ class _StubExecutor:
 
 def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
     clock = VirtualClock()
-    pool = ResourcePool.uniform(816, agent_nodes=1)
+    pool = ResourcePool(816, agent_nodes=1)
     config = DvmSimConfig(capacity_tasks=capacity, setup_mean_s=0.0,
                           launch_mean_s=launch[0], launch_std_s=launch[1],
                           notify_mean_s=0.0)

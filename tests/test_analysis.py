@@ -101,11 +101,11 @@ class TestComputeTtx:
 
 class TestIdealTtx:
     def _pool(self, worker_cores):
-        return ResourcePool.uniform(2, cores_per_node=worker_cores,
+        return ResourcePool(2, cores_per_node=worker_cores,
                                     gpus_per_node=0, agent_nodes=1)
 
     def test_full_concurrency(self):
-        pool = ResourcePool.uniform(392, cores_per_node=42, agent_nodes=1)
+        pool = ResourcePool(392, cores_per_node=42, agent_nodes=1)
         assert ideal_ttx(16384, TaskSpec(1, 0, 900.0), pool) == pytest.approx(900.0)
 
     def test_waves(self):
@@ -179,7 +179,7 @@ def synthetic_events(t_ready=5.0, t_stop=20.0):
 
 class TestUtilization:
     def test_degenerate_run_without_tasks(self):
-        pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=1,
+        pool = ResourcePool(2, cores_per_node=4, gpus_per_node=1,
                                     agent_nodes=1)
         ub = utilization(synthetic_events(), pool)
         four = (ub.percents["agent_nodes"] + ub.percents["pilot_startup"]

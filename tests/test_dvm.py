@@ -69,7 +69,7 @@ def launch_latencies(sink):
 
 def boot(config, n_nodes=2, seed=0):
     clock = VirtualClock()
-    pool = ResourcePool.uniform(n_nodes, agent_nodes=1)
+    pool = ResourcePool(n_nodes, agent_nodes=1)
     host = StubHost()
     ex = StubExecutor()
     handle = dvm_start(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
@@ -90,7 +90,7 @@ class TestDvmStart:
         handle.submit_job(rec_of("t0", 1.0), ex, clock.now_s)
         clock.run()
         assert "notify_complete" in stage_times(handle.sink)["t0"]
-        pool = ResourcePool.uniform(2, agent_nodes=1)
+        pool = ResourcePool(2, agent_nodes=1)
         fresh = dvm_start(handle.config, pool, clock, np.random.default_rng(0),
                           EventSink(), host)
         assert fresh.n_live == 0
@@ -198,7 +198,7 @@ class TestDvmProperties:
         # launch overhead is the plain sum of individual latencies
         config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock = VirtualClock()
-        pool = ResourcePool.uniform(2, agent_nodes=1)
+        pool = ResourcePool(2, agent_nodes=1)
         handle = dvm_start(config, pool, clock, np.random.default_rng(4),
                            EventSink(), StubHost())
         ex = StubExecutor()

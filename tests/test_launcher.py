@@ -3,7 +3,7 @@ import pytest
 
 from pilotsim import ConfigError, parse_config_text, run_pilot
 from pilotsim.core import FailureReason
-from pilotsim.launcher import FdAccountant, make_partitions
+from pilotsim.launcher import FdAccountant
 from pilotsim.scheduler import ResourcePool
 
 from conftest import task_events, zero_overhead
@@ -181,14 +181,14 @@ class TestCollect:
 
 class TestMakePartitions:
     def test_identity(self):
-        pool = ResourcePool.uniform(5, agent_nodes=1)
-        assert make_partitions(pool, 1) == [pool]
+        pool = ResourcePool(5, agent_nodes=1)
+        assert pool.split(1) == [pool]
 
     def test_even_split(self):
-        pool = ResourcePool.uniform(9, agent_nodes=1)  # 8 workers
-        parts = make_partitions(pool, 4)
-        assert [len(p.worker_nodes) for p in parts] == [2, 2, 2, 2]
-        uids = [n.uid for p in parts for n in p.worker_nodes]
+        pool = ResourcePool(9, agent_nodes=1)  # 8 workers
+        parts = pool.split(4)
+        assert [len(p.workers) for p in parts] == [2, 2, 2, 2]
+        uids = [uid for p in parts for uid in p.workers]
         assert uids == sorted(set(uids))  # disjoint, contiguous
 
     def test_round_robin_counting_oracle(self, quick_cfg):
@@ -204,11 +204,11 @@ class TestMakePartitions:
         assert counts == [4096] * 4
 
     def test_invalid_k(self):
-        pool = ResourcePool.uniform(3, agent_nodes=1)
+        pool = ResourcePool(3, agent_nodes=1)
         with pytest.raises(ValueError):
-            make_partitions(pool, 0)
+            pool.split(0)
         with pytest.raises(ValueError):
-            make_partitions(pool, 5)
+            pool.split(5)
 
 
 class TestExecutorInvariants:

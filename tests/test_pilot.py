@@ -214,6 +214,22 @@ class TestSetup:
             run_pilot(quick_cfg(), run_dir=str(run_dir), seed=-1)
         assert not run_dir.exists()
 
+    def test_local_exec_stdio_file_that_cannot_be_opened_fails_its_task(
+            self, quick_cfg, tmp_path):
+        cfg = zero_overhead(quick_cfg(workload__n_tasks=3, workload__duration_s=0.05))
+        cfg.clock = "real"
+        cfg.backend.kind = "local_exec"
+        cfg.agent.startup_s = 0.0
+        cfg.agent.termination_s = 0.0
+        (tmp_path / "tasks" / "task.000001.out").mkdir(parents=True)
+        res = run_pilot(cfg, run_dir=str(tmp_path), seed=1)
+        assert res.failures == {"NonzeroExit": 1}
+        assert res.n_done == 2
+        history = task_events(res.events)
+        assert "task_fail" in history["task.000001"]
+        assert all("done" in history[uid] for uid in ("task.000000", "task.000002"))
+        assert load_profile(str(tmp_path / "profile.log"))[-1].name == "pilot_stop"
+
     def test_local_exec_without_run_dir_removes_its_stdio_dir(
             self, quick_cfg, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -233,8 +249,8 @@ class TestPilotStart:
         res = run_pilot(cfg, seed=1)
         start = res.events[0]
         assert start.name == "pilot_start"
-        assert len(res.pool.nodes) == 4  # 3 worker nodes + 1 agent node
-        assert start.attrs["nodes"] == str(len(res.pool.nodes))
+        assert res.pool.n_nodes == 4  # 3 worker nodes + 1 agent node
+        assert start.attrs["nodes"] == str(res.pool.n_nodes)
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -260,7 +276,32 @@ class TestHotLoop:
         finally:
             sys.setprofile(previous)
         assert res.n_done == 1024
-        assert calls / 1024 <= 72, calls / 1024
+        assert calls / 1024 <= 70, calls / 1024
+
+    def test_setup_calls_do_not_grow_with_the_pool(self, tmp_path):
+        # counted, not timed: a pool is one node shape, so setting up a run
+        # on ten times the nodes makes the same Python-level calls
+        def setup_calls(n_nodes):
+            cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
+            cfg.pool.autosize = 0
+            cfg.pool.nodes = n_nodes
+            run_dir = str(tmp_path / f"n{n_nodes}")
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                PilotRun(cfg, run_dir=run_dir, seed=1)
+            finally:
+                sys.setprofile(previous)
+            return calls
+
+        setup_calls(391)  # warm caches
+        assert setup_calls(392) == setup_calls(3920)
 
     def test_plain_run_builds_no_slot(self, tmp_path, monkeypatch):
         # placements are masks and slot text: `Slot` and `SlotAssignment`

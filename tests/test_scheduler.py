@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pilotsim import TaskSpec, parse_config_file, scheduler
 from pilotsim.pilot import PilotRun
-from pilotsim.scheduler import DoubleFree, Node, ResourcePool, Slot, SlotAssignment, slot_units
+from pilotsim.scheduler import DoubleFree, ResourcePool, Slot, SlotAssignment, slot_units
 
 
 def spec(cores=1, gpus=0):
@@ -90,31 +90,39 @@ def masks_text(placement) -> str:
 
 class TestTrySchedule:
     def test_first_fit_smallest_indices(self):
-        pool = ResourcePool([Node(0, cores=2, gpus=0)], agent_nodes=0)
+        pool = ResourcePool(1, cores_per_node=2, gpus_per_node=0, agent_nodes=0)
         slot = pool.try_schedule(spec(1))
         assert as_placement(slot) == [(0, (0,), ())]
 
     def test_paper_scale_concurrency_fits(self):
         # 25 worker nodes x 42 cores hold 1024 one-core tasks concurrently
-        pool = ResourcePool.uniform(26, cores_per_node=42, gpus_per_node=0, agent_nodes=1)
+        pool = ResourcePool(26, cores_per_node=42, gpus_per_node=0, agent_nodes=1)
         slots = [pool.try_schedule(spec(1)) for i in range(1024)]
         assert all(s is not None for s in slots)
         assert_free(pool, 25 * 42 - 1024)
 
     def test_multi_node_spill(self):
-        pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
+        pool = ResourcePool(3, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
         text, held = pool.try_schedule(spec(6))
         assert text == "n1c0.1.2.3_n2c0.1"
         assert held == ((1, 0b1111, 0), (2, 0b11, 0))
 
+    def test_placements_on_a_node_share_its_uid(self):
+        # a uid above 256 worked out per placement would be a new int each
+        # time, held by every live placement
+        pool = ResourcePool(301, cores_per_node=2, gpus_per_node=0, agent_nodes=300)
+        first, second = pool.try_schedule(spec(1)), pool.try_schedule(spec(1))
+        assert first[1] == ((300, 0b1, 0),) and second[1] == ((300, 0b10, 0),)
+        assert first[1][0][0] is second[1][0][0]
+
     def test_no_capacity_is_not_an_error(self):
-        pool = ResourcePool([Node(0, cores=2, gpus=0)], agent_nodes=0)
+        pool = ResourcePool(1, cores_per_node=2, gpus_per_node=0, agent_nodes=0)
         pool.try_schedule(spec(2))
         assert pool.try_schedule(spec(1)) is None
 
     def test_random_trace_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
-        pool = ResourcePool.uniform(5, cores_per_node=6, gpus_per_node=2, agent_nodes=0)
+        pool = ResourcePool(5, cores_per_node=6, gpus_per_node=2, agent_nodes=0)
         oracle = NaiveFreeList(5, 6, 2)
         live = []
         for step in range(400):
@@ -139,7 +147,7 @@ class TestTrySchedule:
     def test_single_shape_trace_matches_naive_oracle(self, gpus):
         # one 8-core shape on 42-core nodes: the fit set is kept, never rebuilt
         rng = np.random.default_rng(5)
-        pool = ResourcePool.uniform(6, cores_per_node=42, gpus_per_node=6, agent_nodes=0)
+        pool = ResourcePool(6, cores_per_node=42, gpus_per_node=6, agent_nodes=0)
         oracle = NaiveFreeList(6, 42, 6)
         live, spills = [], 0
         for step in range(2000):
@@ -160,7 +168,7 @@ class TestTrySchedule:
         # mixed shapes with GPUs spill often: the text built as units are
         # bound names the units the masks hold, and every live unit once
         rng = np.random.default_rng(13)
-        pool = ResourcePool.uniform(5, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        pool = ResourcePool(5, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         live, spills = [], 0
         for step in range(600):
             if live and (rng.random() < 0.4 or not pool.fits(spec(1))):
@@ -180,13 +188,13 @@ class TestTrySchedule:
 
 class TestUnschedule:
     def test_bind_then_release_restores_pool(self):
-        pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        pool = ResourcePool(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         slot = pool.try_schedule(spec(3, 1))
         pool.unschedule(slot)
         assert_free(pool, pool.total_worker_cores, pool.total_worker_gpus)
 
     def test_double_free_rejected(self):
-        pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
+        pool = ResourcePool(2, cores_per_node=4, gpus_per_node=0, agent_nodes=1)
         slot = pool.try_schedule(spec(2))
         pool.unschedule(slot)
         with pytest.raises(DoubleFree):
@@ -206,7 +214,7 @@ class TestUnschedule:
         # the 4-core node is fully held; a negative mask (the placement of a
         # negative index) names units past the end and, for -1, held ones
         # too; node 0 is the agent node, not in this pool
-        pool = ResourcePool.uniform(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        pool = ResourcePool(2, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         held = pool.try_schedule(spec(4, 1))
         assert held == ("n1c0.1.2.3g0", ((1, 0b1111, 0b1),))
         with pytest.raises(DoubleFree, match=message):
@@ -216,9 +224,21 @@ class TestUnschedule:
         pool.unschedule(held)
         assert_free(pool, 4, 2)
 
+    def test_placement_of_a_sibling_partition_rejected(self):
+        # each partition of a split pool knows only its own uid range
+        left, right = ResourcePool(5, cores_per_node=4, gpus_per_node=0).split(2)
+        held = left.try_schedule(spec(2))
+        assert held == ("n1c0.1", ((1, 0b11, 0),))
+        with pytest.raises(DoubleFree, match="slot references unknown node 1"):
+            right.unschedule(held)
+        assert_free(left, 6)
+        assert_free(right, 8)
+        left.unschedule(held)
+        assert_free(left, 8)
+
     def test_interleaved_counter_oracle(self):
         rng = np.random.default_rng(11)
-        pool = ResourcePool.uniform(4, cores_per_node=8, gpus_per_node=0, agent_nodes=0)
+        pool = ResourcePool(4, cores_per_node=8, gpus_per_node=0, agent_nodes=0)
         capacity = 4 * 8
         live = []
         bound = 0
@@ -239,7 +259,7 @@ class TestUnschedule:
 class TestInvariants:
     def test_conservation_and_no_overlap(self):
         rng = np.random.default_rng(3)
-        pool = ResourcePool.uniform(4, cores_per_node=5, gpus_per_node=1, agent_nodes=1)
+        pool = ResourcePool(4, cores_per_node=5, gpus_per_node=1, agent_nodes=1)
         total = pool.total_worker_cores
         live = []
         for i in range(300):
@@ -260,7 +280,7 @@ class TestInvariants:
                         seen.add(key)
 
     def test_single_core_saturation(self):
-        pool = ResourcePool.uniform(3, cores_per_node=7, gpus_per_node=0, agent_nodes=1)
+        pool = ResourcePool(3, cores_per_node=7, gpus_per_node=0, agent_nodes=1)
         free = pool.total_worker_cores
         for i in range(free):
             assert pool.try_schedule(spec(1)) is not None
@@ -269,7 +289,7 @@ class TestInvariants:
 
 class TestSlotEncoding:
     def test_round_trip(self):
-        pool = ResourcePool.uniform(3, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
+        pool = ResourcePool(3, cores_per_node=4, gpus_per_node=2, agent_nodes=1)
         text, _ = pool.try_schedule(spec(6, 2))
         assert Slot.decode(text).encode() == text == "n1c0.1.2.3g0.1_n2c0.1"
 

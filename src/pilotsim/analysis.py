@@ -375,9 +375,13 @@ class TaskTable:
         if None in slots:  # a schedule_ok without a slot holds no units
             held = [s is not None for s in slots]
             task_rows, slots = task_rows[held], list(compress(slots, held))
-        hits = {col: (row[hit], t[hit]) for col, hit in lines.items()}
+        del code
+        hits = {}
+        for col in list(lines):  # each column's lines are freed as its hit is taken
+            hit = lines.pop(col)
+            hits[col] = (row[hit], t[hit])
         uids = list(map(keys.__getitem__, by_first.tolist()))
-        del t, code, row, lines, keys  # before the table's columns are built
+        del t, row, hit, keys  # before the table's columns are built
         return cls._build(uids, hits, waits, (task_rows, slots), marks)
 
     @classmethod

@@ -58,8 +58,7 @@ def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
 
 
 def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
-                events: Optional[Iterable[Event]] = None,
-                timeline_buckets: int = 120) -> dict[str, float]:
+                events: Optional[Iterable[Event]] = None) -> dict[str, float]:
     """Write the per-repetition report CSVs from its profile.log, or from
     `events` when given; returns the summary metrics."""
     if events is None:
@@ -78,7 +77,7 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
     )
     analysis.write_timeline_csv(
         table, pool, os.path.join(rep_dir, "report_timeline.csv"),
-        buckets=timeline_buckets, gpu_weight=cfg.agent.gpu_weight,
+        gpu_weight=cfg.agent.gpu_weight,
     )
     return metrics
 

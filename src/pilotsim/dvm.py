@@ -11,7 +11,9 @@ Stage transitions take sampled latencies, and each stage is recorded
 as a `DvmJob` profile event; those events are the only per-job record.
 The handle keeps just the live jobs and enforces a ceiling on how many
 there are: exceeding it crashes the whole DVM and fails every live job,
-mirroring the observed flat-topology collapse at scale.
+mirroring the observed flat-topology collapse at scale. Like every launch
+backend (launcher module), the handle reports each outcome itself; it
+records the DVM's start event when it is built.
 
 The handle reads its capacity and the three stage latencies straight
 from the `dvm` section of the experiment config (`config.DvmSimConfig`).
@@ -28,7 +30,6 @@ import numpy as np
 
 from .config import DvmSimConfig
 from .core import Clock, FailureReason, TaskRecord
-from .launcher import Completion
 from .profiler import (
     COMP_DVM,
     DVM_JOB,
@@ -95,27 +96,31 @@ class DvmHandle:
         self.n_daemons = len(pool.workers)
         self._live: dict[str, tuple[TaskRecord, object]] = {}  # uid: (rec, executor)
         self.crashed = False
+        sink.record(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
+                    {"daemons": str(self.n_daemons),
+                     # the log format keeps this attribute; only a flat overlay is modelled
+                     "topology": "flat"})
 
     @property
     def n_live(self) -> int:
         return len(self._live)
 
-    def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
-        """Accept a launch request; False when the DVM has crashed.
+    def submit_job(self, rec: TaskRecord, executor, now: float) -> None:
+        """Accept a launch request; a crashed DVM fails it at once.
 
         Accepting the request that pushes live jobs past capacity crashes
         the handle: every live job (including this one) fails.
         """
         if self.crashed:
-            return False
+            self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
+            return
         self._live[rec.uid] = (rec, executor)
         self.sink.record(now, DVM_JOB, rec.uid, COMP_DVM, EV_INIT_COMPLETE)
         if len(self._live) > self.config.capacity_tasks:
             self._crash(now)
-            return True
+            return
         setup = self._setup.sample(self.rng)
         self.clock.schedule_at(now + setup, partial(self._to_pending, rec.uid))
-        return True
 
     # -- stage walk: a job missing from the live set has failed ---------------
 
@@ -151,7 +156,7 @@ class DvmHandle:
             return
         rec, executor = entry
         self.sink.record(self.clock.now_s, DVM_JOB, uid, COMP_DVM, EV_NOTIFY_COMPLETE)
-        executor.enqueue_completion(Completion(rec, 0, t_payload_end))
+        executor.enqueue_completion(rec, 0, t_payload_end)
 
     def _crash(self, now: float) -> None:
         self.crashed = True
@@ -161,21 +166,3 @@ class DvmHandle:
         self._live.clear()
         for rec, _ in entries:
             self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
-
-
-def dvm_start(
-    config: DvmSimConfig,
-    pool: ResourcePool,
-    clock: Clock,
-    rng: np.random.Generator,
-    sink: EventSink,
-    host,
-    uid: str = "dvm.0",
-) -> DvmHandle:
-    """Boot a DVM over `pool`: one simulated daemon per worker node."""
-    handle = DvmHandle(config, pool, clock, rng, sink, host, uid=uid)
-    sink.record(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
-                {"daemons": str(handle.n_daemons),
-                 # the log format keeps this attribute; only a flat overlay is modelled
-                 "topology": "flat"})
-    return handle

@@ -17,6 +17,9 @@ Backends are pluggable: the simulated DVM (dvm module), a simulated JSM
 backend, and a real local-process backend that spawns OS processes with
 stdio redirected to files (three real descriptors per task); a task whose
 files cannot be opened or whose process cannot be spawned fails alone.
+A backend has one call, `submit_job(rec, executor, now)`, which returns
+nothing: it reports running and failed through the host, and a finished
+payload through `executor.enqueue_completion(rec, exit_status, t_end)`.
 Nothing here knows the nodes: `ResourcePool.split` cuts the partitions.
 """
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import os
 import subprocess
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -63,15 +65,6 @@ class FdAccountant:
         self.in_use -= n
 
 
-@dataclass(slots=True)
-class Completion:
-    """A finished payload as reported by a backend to its executor."""
-
-    rec: TaskRecord
-    exit_status: int
-    t_end: float
-
-
 class Executor:
     """One sequential launch worker: paced submit lane plus drain lane.
 
@@ -103,7 +96,7 @@ class Executor:
         self._submit_end: Optional[float] = None
         self._drain_end: Optional[float] = None
         self._submit_q: deque[TaskRecord] = deque()
-        self._drain_q: deque[Completion] = deque()
+        self._drain_q: deque[tuple[TaskRecord, int, float]] = deque()  # (rec, exit_status, t_end)
         self._submit_busy = False
         self._drain_busy = False
         self._last_submit_t: Optional[float] = None
@@ -152,9 +145,7 @@ class Executor:
 
     def _dispatch(self, rec: TaskRecord) -> None:
         now = self.clock.now_s
-        accepted = self.backend.submit_job(rec, self, now)
-        if not accepted:
-            self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
+        self.backend.submit_job(rec, self, now)
         self._end_submit_op(now)
 
     def _end_submit_op(self, now: float) -> None:
@@ -164,8 +155,8 @@ class Executor:
 
     # -- drain lane ----------------------------------------------------------
 
-    def enqueue_completion(self, comp: Completion) -> None:
-        self._drain_q.append(comp)
+    def enqueue_completion(self, rec: TaskRecord, exit_status: int, t_end: float) -> None:
+        self._drain_q.append((rec, exit_status, t_end))
         self._kick_drain()
 
     def _kick_drain(self) -> None:
@@ -176,9 +167,9 @@ class Executor:
         self.clock.schedule_at(self.clock.now_s + wait, self._do_collect)
 
     def _do_collect(self) -> None:
-        comp = self._drain_q.popleft()
+        rec, exit_status, t_end = self._drain_q.popleft()
         now = self.clock.now_s
-        self.host.task_collected(comp, now)
+        self.host.task_collected(rec, exit_status, t_end, now)
         self.clock.schedule_at(now + self.config.submit_cost_s, self._end_drain_op)
 
     def _end_drain_op(self) -> None:
@@ -204,7 +195,7 @@ class LocalExecBackend:
         self._poller_on = False
         os.makedirs(stdio_dir, exist_ok=True)
 
-    def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
+    def submit_job(self, rec: TaskRecord, executor, now: float) -> None:
         base = os.path.join(self.stdio_dir, rec.uid)
         files = []
         try:
@@ -218,11 +209,10 @@ class LocalExecBackend:
             for fh in files:
                 fh.close()
             self.host.task_failed(rec, FailureReason.NONZERO_EXIT, self.clock.now_s)
-            return True
+            return
         self._procs[rec.uid] = (rec, proc, files, executor)
         self.host.task_running(rec, self.clock.now_s)
         self._ensure_poller()
-        return True
 
     def _ensure_poller(self) -> None:
         if not self._poller_on:
@@ -236,7 +226,7 @@ class LocalExecBackend:
             del self._procs[rec.uid]
             for fh in files:
                 fh.close()
-            executor.enqueue_completion(Completion(rec, proc.returncode, now))
+            executor.enqueue_completion(rec, proc.returncode, now)
         if self._procs:
             self.clock.schedule_at(now + self.poll_interval_s, self._poll)
         else:
@@ -248,8 +238,8 @@ class SimJsmBackend:
 
     Same pipeline as the DVM backend but without a persistent overlay:
     one launch-latency sample, then the payload runs. JSM destabilizes
-    under concurrent executors: the backend fails permanently the moment
-    a second executor submits through it.
+    under concurrent executors: the moment a second executor submits, the
+    backend fails every live job, then that submission and every later one.
     """
 
     def __init__(self, clock: Clock, host, latency, rng: np.random.Generator):
@@ -258,27 +248,22 @@ class SimJsmBackend:
         self.latency = latency  # duck-typed: .sample(rng) -> seconds
         self.rng = rng
         self.unstable = False
-        self._seen_executors: set[str] = set()
+        self._first_executor: Optional[str] = None  # uid of the first to submit
         self._live: dict[str, tuple[TaskRecord, object]] = {}
 
-    def submit_job(self, rec: TaskRecord, executor, now: float) -> bool:
+    def submit_job(self, rec: TaskRecord, executor, now: float) -> None:
+        self._first_executor = self._first_executor or executor.uid
+        if not self.unstable and executor.uid != self._first_executor:
+            self.unstable = True
+            live, self._live = self._live, {}
+            for failed, _ in live.values():
+                self.host.task_failed(failed, FailureReason.DVM_CRASHED, now)
         if self.unstable:
-            return False
-        self._seen_executors.add(executor.uid)
-        if len(self._seen_executors) > 1:
-            self._destabilize(now)
-            return False
+            self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
+            return
         self._live[rec.uid] = (rec, executor)
         delay = self.latency.sample(self.rng)
         self.clock.schedule_at(now + delay, partial(self._to_running, rec.uid))
-        return True
-
-    def _destabilize(self, now: float) -> None:
-        self.unstable = True
-        live = list(self._live.values())
-        self._live.clear()
-        for rec, _ in live:
-            self.host.task_failed(rec, FailureReason.DVM_CRASHED, now)
 
     def _to_running(self, uid: str) -> None:
         if uid not in self._live:
@@ -292,4 +277,4 @@ class SimJsmBackend:
         if uid not in self._live:
             return
         rec, executor = self._live.pop(uid)
-        executor.enqueue_completion(Completion(rec, 0, self.clock.now_s))
+        executor.enqueue_completion(rec, 0, self.clock.now_s)

@@ -32,9 +32,8 @@ from .core import (
     VirtualClock,
     advance_state,
 )
-from .dvm import LatencySpec, dvm_start
+from .dvm import DvmHandle, LatencySpec
 from .launcher import (
-    Completion,
     Executor,
     FdAccountant,
     LocalExecBackend,
@@ -174,7 +173,7 @@ class PilotRun:
             self._tmp_stdio = tempfile.mkdtemp(prefix="pilotsim-stdio-")
         for i, group in enumerate(self.groups):
             if kind == "sim_dvm":
-                group.backend = dvm_start(
+                group.backend = DvmHandle(
                     cfg.dvm, group.pool, self.clock, self.rng,
                     self.sink, self, uid=f"dvm.{i}",
                 )
@@ -267,21 +266,21 @@ class PilotRun:
         advance_state(rec, TaskState.RUNNING, t)
         self.sink.record(t, TASK, rec.uid, COMP_PAYLOAD, EV_RUNNING)
 
-    def task_collected(self, comp: Completion, now: float) -> None:
-        rec = comp.rec
+    def task_collected(self, rec: TaskRecord, exit_status: int, t_end: float,
+                       now: float) -> None:
         if rec.state.terminal:
             return
-        if comp.exit_status == 0:
-            advance_state(rec, TaskState.DONE, comp.t_end)
-            self.sink.record(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE,
+        if exit_status == 0:
+            advance_state(rec, TaskState.DONE, t_end)
+            self.sink.record(t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE,
                              {"exit": "0"})
             self.n_done += 1
         else:
-            advance_state(rec, TaskState.FAILED, comp.t_end)
+            advance_state(rec, TaskState.FAILED, t_end)
             self._count_failure(FailureReason.NONZERO_EXIT)
-            self.sink.record(comp.t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
+            self.sink.record(t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
                              {"reason": FailureReason.NONZERO_EXIT.value,
-                              "exit": str(comp.exit_status)})
+                              "exit": str(exit_status)})
         self._release(rec, now)
 
     def task_failed(self, rec: TaskRecord, reason: FailureReason, now: float) -> None:

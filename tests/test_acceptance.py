@@ -16,7 +16,7 @@ from pilotsim import ExperimentConfig, TaskSpec, compute_ttx, run_pilot, utiliza
 from pilotsim.analysis import OverheadStats
 from pilotsim.config import DvmSimConfig
 from pilotsim.core import TaskRecord, VirtualClock
-from pilotsim.dvm import dvm_start
+from pilotsim.dvm import DvmHandle
 from pilotsim.profiler import EventSink
 from pilotsim.scheduler import ResourcePool
 
@@ -111,8 +111,8 @@ class _StubExecutor:
     def __init__(self):
         self.completions = []
 
-    def enqueue_completion(self, comp):
-        self.completions.append(comp)
+    def enqueue_completion(self, rec, exit_status, t_end):
+        self.completions.append((rec, exit_status, t_end))
 
 
 def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
@@ -122,7 +122,7 @@ def _dvm_fixture(capacity, seed=0, launch=(0.0, 0.0)):
                           launch_mean_s=launch[0], launch_std_s=launch[1],
                           notify_mean_s=0.0)
     host = _StubHost()
-    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
+    handle = DvmHandle(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
     return clock, handle, host
 
 
@@ -138,7 +138,8 @@ class TestCriterion3DvmCrashBracket:
         ex = _StubExecutor()
         clock, handle, host = _dvm_fixture(capacity=20000)
         for i in range(16384):
-            assert handle.submit_job(_job(f"t{i}", 1.0), ex, 0.0)
+            handle.submit_job(_job(f"t{i}", 1.0), ex, 0.0)
+        assert host.failed == []
         clock.run()
         assert not handle.crashed
         assert len(ex.completions) == 16384

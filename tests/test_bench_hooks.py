@@ -104,3 +104,27 @@ def test_multiwave_event_count_is_linear():
         return m["core.events_dispatched"]
 
     assert events(2048) <= 4.5 * events(512)
+
+
+@pytest.mark.parametrize("over", [
+    {"dvm__capacity_tasks": 10},
+    {"backend__kind": "sim_jsm", "backend__fd_limit": 4096, "subagents__n_sub_agents": 2},
+], ids=["dvm_crash", "jsm_unstable"])
+def test_refused_launches_are_counted(quick_cfg, over):
+    # a backend that refuses launches reports every failure itself, under
+    # the tracer's counted_submit_job as without it
+    tracer = load_trace_layers().Tracer()
+    run = PilotRun(quick_cfg(workload__n_tasks=40, **over), seed=1)
+    tracer.install()
+    try:
+        res = run.run()
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(log_bytes=0)
+    assert m["core.events_dispatched"] == next(run.clock._seq)
+    fails = [e.attrs["reason"] for e in res.events if e.name == "task_fail"]
+    assert res.n_failed == len(fails) == 40
+    assert fails == ["DvmCrashed"] * 40
+    if "dvm__capacity_tasks" in over:
+        assert m["dvm.jobs"] == sum(e.name == "submit" for e in res.events) == 40
+        assert m["dvm.live_peak"] == 10

@@ -4,8 +4,8 @@ import pytest
 from pilotsim import ConfigError, TaskSpec, parse_config_text
 from pilotsim.analysis import OverheadStats
 from pilotsim.config import DvmSimConfig
-from pilotsim.core import TaskRecord, VirtualClock
-from pilotsim.dvm import dvm_start
+from pilotsim.core import FailureReason, TaskRecord, VirtualClock
+from pilotsim.dvm import DvmHandle
 from pilotsim.profiler import EventSink
 from pilotsim.scheduler import ResourcePool
 
@@ -31,8 +31,8 @@ class StubExecutor:
     def __init__(self):
         self.completions = []
 
-    def enqueue_completion(self, comp):
-        self.completions.append(comp)
+    def enqueue_completion(self, rec, exit_status, t_end):
+        self.completions.append((rec, exit_status, t_end))
 
 
 def rec_of(uid, duration=900.0):
@@ -72,7 +72,7 @@ def boot(config, n_nodes=2, seed=0):
     pool = ResourcePool(n_nodes, agent_nodes=1)
     host = StubHost()
     ex = StubExecutor()
-    handle = dvm_start(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
+    handle = DvmHandle(config, pool, clock, np.random.default_rng(seed), EventSink(), host)
     return clock, handle, host, ex
 
 
@@ -91,7 +91,7 @@ class TestDvmStart:
         clock.run()
         assert "notify_complete" in stage_times(handle.sink)["t0"]
         pool = ResourcePool(2, agent_nodes=1)
-        fresh = dvm_start(handle.config, pool, clock, np.random.default_rng(0),
+        fresh = DvmHandle(handle.config, pool, clock, np.random.default_rng(0),
                           EventSink(), host)
         assert fresh.n_live == 0
         assert not fresh.crashed
@@ -100,12 +100,14 @@ class TestDvmStart:
 class TestDvmSubmit:
     def test_zero_latency_stage_walk(self):
         clock, handle, host, ex = boot(zero_latency_config())
-        assert handle.submit_job(rec_of("t0", 900.0), ex, clock.now_s)
+        handle.submit_job(rec_of("t0", 900.0), ex, clock.now_s)
+        assert host.failed == []
         clock.run()
         t = stage_times(handle.sink)["t0"]
         assert t["running"] - t["sending_launch_msg"] == 0.0
         assert t["notify_complete"] - t["init_complete"] == 900.0
-        assert ex.completions[0].exit_status == 0
+        _, exit_status, _ = ex.completions[0]
+        assert exit_status == 0
 
     def test_seeded_launch_latency_moments(self):
         config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
@@ -122,7 +124,7 @@ class TestDvmSubmit:
         config = zero_latency_config(capacity_tasks=20000)
         clock, handle, host, ex = boot(config)
         for i in range(20001):
-            assert handle.submit_job(rec_of(f"t{i}"), ex, 0.0)
+            handle.submit_job(rec_of(f"t{i}"), ex, 0.0)
             if handle.crashed:
                 break
         assert handle.crashed
@@ -147,7 +149,8 @@ class TestDvmSubmit:
         assert ex.completions == []
         assert not any("notify_complete" in t for t in stage_times(handle.sink).values())
         # subsequent submissions are refused outright
-        assert not handle.submit_job(rec_of("late"), ex, clock.now_s)
+        handle.submit_job(rec_of("late"), ex, clock.now_s)
+        assert host.failed[-1] == ("late", FailureReason.DVM_CRASHED, clock.now_s)
 
 
 class TestJobDurations:
@@ -199,7 +202,7 @@ class TestDvmProperties:
         config = zero_latency_config(launch_mean_s=0.034, launch_std_s=0.047)
         clock = VirtualClock()
         pool = ResourcePool(2, agent_nodes=1)
-        handle = dvm_start(config, pool, clock, np.random.default_rng(4),
+        handle = DvmHandle(config, pool, clock, np.random.default_rng(4),
                            EventSink(), StubHost())
         ex = StubExecutor()
         for i in range(100):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pilotsim import ConfigError, parse_config_text, run_pilot
-from pilotsim.core import FailureReason
-from pilotsim.launcher import FdAccountant
+from pilotsim.core import FailureReason, TaskRecord, TaskSpec, VirtualClock
+from pilotsim.dvm import LatencySpec
+from pilotsim.launcher import FdAccountant, SimJsmBackend
 from pilotsim.scheduler import ResourcePool
 
 from conftest import task_events, zero_overhead
@@ -259,3 +260,33 @@ class TestSimJsm:
         res = run_pilot(cfg, seed=1)
         assert res.n_failed > 0
         assert res.failures.get("DvmCrashed", 0) > 0
+
+    def test_a_second_executor_fails_every_job_through_the_host(self):
+        # the backend reports each refusal itself: executor A's live job
+        # first, then B's submission, then every later one
+        class Host:
+            def __init__(self):
+                self.failed = []
+
+            def task_failed(self, rec, reason, t):
+                self.failed.append((rec.uid, reason.value, t))
+
+        class Executor:
+            def __init__(self, uid):
+                self.uid = uid
+
+        clock, host = VirtualClock(), Host()
+        jsm = SimJsmBackend(clock, host, LatencySpec(0.5), np.random.default_rng(0))
+        a, b = Executor("exec.a"), Executor("exec.b")
+
+        def submit(uid, executor, t):
+            jsm.submit_job(TaskRecord(uid, TaskSpec(cores=1, duration_s=5.0)), executor, t)
+
+        submit("t0", a, 0.0)
+        assert host.failed == []
+        submit("t1", b, 0.1)
+        assert host.failed == [("t0", "DvmCrashed", 0.1), ("t1", "DvmCrashed", 0.1)]
+        submit("t2", a, 0.2)
+        assert host.failed[2:] == [("t2", "DvmCrashed", 0.2)]
+        clock.run()  # t0's launch finds it gone: nothing runs
+        assert jsm.unstable and len(host.failed) == 3

@@ -356,7 +356,7 @@ def test_reader_heap_peak_is_bounded_by_the_log(quick_cfg, tmp_path):
     run_pilot(cfg, run_dir=rep, seed=1)
     path = os.path.join(rep, "profile.log")
     ratio = traced_peak(lambda: TaskTable.from_log(path)) / os.path.getsize(path)
-    assert ratio <= 1.5, ratio
+    assert ratio <= 1.3, ratio
 
 
 def test_patterns_compile_on_python_3_10():

@@ -276,7 +276,7 @@ class TestHotLoop:
         finally:
             sys.setprofile(previous)
         assert res.n_done == 1024
-        assert calls / 1024 <= 70, calls / 1024
+        assert calls / 1024 <= 66, calls / 1024
 
     def test_setup_calls_do_not_grow_with_the_pool(self, tmp_path):
         # counted, not timed: a pool is one node shape, so setting up a run

@@ -23,6 +23,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 from urllib.parse import quote, unquote
@@ -149,23 +150,23 @@ class LogEvents(Sequence):
             yield text[start:end]
             start = end
 
-    def __iter__(self) -> Iterator[Event]:
+    def _lines(self) -> Iterator[str]:
+        """The log's lines as `load_profile` reads them: split at a newline
+        alone, blank lines skipped; none is cached or decoded."""
         for block in self.blocks():
-            yield from map(Event.decode, block.splitlines())
+            yield from filter(None, block.split("\n"))
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(Event.decode, self._lines())
 
     def __len__(self) -> int:
-        # only the last block can end in a line without its newline
-        return sum(b.count("\n") + (not b.endswith("\n")) for b in self.blocks())
+        return sum(1 for _ in self._lines())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
         i = range(len(self))[i]  # from the front; IndexError when out of range
-        for block in self.blocks():
-            lines = block.splitlines()
-            if i < len(lines):
-                return Event.decode(lines[i])
-            i -= len(lines)
+        return Event.decode(next(islice(self._lines(), i, None)))
 
 
 class EventSink:

@@ -9,9 +9,11 @@ Placement is deterministic first-fit: worker nodes in id order, resource
 indices in ascending order. A task that does not fit on any single node
 may spill across nodes in id order. Agent nodes never receive tasks.
 
-A placement is a `(text, held)` tuple: the slot text the profile logs, as
-`Slot.encode` writes it ("n3c0.1g2_n4c0"), and per node one `(node uid,
-core mask, GPU mask)` (bit i: unit i). `Slot` is only the text's codec.
+A placement is a `(text, held)` tuple: the slot text the profile logs
+("n3c0.1g2_n4c0": per node its uid, its core indices after `c` and its
+GPU indices after `g`, nodes joined by `_`), and per node one `(node uid,
+core mask, GPU mask)` (bit i: unit i). `_take` is the text's one writer
+and `slot_units` its one reader, both of the grammar `_SLOT`.
 
 Each worker's bound cores and bound GPUs are two int bitmasks. Int bitsets
 over the workers hold those that fit the last placed (cores, GPUs) shape
@@ -27,8 +29,6 @@ in arrival order."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -40,56 +40,9 @@ class DoubleFree(ValueError):
     """Raised when a slot is released twice or was never bound."""
 
 
-@dataclass(frozen=True)
-class SlotAssignment:
-    node_uid: int
-    core_indices: tuple[int, ...] = ()
-    gpu_indices: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class Slot:
-    """A slot text decoded: which cores/GPUs on which nodes a task holds."""
-
-    assignments: tuple[SlotAssignment, ...]
-
-    def encode(self) -> str:
-        """Compact textual form used in profile event attributes."""
-        parts = []
-        for a in self.assignments:
-            cores = ".".join(map(str, a.core_indices))
-            gpus = ".".join(map(str, a.gpu_indices))
-            part = f"n{a.node_uid}"
-            if cores:
-                part += f"c{cores}"
-            if gpus:
-                part += f"g{gpus}"
-            parts.append(part)
-        return "_".join(parts)
-
-    @classmethod
-    def decode(cls, text: str) -> "Slot":
-        assignments = []
-        for part in text.split("_"):
-            if not part.startswith("n"):
-                raise ValueError(f"bad slot encoding: {text!r}")
-            body = part[1:]
-            gpus: tuple[int, ...] = ()
-            cores: tuple[int, ...] = ()
-            if "g" in body:
-                body, gtext = body.split("g", 1)
-                gpus = tuple(int(i) for i in gtext.split("."))
-            if "c" in body:
-                body, ctext = body.split("c", 1)
-                cores = tuple(int(i) for i in ctext.split("."))
-            assignments.append(
-                SlotAssignment(node_uid=int(body), core_indices=cores, gpu_indices=gpus)
-            )
-        return cls(assignments=tuple(assignments))
-
-
-# a slot as `Slot.encode` writes it; an int of at most 18 digits fits int64
-_INT = r"\d{1,18}"
+# a slot as `ResourcePool._take` writes it; an int of at most 9 digits keeps
+# every unit key `TaskTable` makes of a node, a kind and an index below 2**63
+_INT = r"\d{1,9}"
 _PART = rf"n{_INT}(?:c{_INT}(?:\.{_INT})*)?(?:g{_INT}(?:\.{_INT})*)?"
 _SLOT = rf"{_PART}(?:_{_PART})*"
 _SLOT_TEXT = re.compile(_SLOT, re.ASCII)
@@ -97,39 +50,28 @@ _SLOT_LINE = re.compile(rf"^{_SLOT}$()", re.ASCII | re.MULTILINE)  # finds "" pe
 
 
 def slot_units(texts: list[str]) -> np.ndarray:
-    """Every resource unit of the encoded slots, as rows of (position in
-    `texts`, node, 1 for a GPU else 0, unit index) in `Slot.decode` order:
-    node parts in order, cores before GPUs.
+    """Every resource unit of the slot texts, as rows of (position in
+    `texts`, node, 1 for a GPU else 0, unit index): node parts in order,
+    cores before GPUs.
 
-    The texts in the form `Slot.encode` writes are read column by column:
-    each int is tagged by the letter before it (n for a text's first node,
-    m for a later node, c or g for a unit group's first index, . for its
-    next one). Any other text goes through `Slot.decode`, which accepts or
-    rejects it."""
-    joined = "\n".join(texts)  # one pass checks them all, when they all hold
-    if len(_SLOT_LINE.findall(joined)) == len(texts) == joined.count("\n") + 1:
-        plain = np.ones(len(texts), bool)
-    else:
-        plain = np.fromiter(map(bool, map(_SLOT_TEXT.fullmatch, texts)), bool, len(texts))
-    tagged = "".join(compress(texts, plain.tolist())).replace("_n", "m")
+    The texts are read column by column: each int is tagged by the letter
+    before it (n for a text's first node, m for a later node, c or g for a
+    unit group's first index, . for its next one). A text off the grammar
+    `_SLOT` raises ValueError naming the first such text."""
+    joined = "\n".join(texts)  # one pass checks them all, one text per line
+    if texts and not len(_SLOT_LINE.findall(joined)) == len(texts) == joined.count("\n") + 1:
+        bad = next(text for text in texts if not _SLOT_TEXT.fullmatch(text))
+        raise ValueError(f"bad slot encoding: {bad!r}")
+    tagged = "".join(texts).replace("_n", "m")
     value = np.fromstring(tagged.translate(str.maketrans("nmcg.", "     ")), np.int64, sep=" ")
     kind = np.frombuffer(tagged.translate(str.maketrans("", "", "0123456789")).encode(), np.uint8)
     at = np.arange(len(kind))
     node = (kind == ord("n")) | (kind == ord("m"))
     group = kind[np.maximum.accumulate(np.where(kind != ord("."), at, 0))]
     unit = ~node
-    units = np.column_stack((np.flatnonzero(plain)[np.cumsum(kind == ord("n"))[unit] - 1],
-                             value[np.maximum.accumulate(np.where(node, at, 0))][unit],
-                             group[unit] == ord("g"), value[unit]))
-    if plain.all():
-        return units
-    decoded = [x for pos in np.flatnonzero(~plain).tolist()
-               for a in Slot.decode(texts[pos]).assignments
-               for gpu, indices in ((0, a.core_indices), (1, a.gpu_indices))
-               for i in indices
-               for x in (pos, a.node_uid, gpu, i)]
-    units = np.concatenate((units, np.array(decoded, dtype=np.int64).reshape(-1, 4)))
-    return units[np.argsort(units[:, 0], kind="stable")]
+    return np.column_stack((np.cumsum(kind == ord("n"))[unit] - 1,
+                            value[np.maximum.accumulate(np.where(node, at, 0))][unit],
+                            group[unit] == ord("g"), value[unit]))
 
 
 class ResourcePool:

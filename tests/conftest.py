@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,56 @@ import pytest
 from pilotsim import ExperimentConfig, TaskTable
 from pilotsim.analysis import _COLUMNS, _MARKS
 from pilotsim.profiler import EV_SCHEDULE_OK, EV_SUBMIT, TASK
+
+
+# the slot-text codec that the scheduler's texts and `slot_units` are checked
+# against; its `decode` also reads some texts that the scheduler never writes
+@dataclass(frozen=True)
+class SlotAssignment:
+    node_uid: int
+    core_indices: tuple[int, ...] = ()
+    gpu_indices: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Slot:
+    """A slot text decoded: which cores/GPUs on which nodes a task holds."""
+
+    assignments: tuple[SlotAssignment, ...]
+
+    def encode(self) -> str:
+        """Compact textual form used in profile event attributes."""
+        parts = []
+        for a in self.assignments:
+            cores = ".".join(map(str, a.core_indices))
+            gpus = ".".join(map(str, a.gpu_indices))
+            part = f"n{a.node_uid}"
+            if cores:
+                part += f"c{cores}"
+            if gpus:
+                part += f"g{gpus}"
+            parts.append(part)
+        return "_".join(parts)
+
+    @classmethod
+    def decode(cls, text: str) -> "Slot":
+        assignments = []
+        for part in text.split("_"):
+            if not part.startswith("n"):
+                raise ValueError(f"bad slot encoding: {text!r}")
+            body = part[1:]
+            gpus: tuple[int, ...] = ()
+            cores: tuple[int, ...] = ()
+            if "g" in body:
+                body, gtext = body.split("g", 1)
+                gpus = tuple(int(i) for i in gtext.split("."))
+            if "c" in body:
+                body, ctext = body.split("c", 1)
+                cores = tuple(int(i) for i in ctext.split("."))
+            assignments.append(
+                SlotAssignment(node_uid=int(body), core_indices=cores, gpu_indices=gpus)
+            )
+        return cls(assignments=tuple(assignments))
 
 
 @pytest.fixture

@@ -348,6 +348,21 @@ class TestMainExitCodes:
         assert "rep_001" in err
         assert "Traceback" not in err
 
+    def test_analyze_slot_off_the_grammar_is_3(self, tmp_path, capsys):
+        # a negative core index would alias a unit of another node
+        run_dir = run_experiment(small_cfg(tmp_path))
+        log = os.path.join(run_dir, "rep_000", "profile.log")
+        with open(log) as fh:
+            text = fh.read()
+        assert "slot=n1c0;" in text
+        with open(log, "w") as fh:
+            fh.write(text.replace("slot=n1c0;", "slot=n1c-1;", 1))
+        capsys.readouterr()
+        assert main(["analyze", run_dir]) == 3
+        err = capsys.readouterr().err
+        assert "bad slot encoding: 'n1c-1'" in err and "rep_000" in err
+        assert "Traceback" not in err
+
     def test_report_on_missing_dir_is_3(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 3
 

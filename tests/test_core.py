@@ -15,9 +15,8 @@ from pilotsim.core import (
     advance_state,
 )
 from pilotsim.pilot import PilotRun
-from pilotsim.scheduler import Slot
 
-from conftest import zero_overhead
+from conftest import Slot, zero_overhead
 
 
 class TestMakeWorkload:

@@ -11,7 +11,6 @@ from pilotsim import (ConfigError, TaskTable, load_profile, parse_config_file, p
                       scheduler)
 from pilotsim.core import TaskRecord
 from pilotsim.pilot import PilotRun
-from pilotsim.scheduler import Slot, SlotAssignment
 
 from conftest import task_events, zero_overhead
 
@@ -302,27 +301,6 @@ class TestHotLoop:
 
         setup_calls(391)  # warm caches
         assert setup_calls(392) == setup_calls(3920)
-
-    def test_plain_run_builds_no_slot(self, tmp_path, monkeypatch):
-        # placements are masks and slot text: `Slot` and `SlotAssignment`
-        # are only the text's codec, built neither by a run nor by its reader
-        built = []
-
-        def counted(init):
-            def __init__(self, *args, **kwargs):
-                built.append(type(self))
-                init(self, *args, **kwargs)
-            return __init__
-
-        for cls in (Slot, SlotAssignment):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
-        assert Slot.decode("n1c0") and built == [SlotAssignment, Slot]
-        built.clear()
-        cfg = parse_config_file(os.path.join(CONFIGS, "exp4_optimized.cfg"))
-        cfg.workload.n_tasks = 1024
-        run_pilot(cfg, run_dir=str(tmp_path), seed=1)
-        assert len(TaskTable.from_log(str(tmp_path / "profile.log")).uids) == 1024
-        assert built == []
 
     def test_log_reader_calls_per_task(self, tmp_path):
         # counted, not timed: every Python-level and C-level call made while

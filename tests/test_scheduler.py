@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from pilotsim import TaskSpec, parse_config_file, scheduler
 from pilotsim.pilot import PilotRun
-from pilotsim.scheduler import DoubleFree, ResourcePool, Slot, SlotAssignment, slot_units
+from pilotsim.scheduler import DoubleFree, ResourcePool, slot_units
+
+from conftest import Slot, SlotAssignment
 
 
 def spec(cores=1, gpus=0):
@@ -178,6 +180,10 @@ class TestTrySchedule:
             if placement is None:
                 continue
             assert placement[0] == masks_text(placement)
+            # the grammar's one reader gives back the units the masks hold
+            assert slot_units([placement[0]]).tolist() == [
+                [0, uid, gpu, i] for uid, cores, gpus in placement[1]
+                for gpu, mask in ((0, cores), (1, gpus)) for i in bits(mask)]
             live.append(placement)
             spills += len(placement[1]) > 1
             units = [(uid, kind, i) for _, held in live for uid, cores, gpus in held
@@ -317,6 +323,12 @@ def decode_outcome(decode, texts):
 
 index_lists = st.lists(st.integers(0, 99), max_size=4)
 
+# texts in the scheduler's grammar, and texts off it; `Slot.decode` reads
+# the first three of the latter too, "n-1c0" as node -1
+IN_GRAMMAR = ["n01c002", "n1", "n1g0.3", "n1c0_n2g1"]
+OFF_GRAMMAR = ["n١c0", "n+1c0", "n-1c0", "", "n", "n1c", "n1c0.", "n1g0c1", "c0", "n1_",
+               "n1c 0", "x1"]
+
 
 class TestSlotUnits:
     @given(st.lists(st.lists(st.tuples(st.integers(0, 999), index_lists, index_lists),
@@ -327,39 +339,38 @@ class TestSlotUnits:
                  for parts in slots]
         assert units(texts) == decoded_units(texts)
 
-    @pytest.mark.parametrize("text", [
-        "n01c002", "n1", "n1g0.3", "n1c0_n2g1", "n١c0", "n+1c0",  # accepted
-        "", "n", "n1c", "n1c0.", "n1g0c1", "c0", "n1_", "n-1c0", "n1c 0", "x1",  # mostly not
-    ])
+    @pytest.mark.parametrize("text", IN_GRAMMAR + OFF_GRAMMAR)
     def test_any_text_matches_decode(self, text):
         texts = ["n1c0", text]
-        assert decode_outcome(units, texts) == decode_outcome(decoded_units, texts)
+        if text in IN_GRAMMAR:
+            assert units(texts) == decoded_units(texts)
+        else:
+            assert decode_outcome(units, texts) == (ValueError, f"bad slot encoding: {text!r}")
 
-    def test_encoded_form_never_builds_a_slot(self, monkeypatch):
-        calls = []
-        decode = Slot.decode.__func__
-        monkeypatch.setattr(Slot, "decode", classmethod(
-            lambda cls, text: calls.append(text) or decode(cls, text)))
+    def test_rows_in_text_order(self):
         assert units(["n3c0.1g2_n4c0", "n1"]) == [0, 3, 0, 0, 0, 3, 0, 1, 0, 3, 1, 2,
                                                   0, 4, 0, 0]
-        assert calls == []
-        slot_units(["n١c0"])  # not ASCII: read by Slot.decode
-        assert calls == ["n١c0"]
+        assert units([]) == []
 
     def test_a_newline_does_not_split_a_text(self):
-        # as many lines in the encoded form as texts, but not one a text
+        # as many lines in the grammar as texts, but not one a text
         texts = ["n1\nn2", "x"]
-        assert decode_outcome(units, texts) == decode_outcome(decoded_units, texts)
+        assert decode_outcome(units, texts) == (ValueError, "bad slot encoding: 'n1\\nn2'")
 
-    def test_only_texts_off_the_encoded_form_are_decoded(self, monkeypatch):
-        texts = ["n+1c0", "n2c1.3", "n١c0g1", "n3g0_n4c2", "n01c002"]
-        expected = decoded_units(texts)
-        calls = []
-        decode = Slot.decode.__func__
-        monkeypatch.setattr(Slot, "decode", classmethod(
-            lambda cls, text: calls.append(text) or decode(cls, text)))
-        assert units(texts) == expected
-        assert calls == ["n+1c0", "n١c0g1"]
+    @pytest.mark.parametrize("text", ["n1234567890c0", "n1c0.1234567890",
+                                      "n5c1099511627775", "n1_n0000000001g0"])
+    def test_an_int_of_ten_digits_is_refused(self, text):
+        # a longer int still fits int64, but the unit key (node * 2 + gpu)
+        # * (max index + 1) + index made of it can wrap round, so that two
+        # cores share a key
+        assert decode_outcome(units, ["n8388608c0", text]) == (
+            ValueError, f"bad slot encoding: {text!r}")
+
+    def test_nine_digit_ints_keep_unit_keys_apart(self):
+        big = 10 ** 9 - 1
+        assert units([f"n{big}c{big}g0", "n0c0"]) == [0, big, 0, big, 0, big, 1, 0,
+                                                      1, 0, 0, 0]
+        assert ((big * 2 + 1) * (big + 1) + big).bit_length() < 63
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")

@@ -38,14 +38,14 @@ events or a prebuilt table.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from typing import Iterable, Optional, Union
-from urllib.parse import unquote
 
 import numpy as np
 
@@ -198,16 +198,23 @@ _PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "
 _TWO_EQ = re.compile(r"=[^;]*=")  # a piece with two "="
 
 
-def _raise_first_error(block: str, line_no: int, source: str) -> None:
-    """Raise the error of the first line of `block` (its first line being
-    `line_no`) that `Event.decode` rejects."""
-    for no, line in enumerate(block.split("\n"), start=line_no):
-        if line:
-            try:
-                Event.decode(line)
-            except ValueError as exc:
-                raise ProfileParseError(source, no, str(exc)) from exc
-    raise AssertionError(f"{source}:{line_no}: a block failed a check that no line fails")
+def _raise_first_error(log: LogEvents, source: str, slots: bool = False) -> None:
+    """Read `log` again to raise the error of its first line that
+    `Event.decode` rejects or, with `slots`, whose Task schedule_ok slot
+    `slot_units` rejects."""
+    line_no = 1  # of the next block's first line
+    with closing(log.blocks()) as blocks:
+        for block in blocks:
+            for no, line in enumerate(block.split("\n"), start=line_no):
+                if line:
+                    try:
+                        ev = Event.decode(line)
+                        if slots and (ev.entity_kind, ev.name) == (TASK, EV_SCHEDULE_OK):
+                            slot_units([ev.attrs["slot"]] if "slot" in ev.attrs else [])
+                    except ValueError as exc:
+                        raise ProfileParseError(source, no, str(exc)) from exc
+            line_no += block.count("\n")
+    raise AssertionError(f"{source}: the log failed a check that no line fails")
 
 
 def _all_pairs(text: str) -> bool:
@@ -221,19 +228,14 @@ def _attr_values(text: str, order: list[int], key: str, default: Optional[str] =
     """The value of `key` in each newline-ended attribute text of `text`,
     taken in `order`: `default` where it is missing, and as `Event.decode`
     reads it, the last piece with the key. One regex pass reads them when
-    every text starts with the key, holds it once and has no escape; if
-    one text does not, every text is read on its own."""
+    every text starts with the key and holds it once; if one text does
+    not, every text is read on its own."""
     head = f"{key}="
     # n texts with n heads, each at a text's start: one head per text
-    if "%" not in text and text.count(head) == len(order) == (
-            text.startswith(head) + text.count("\n" + head)):
+    if text.count(head) == len(order) == text.startswith(head) + text.count("\n" + head):
         return list(map(re.findall(f"{head}([^;\n]*)", text).__getitem__, order))
-    values = []
-    for line in map(text.split("\n").__getitem__, order):
-        pairs = _PAIR.findall(line)
-        attrs = dict(pairs) if "%" not in line else {unquote(k): unquote(v) for k, v in pairs}
-        values.append(attrs.get(key, default))
-    return values
+    return [dict(_PAIR.findall(line)).get(key, default)
+            for line in map(text.split("\n").__getitem__, order)]
 
 
 @dataclass
@@ -272,69 +274,63 @@ class TaskTable:
         """The table of the log text of `events`: a run's events hand over
         their text, read as `from_log` reads it; any other event is encoded,
         so hand-built events are taken in time order at microsecond resolution."""
-        if isinstance(events, LogEvents):
-            return cls._read(events.blocks(), "<events>")
-        lines = (e.encode() + "\n" for e in events)
-        return cls._read(iter(lambda: "".join(islice(lines, 1 << 10)), ""), "<events>")
+        if not isinstance(events, LogEvents):
+            events = LogEvents(io.StringIO("".join(e.encode() + "\n" for e in events)))
+        return cls._read(events, "<events>")
 
     @classmethod
     def from_log(cls, path: str) -> "TaskTable":
         """The table of a saved profile log, read in blocks of about 64 KiB;
         the first damaged line raises a `ProfileParseError` naming it."""
-        with closing(LogEvents(path).blocks()) as blocks:  # closes the file on a raise
-            return cls._read(blocks, path)
+        return cls._read(LogEvents(path), path)
 
     @classmethod
-    def _read(cls, blocks: Iterable[str], source: str) -> "TaskTable":
-        """The table of profile text given in blocks of whole lines.
+    def _read(cls, log: LogEvents, source: str) -> "TaskTable":
+        """The table of profile text, read in blocks of whole lines.
 
         Of each line only its time and a (kind, name) code are kept, plus
         the id of Task and DvmJob lines and, joined per block, the
-        attributes of Task submit and schedule_ok lines. Escaped text never
-        holds `,` `;` `=` or a newline, so a block with a percent sign
-        splits the same way and only the fields read are unquoted. A block
-        that fails a check is decoded line by line to raise its first bad
-        line's error. The waits and the slots are each read in one regex
-        pass over all their texts; if one text of a kind is escaped or its
-        key is missing, repeated or not first, every text of that kind is
-        read line by line in time order, which is slower."""
+        attributes of Task submit and schedule_ok lines. When a block fails
+        a check (a `%` among them) or a slot is off the grammar, the log is
+        read again line by line to raise its first bad line's error. The
+        waits and the slots are each read in one regex pass over all their
+        texts; if one text of a kind has its key missing, repeated or not
+        first, every text of that kind is read line by line in time order,
+        which is slower."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
         # per block, the attributes of its Task submit and schedule_ok lines,
         # each ending in a newline
         texts: dict[int, list[str]] = {_SUBMIT: [], _SCHED: []}
-        line_no = 1  # of the next block's first line
-        for block in blocks:
-            first, line_no = line_no, line_no + block.count("\n")
-            rows = list(filter(None, block.split("\n")))
-            if not (n := len(rows)):
-                continue
-            # with a "\n" field between lines, lines of six fields put every
-            # "\n" at a position 6 mod 7
-            fields = ",\n,".join(rows).split(",")
-            attrs = fields[5::7]
-            pairs = ";".join(filter(None, attrs))
-            try:
-                if (len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1
-                        or pairs and not _all_pairs(pairs)):
-                    raise ValueError
-                t = np.fromiter(map(float, fields[0::7]), float, n)
-                if not np.isfinite(t).all():
-                    raise ValueError
-            except ValueError:
-                _raise_first_error(block, first, source)
-            kinds, entities, names = fields[1::7], fields[2::7], fields[4::7]
-            if "%" in block:
-                kinds, entities, names = ([*map(unquote, f)] for f in (kinds, entities, names))
-            kind = np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, n)
-            code = kind * _N_NAMES + np.fromiter(
-                map(_NAME_CODE.get, names, repeat(0)), np.int8, n)
-            entity = compress(entities, (kind < 2).tolist())
-            ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
-            for c, kept in texts.items():
-                kept.append("\n".join([*compress(attrs, (code == c).tolist()), ""]))
-            times.append(t)
-            codes.append(code)
+        with closing(log.blocks()) as blocks:  # closes a file on a raise
+            for block in blocks:
+                rows = list(filter(None, block.split("\n")))
+                if not (n := len(rows)):
+                    continue
+                # with a "\n" field between lines, lines of six fields put
+                # every "\n" at a position 6 mod 7
+                fields = ",\n,".join(rows).split(",")
+                attrs = fields[5::7]
+                pairs = ";".join(filter(None, attrs))
+                try:
+                    if ("%" in block or len(fields) != 7 * n - 1
+                            or fields[6::7].count("\n") != n - 1
+                            or pairs and not _all_pairs(pairs)):
+                        raise ValueError
+                    t = np.fromiter(map(float, fields[0::7]), float, n)
+                    if not np.isfinite(t).all():
+                        raise ValueError
+                except ValueError:
+                    _raise_first_error(log, source)
+                kind = np.fromiter(map(_KIND_CODE.get, fields[1::7], repeat(2)), np.int8, n)
+                code = kind * _N_NAMES + np.fromiter(
+                    map(_NAME_CODE.get, fields[4::7], repeat(0)), np.int8, n)
+                entity = compress(fields[2::7], (kind < 2).tolist())
+                ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
+                for c, kept in texts.items():
+                    kept.append("\n".join([*compress(attrs, (code == c).tolist()), ""]))
+                times.append(t)
+                codes.append(code)
         t = np.concatenate(times or [np.empty(0)])
         code = np.concatenate(codes or [np.empty(0, np.int8)])
         uid = np.concatenate(ids or [np.empty(0, np.intp)])
@@ -382,7 +378,10 @@ class TaskTable:
             hits[col] = (row[hit], t[hit])
         uids = list(map(keys.__getitem__, by_first.tolist()))
         del t, row, hit, keys  # before the table's columns are built
-        return cls._build(uids, hits, waits, (task_rows, slots), marks)
+        try:
+            return cls._build(uids, hits, waits, (task_rows, slots), marks)
+        except ValueError:  # a slot off the grammar
+            _raise_first_error(log, source, slots=True)
 
     @classmethod
     def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,
@@ -515,6 +514,8 @@ def _segments(
         return kept[2]
     table.require_complete()
     t_ready, t_stop = table.t_ready, table.t_stop
+    if t_stop < 0:
+        raise IncompleteRun("negative utilization window")
     t_term = table.t_terminal
     ended = ~np.isnan(t_term)
     t_workload_end = float(t_term[ended].max()) if ended.any() else t_ready
@@ -586,15 +587,14 @@ def utilization(
     Each worker core and each GPU is one unit (GPU weight configurable);
     agent-node units count as AgentNodes for the whole window. Every
     resource-second is assigned to exactly one category, so percentages
-    sum to 100 by construction.
+    sum to 100 by construction, except for a run that stops at t=0: its
+    window holds no resource-second, and every percentage reads 0.
     """
     table = _as_table(events)
     segments = _segments(table, pool, gpu_weight)
     rs = {cat: float(np.dot(b - a, w)) for cat, (a, b, w) in segments.items()}
     total = sum(rs.values())
-    if total <= 0:
-        raise IncompleteRun("empty utilization window")
-    percents = {cat: 100.0 * v / total for cat, v in rs.items()}
+    percents = {cat: 100.0 * v / total if total else 0.0 for cat, v in rs.items()}
     return UtilizationBreakdown(
         resource_seconds=rs,
         percents=percents,
@@ -621,18 +621,16 @@ def timeline(
     events: EventsOrTable, pool: ResourcePool, buckets: int = 120,
     gpu_weight: float = 1.0,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Bucket midpoints and, per category, the average units in each bucket."""
+    """Bucket midpoints and, per category, the average units in each
+    bucket; a run that stops at t=0 has every bucket at 0, holding none."""
     table = _as_table(events)
     segments = _segments(table, pool, gpu_weight)
-    t_stop = table.t_stop
-    if t_stop <= 0:
-        raise IncompleteRun("empty utilization window")
-    width = t_stop / buckets
+    width = table.t_stop / buckets
     edges = np.arange(buckets + 1) * width
     grid = {}
     for cat, (a, b, w) in segments.items():
         # coverage only grows with x; rounding must not print -0.0000
-        grid[cat] = np.maximum(np.diff(_covered(edges, a, b, w)) / width, 0.0)
+        grid[cat] = np.maximum(np.diff(_covered(edges, a, b, w)) / (width or 1.0), 0.0)
     return (np.arange(buckets) + 0.5) * width, grid
 
 

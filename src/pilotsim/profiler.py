@@ -5,12 +5,13 @@ One event per line, UTF-8, comma separated:
     t_s,entity_kind,entity_id,component,name,attrs
 
 `t_s` is fixed-point with microsecond precision; `attrs` is a
-semicolon-separated list of key=value pairs. Reserved characters inside
-fields (`,` `;` `=` `%`, anything outside printable ASCII) are percent-encoded
-so arbitrary text round-trips. Fields without them are written verbatim: the
-bytes are the same as percent-encoding every field.
-Producers append in call order; readers sort by timestamp (stable, so
-per-producer order survives for equal timestamps).
+semicolon-separated list of key=value pairs. Every field is written
+verbatim, so the log has one alphabet: printable ASCII without `,` `;`
+`=` `%`. The runtime passes only such text (module constants, ids
+formatted from ints, formatted numbers, enum values, slot texts), and
+`Event.encode` rejects any other. There is no escape: a line holding a
+`%` is an error. Producers append in call order; readers sort by
+timestamp (stable, so per-producer order survives for equal timestamps).
 
 The text is the only copy of a run's events: the sink formats each event
 from its fields, and `EventSink.events` decodes a line only when it is read.
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
-from urllib.parse import quote, unquote
 
 # entity kinds
 PILOT = "Pilot"
@@ -62,14 +62,9 @@ EV_PENDING_APP_LAUNCH = "pending_app_launch"
 EV_SENDING_LAUNCH_MSG = "sending_launch_msg"
 EV_NOTIFY_COMPLETE = "notify_complete"
 
-_FIELD_SAFE = " !\"#$&'()*+-./:<>?@[\\]^_`{|}~"  # excludes , ; = % and newlines
-# exactly the characters that `_enc` changes: all but printable ASCII, and , ; = %
+# a character off the log's alphabet: all but printable ASCII, and , ; = %
 _RESERVED = re.compile(r"[^\x20-\x24\x26-\x2b\x2d-\x3a\x3c\x3e-\x7e]")
 NO_ATTRS: Mapping[str, str] = MappingProxyType({})
-
-
-def _enc(text: str) -> str:
-    return quote(text, safe=_FIELD_SAFE)
 
 
 class SinkClosed(RuntimeError):
@@ -87,8 +82,8 @@ class ProfileParseError(ValueError):
 @dataclass(slots=True)
 class Event:
     """One profile line, decoded; attribute-less events share the read-only
-    `NO_ATTRS`. `encode` is the reference encoding, every field
-    percent-encoded; `EventSink.record` writes the same bytes."""
+    `NO_ATTRS`. `encode` is the reference encoding, and `EventSink.record`
+    writes the same bytes."""
     t_s: float
     entity_kind: str
     entity_id: str
@@ -98,41 +93,43 @@ class Event:
     attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
 
     def encode(self) -> str:
-        pairs = ";".join(f"{_enc(k)}={_enc(v)}" for k, v in self.attrs.items())
-        return (
-            f"{self.t_s:.6f},{_enc(self.entity_kind)},{_enc(self.entity_id)},"
-            f"{_enc(self.component)},{_enc(self.name)},{pairs}"
-        )
+        """The event's line, every field verbatim; a field off the log's
+        alphabet raises ValueError naming it."""
+        for what, text in (("entity_kind", self.entity_kind), ("entity_id", self.entity_id),
+                           ("component", self.component), ("name", self.name),
+                           *(("attribute key", k) for k in self.attrs),
+                           *((f"attribute {k!r}", v) for k, v in self.attrs.items())):
+            if _RESERVED.search(text):
+                raise ValueError(f"{what} {text!r} is off the log alphabet")
+        pairs = ";".join(map("=".join, self.attrs.items()))
+        return (f"{self.t_s:.6f},{self.entity_kind},{self.entity_id},"
+                f"{self.component},{self.name},{pairs}")
 
     @classmethod
     def decode(cls, line: str) -> "Event":
+        if "%" in line:
+            raise ValueError("'%' is off the log alphabet")
         parts = line.split(",")
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}")
         t_s = float(parts[0])
         if not math.isfinite(t_s):
             raise ValueError(f"time {parts[0]!r} is not finite")
-        # only a line with a percent sign holds escaped text
-        escaped = "%" in line
         attrs: dict[str, str] = {}
         if parts[5]:
             for pair in parts[5].split(";"):
                 k, eq, v = pair.partition("=")
                 if not eq:
                     raise ValueError(f"bad attr {pair!r}")
-                if escaped:
-                    k, v = unquote(k), unquote(v)
                 attrs[k] = v
-        if escaped:
-            parts = [unquote(p) for p in parts]
         return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs or NO_ATTRS)
 
 
 class LogEvents(Sequence):
     """A profile log's events in record order, read afresh from the text
     on every use: no line is kept, and a line is decoded only when it is
-    read, so `len()` decodes none and `[-1]` decodes one. The sink writes
-    lines of printable ASCII, so a newline is the only line break."""
+    read, so `len()` decodes none and `[-1]` decodes one. The log's
+    alphabet holds no line break, so a newline is the only one."""
 
     def __init__(self, source: Union[str, io.StringIO]):
         self._source = source  # a log path, or a sink's in-memory text
@@ -184,19 +181,17 @@ class EventSink:
 
     def record(self, t: float, kind: str, uid: str, comp: str, name: str,
                attrs: Mapping[str, str] = NO_ATTRS) -> None:
-        """Append one event as a line. The log keeps microseconds, and
-        `f"{t:.6f}"` writes the same text as rounding `t` to them first."""
+        """Append one event as a line, every field verbatim: the caller
+        passes only text of the log's alphabet, which nothing here checks.
+        The log keeps microseconds, and `f"{t:.6f}"` writes the same text
+        as rounding `t` to them first."""
         if self._closed:
             raise SinkClosed("event sink is closed")
-        if not attrs:  # most events: no pairs to join
-            if not _RESERVED.search(kind + uid + comp + name):
-                self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},\n")
-                return
-        elif not _RESERVED.search("".join((kind, uid, comp, name, *attrs, *attrs.values()))):
+        if attrs:
             pairs = ";".join(map("=".join, attrs.items()))
             self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},{pairs}\n")
-            return
-        self._fh.write(Event(round(t, 6), kind, uid, comp, name, attrs).encode() + "\n")
+        else:  # most events: no pairs to join
+            self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},\n")
 
     @property
     def events(self) -> LogEvents:

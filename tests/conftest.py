@@ -1,12 +1,19 @@
 import dataclasses
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from pilotsim import ExperimentConfig, TaskTable
+from pilotsim import ExperimentConfig, ProfileParseError, TaskTable, load_profile
 from pilotsim.analysis import _COLUMNS, _MARKS
-from pilotsim.profiler import EV_SCHEDULE_OK, EV_SUBMIT, TASK
+from pilotsim.profiler import EV_SCHEDULE_OK, EV_SUBMIT, TASK, Event
+from pilotsim.scheduler import slot_units
+
+# the same examples on every run; each test keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 # the slot-text codec that the scheduler's texts and `slot_units` are checked
@@ -157,3 +164,20 @@ def reference_table(events) -> TaskTable:
                 waits[0].append(row)
                 waits[1].append(float(ev.attrs.get("wait", "0")))
     return TaskTable._build(list(rows), hits, waits, slots, marks)
+
+
+def reference_log_table(path: str) -> TaskTable:
+    """`reference_table(load_profile(path))`, but a slot off the grammar
+    raises a `ProfileParseError` naming the first Task schedule_ok line of
+    the file that holds one: the oracle `TaskTable.from_log` is compared
+    against."""
+    events = load_profile(path)
+    with open(path, encoding="utf-8") as fh:
+        for no, line in enumerate(map(str.rstrip, fh, repeat("\n")), start=1):
+            ev = Event.decode(line) if line else None
+            if ev and ev.entity_kind == TASK and ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
+                try:
+                    slot_units([ev.attrs["slot"]])
+                except ValueError as exc:
+                    raise ProfileParseError(path, no, str(exc)) from exc
+    return reference_table(events)

@@ -143,6 +143,34 @@ class TestRunExperiment:
         rows = dict((r[0], r[1]) for r in csv.reader(open(summary)))
         assert float(rows["n_failed"]) > 0
 
+    def test_run_that_stops_at_t0_reports_a_zero_window(self, tmp_path):
+        # the DVM crashes at t=0, every task fails there, and with no
+        # startup or termination the pilot stops there too: a complete run
+        # whose utilization window is 0 s long
+        cfg = ExperimentConfig()
+        cfg.name, cfg.output_dir = "t0", str(tmp_path)
+        cfg.workload.n_tasks = 3
+        cfg.pool.nodes, cfg.pool.cores_per_node = 5, 1
+        cfg.dvm.capacity_tasks = 1
+        cfg.agent.startup_s = cfg.agent.termination_s = 0.0
+        cfg.backend.submit_delay_s = cfg.backend.submit_cost_s = 0.0
+        cfg_path = tmp_path / "t0.cfg"
+        write_cfg(cfg_path, cfg)
+        assert main(["run", str(cfg_path)]) == 0
+        rep_dir = os.path.join(str(tmp_path), "t0", "rep_000")
+        reports = {}
+        for fname in ("report_summary.csv", "report_timeline.csv"):
+            with open(os.path.join(rep_dir, fname)) as fh:
+                reports[fname] = list(csv.reader(fh))
+        rows = dict(reports["report_summary.csv"])
+        assert (rows["n_failed"], rows["ttx_s"]) == ("3.000000", "0.000000")
+        assert {v for k, v in rows.items() if k.startswith("ru_")} == {"0.000000"}
+        assert {(t, units) for t, _, units in reports["report_timeline.csv"][1:]} == {
+            ("0.000000", "0.0000")}
+        assert main(["analyze", os.path.join(str(tmp_path), "t0")]) == 0
+        with open(os.path.join(rep_dir, "report_summary.csv")) as fh:
+            assert dict(csv.reader(fh)) == rows
+
 
 class TestEmitReport:
     def test_single_repetition_zero_stddev(self, tmp_path, capsys):
@@ -357,10 +385,11 @@ class TestMainExitCodes:
         assert "slot=n1c0;" in text
         with open(log, "w") as fh:
             fh.write(text.replace("slot=n1c0;", "slot=n1c-1;", 1))
+        line_no = text[:text.index("slot=n1c0;")].count("\n") + 1
         capsys.readouterr()
         assert main(["analyze", run_dir]) == 3
         err = capsys.readouterr().err
-        assert "bad slot encoding: 'n1c-1'" in err and "rep_000" in err
+        assert f"{log}:{line_no}: bad slot encoding: 'n1c-1'" in err and "rep_000" in err
         assert "Traceback" not in err
 
     def test_report_on_missing_dir_is_3(self, tmp_path):

@@ -21,6 +21,7 @@ import sys
 import pytest
 
 from pilotsim import TaskTable, analyze, load_profile, parse_config_text, run_experiment
+from pilotsim.profiler import Event
 
 from conftest import assert_same_table, reference_table
 
@@ -138,6 +139,15 @@ def test_reports_match_golden(golden_runs, name):
 def test_log_reader_matches_reference(golden_runs, name):
     log = os.path.join(golden_runs[name], "profile.log")
     assert_same_table(TaskTable.from_log(log), reference_table(load_profile(log)))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_line_re_encodes_to_itself(golden_runs, name):
+    # the sink writes fields unchecked; `Event.encode` rejects any field
+    # off the log's alphabet, so a writer that emits one fails here
+    with open(os.path.join(golden_runs[name], "profile.log"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines and [Event.decode(line).encode() for line in lines] == lines
 
 
 def _regenerate(out_dir: str) -> None:

@@ -1,7 +1,8 @@
 """`TaskTable.from_log` reads a saved profile log into the same table as
-the per-`Event` oracle `reference_table(load_profile(path))`, field for
-field, and fails on a damaged log with exactly `load_profile`'s error;
-`TaskTable.from_events` reads a run's events through the same reader."""
+the per-`Event` oracle `reference_log_table(path)`, field for field, and
+fails on a damaged log with exactly the oracle's error, which is
+`load_profile`'s for a line it rejects; `TaskTable.from_events` reads a
+run's events through the same reader."""
 
 import os
 import re
@@ -14,7 +15,7 @@ from pilotsim import ProfileParseError, TaskTable, compute_ttx, load_profile, ru
 from pilotsim.profiler import Event, LogEvents
 from pilotsim.cli import main, run_experiment
 
-from conftest import assert_same_table, reference_table, zero_overhead
+from conftest import assert_same_table, reference_log_table, reference_table, zero_overhead
 
 
 def outcome(build):
@@ -27,7 +28,7 @@ def outcome(build):
 
 def assert_same_outcome(path: str) -> None:
     got = outcome(lambda: TaskTable.from_log(path))
-    want = outcome(lambda: reference_table(load_profile(path)))
+    want = outcome(lambda: reference_log_table(path))
     if isinstance(want, TaskTable):
         assert isinstance(got, TaskTable), got
         assert_same_table(got, want)
@@ -69,6 +70,11 @@ def with_time(line: str, t: str) -> str:
     return t + line[line.index(","):]
 
 
+def first_changed(lines, edited) -> int:
+    """The number of the first line of `edited` that differs from `lines`."""
+    return next(i for i, (a, b) in enumerate(zip(lines, edited)) if a != b) + 1
+
+
 def shuffled_equal_times(lines):
     # the readers sort stably by time; reversing the file reverses the
     # order of every run of equal times (rows, and which duplicate wins)
@@ -94,6 +100,8 @@ def moved_ahead(lines):
     return lines[:1] + [lines[i]] + lines[1:i] + lines[i + 1:]
 
 
+# a "%" is off the log alphabet: each of these is an error naming the
+# first line it changes
 def escaped_ids(lines):
     return [line.replace("task.000003", "task%2C000003") for line in lines]
 
@@ -134,13 +142,18 @@ ATTR_EDITS = {
     "wait_repeated": edit_first(",submit,", lambda line: line.replace("wait=", "wait=9.5;wait=")),
     "wait_missing": edit_first(",submit,", lambda line: re.sub(r"wait=[^;\n]*;?", "", line)),
     "slot_missing": edit_first(",schedule_ok,", lambda line: re.sub(r"slot=[^;\n]*;?", "", line)),
-    # a slot off the scheduler's grammar, that only the oracle's `Slot.decode`
-    # reads: both readers raise the same error naming it
-    "slot_only_decode_reads": edit_first(",schedule_ok,", lambda line: line.replace(
-        "slot=n", "slot=n+")),
     # the key still once per line, but not at the line's start
     "wait_key_prefixed": edit_first(",submit,", lambda line: line.replace("wait=", "xwait=")),
 }
+
+# a slot off the scheduler's grammar, that only conftest's `Slot.decode`
+# reads: both readers raise the same error naming its schedule_ok line
+slot_only_decode_reads = edit_first(",schedule_ok,", lambda line: line.replace(
+    "slot=n", "slot=n+"))
+
+# EDITS that both readers reject, naming the first line the edit changes
+ERROR_EDITS = {"percent_escaped_ids", "percent_escaped_attrs", "percent_escaped_values",
+               "slot_only_decode_reads"}
 
 
 EDITS = {
@@ -157,6 +170,7 @@ EDITS = {
     "attr_value_holds_eq": edit_first(",schedule_ok,", lambda line: line.replace(
         "cores=", "cores=1=")),
     **ATTR_EDITS,
+    "slot_only_decode_reads": slot_only_decode_reads,
     # errors now (see DAMAGE); kept here so every line ending is compared too
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
@@ -168,8 +182,13 @@ EDITS = {
 @pytest.mark.parametrize("edit", sorted(EDITS))
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_same_table_as_reference(plain_log, tmp_path, edit, newline):
-    path = write(tmp_path, "".join(EDITS[edit](plain_log)), newline=newline)
+    lines = EDITS[edit](plain_log)
+    path = write(tmp_path, "".join(lines), newline=newline)
     assert_same_outcome(path)
+    if edit in ERROR_EDITS:
+        with pytest.raises(ProfileParseError) as err:
+            TaskTable.from_log(path)
+        assert err.value.line_no == first_changed(plain_log, lines)
 
 
 def test_spilled_gpu_slots_are_read(plain_log, tmp_path):
@@ -218,6 +237,29 @@ def test_damaged_log_raises_the_reference_error(plain_log, tmp_path, damage):
             TaskTable.from_log(path)
 
 
+def test_bad_slot_names_its_schedule_ok_line(plain_log, tmp_path):
+    # slots are read in time order, but the error names the first bad
+    # slot in the file: here the earlier line holds the later time
+    sched = [i for i, line in enumerate(plain_log) if ",schedule_ok," in line]
+    i, j = sched[0], sched[-1]
+    t_j = float(plain_log[j].split(",")[0])
+    lines = replaced(plain_log, i, with_time(plain_log[i], f"{t_j + 1:.6f}"))
+    lines = [line.replace("slot=n", "slot=m", 1) if k in (i, j) else line
+             for k, line in enumerate(lines)]
+    path = write(tmp_path, "".join(lines))
+    assert_same_outcome(path)
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_log(path)
+    assert err.value.line_no == i + 1
+    slot = re.search(r"slot=([^;\n]*)", lines[i])[1]
+    assert err.value.reason == f"bad slot encoding: {slot!r}"
+    # a damaged log whose every slot is off the grammar: the first schedule_ok
+    path = write(tmp_path, "".join(DAMAGE["bad_slot_node"](plain_log)))
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_log(path)
+    assert err.value.line_no == i + 1
+
+
 def test_bare_attr_names_its_line(plain_log, tmp_path):
     path = write(tmp_path, "".join(DAMAGE["bare_attr"](plain_log)))
     with pytest.raises(ProfileParseError) as err:
@@ -264,9 +306,10 @@ CROSS_BLOCK = {
     "nan_time": lambda lines, i: replaced(lines, i, with_time(lines[i], "nan")),
     "bad_time": lambda lines, i: replaced(lines, i, with_time(lines[i], "12:00")),
     "seven_fields": lambda lines, i: replaced(lines, i, lines[i].rstrip("\n") + ",x\n"),
-    # an escape in block 1 and a garbage line in block 3
+    # an escape in block 1 and a garbage line in block 3: the escape is the error
     "escape_then_garbage": lambda lines, i: (
         escaped_ids(lines[:i]) + ["not an event\n"] + lines[i:]),
+    "slot_only_decode_reads": slot_only_decode_reads,
     **ATTR_EDITS,  # read, not raised as a ProfileParseError
 }
 
@@ -275,12 +318,16 @@ CROSS_BLOCK = {
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_edit_past_the_second_block(big_log, tmp_path, edit, newline):
     i = in_block_3(big_log)
-    path = write(tmp_path, "".join(CROSS_BLOCK[edit](big_log, i)), newline=newline)
+    lines = CROSS_BLOCK[edit](big_log, i)
+    path = write(tmp_path, "".join(lines), newline=newline)
     assert_same_outcome(path)
-    if edit != "escaped_ids" and edit not in ATTR_EDITS:
+    if edit not in ATTR_EDITS:
         with pytest.raises(ProfileParseError) as err:
             TaskTable.from_log(path)
-        assert err.value.line_no == i + 1  # counted across the blocks
+        # counted across the blocks: line i + 1, or past it, but for the
+        # escape in block 1
+        assert err.value.line_no == first_changed(big_log, lines)
+        assert (err.value.line_no > i) == (edit != "escape_then_garbage")
 
 
 def count_calls(monkeypatch, cls, name):
@@ -304,15 +351,21 @@ def test_plain_analyze_builds_no_event_or_slot(quick_cfg, tmp_path, monkeypatch,
     assert main(["analyze", run_dir]) == 0
     assert main(["report", run_dir]) == 0
     assert events == []
-    # an escaped id is unquoted by the same reader, still with no Event
+    # a "%" is off the log alphabet: `analyze` exits 3 naming its first
+    # line, and both readers raise that error
     log = os.path.join(run_dir, "rep_000", "profile.log")
     with open(log, encoding="utf-8") as fh:
         text = fh.read()
     with open(log, "w", encoding="utf-8") as fh:
         fh.write(text.replace("task.000003", "task%2C000003"))
-    assert main(["analyze", run_dir]) == 0
-    assert events == []
-    assert "task,000003" in TaskTable.from_log(log).uids
+    line_no = text[:text.index("task.000003")].count("\n") + 1
+    capsys.readouterr()
+    assert main(["analyze", run_dir]) == 3
+    assert f"{log}:{line_no}: '%' is off the log alphabet" in capsys.readouterr().err
+    for read in (TaskTable.from_log, load_profile):
+        with pytest.raises(ProfileParseError) as err:
+            read(log)
+        assert (err.value.line_no, err.value.reason) == (line_no, "'%' is off the log alphabet")
 
 
 def test_run_events_are_read_as_lines(quick_cfg, tmp_path, monkeypatch):

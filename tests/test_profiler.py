@@ -1,13 +1,13 @@
 import math
+import re
+import sys
 import tracemalloc
-from urllib.parse import quote
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pilotsim import profiler
 from pilotsim import ProfileParseError, load_profile, parse_config_text, run_pilot
 from pilotsim.config import to_flat
 from pilotsim.pilot import PilotRun
@@ -16,17 +16,18 @@ from pilotsim.profiler import NO_ATTRS, Event, EventSink, SinkClosed
 
 from conftest import task_events, zero_overhead
 
+# text of the log's alphabet: printable ASCII without , ; = %
 printable = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters=",;=%"),
     min_size=0, max_size=40,
 )
 
-# arbitrary text, weighted towards the characters the log reserves
-reserved_text = st.text(
-    st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
-              st.sampled_from(",;=%\té☃"),
-              st.characters(blacklist_categories=("Cs",))),
-    max_size=20,
+# one character off that alphabet: a reserved one, a control character or
+# any other non-ASCII one
+off_alphabet = st.one_of(
+    st.sampled_from(",;=%\t\n\r\x7fé☃"),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x7F, blacklist_categories=("Cs",)),
 )
 
 
@@ -49,15 +50,6 @@ def recorded(t, kind, uid, comp, name, attrs=NO_ATTRS):
     sink = EventSink()
     sink.record(t, kind, uid, comp, name, attrs)
     return sink._fh.getvalue()
-
-
-def quote_every_field(ev):
-    """Reference encoding: every field percent-encoded."""
-    def q(text):
-        return quote(text, safe=profiler._FIELD_SAFE)
-    pairs = ";".join(f"{q(k)}={q(v)}" for k, v in ev.attrs.items())
-    return (f"{ev.t_s:.6f},{q(ev.entity_kind)},{q(ev.entity_id)},"
-            f"{q(ev.component)},{q(ev.name)},{pairs}")
 
 
 def random_event(rng):
@@ -123,25 +115,38 @@ class TestRecord:
 
 
 class TestEncode:
-    @given(text=reserved_text, t=times)
-    @example(text="", t=3.0)
-    @example(text="%", t=3.0)
-    @example(text="a=b;c", t=3.0)
-    @example(text="é", t=3.0)
-    @example(text="\t", t=3.0)
-    @example(text="", t=0.0000005)
-    @example(text="", t=1e300)
+    FIELDS = ["Task", "task.000001", "Executor", "submit", "k", "v"]
+    # what `encode` calls each field of FIELDS when it is off the alphabet
+    NAMES = ["entity_kind", "entity_id", "component", "name", "attribute key", "attribute 'k'"]
+
+    @given(fields=st.lists(printable, min_size=6, max_size=6), t=times)
+    @example(fields=[""] * 6, t=3.0)
+    @example(fields=FIELDS, t=0.0000005)
+    @example(fields=FIELDS, t=1e300)
+    @example(fields=[" !\"#$&'()*+-./:<>?@[\\]^_`{|}~"] * 6, t=-2.5)
     @settings(max_examples=300, deadline=None)
-    def test_same_bytes_as_quoting_every_field(self, text, t):
-        # the sink formats from the fields what the reference encodes
-        # after rounding the time to the log's microseconds
-        for i in range(6):
-            fields = ["Task", "task.000001", "Executor", "submit", "k", "v"]
-            fields[i] = text
-            for attrs in ({fields[4]: fields[5]}, NO_ATTRS):
-                ev = Event(round(t, 6), *fields[:4], attrs)
-                assert ev.encode() == quote_every_field(ev)
-                assert recorded(t, *fields[:4], attrs) == ev.encode() + "\n"
+    def test_record_writes_what_encode_writes(self, fields, t):
+        # the sink formats from the fields what the reference encodes after
+        # rounding the time to the log's microseconds, and the line decodes
+        # back to the event
+        for attrs in ({fields[4]: fields[5]}, NO_ATTRS):
+            ev = Event(round(t, 6), *fields[:4], attrs)
+            assert recorded(t, *fields[:4], attrs) == ev.encode() + "\n"
+            assert Event.decode(ev.encode()) == ev
+
+    @given(text=printable, bad=off_alphabet, at=st.integers(0, 40), where=st.integers(0, 5))
+    @example(text="task.1", bad=",", at=4, where=1)
+    @example(text="", bad="%", at=0, where=0)
+    @example(text="a", bad="=", at=1, where=4)
+    @example(text="b", bad=";", at=0, where=5)
+    @settings(max_examples=300, deadline=None)
+    def test_encode_rejects_a_field_off_the_alphabet(self, text, bad, at, where):
+        fields = list(self.FIELDS)
+        fields[where] = text = text[:at] + bad + text[at:]
+        ev = Event(1.0, *fields[:4], {fields[4]: fields[5]})
+        with pytest.raises(ValueError) as err:
+            ev.encode()
+        assert str(err.value) == f"{self.NAMES[where]} {text!r} is off the log alphabet"
 
     def test_near_tie_times_match_rounding_first(self):
         ts = [near_tie(k, side) for k in range(0, 10**10, 333_331) for side in (-1, 0, 1)]
@@ -151,21 +156,25 @@ class TestEncode:
         want = [f"{round(t, 6):.6f},Task,t,Executor,submit," for t in ts]
         assert sink._fh.getvalue().splitlines() == want
 
-    def test_plain_run_never_quotes(self, quick_cfg, tmp_path, monkeypatch):
-        calls = []
+    def test_plain_run_makes_no_regex_call_in_record(self, quick_cfg, tmp_path):
+        # the sink writes every field verbatim: no pattern scans them
+        record, calls, regex = EventSink.record.__code__, [], []
 
-        def counting_quote(*args, **kwargs):
-            calls.append(args[0])
-            return quote(*args, **kwargs)
+        def profile(frame, event, arg):
+            if frame.f_code is record:
+                calls.append(event)
+                if event == "c_call" and isinstance(getattr(arg, "__self__", None), re.Pattern):
+                    regex.append(arg.__name__)
 
-        monkeypatch.setattr(profiler, "quote", counting_quote)
-        res = run_pilot(quick_cfg(), run_dir=str(tmp_path / "rep"), seed=1)
+        run = PilotRun(quick_cfg(), run_dir=str(tmp_path / "rep"), seed=1)
+        sys.setprofile(profile)
+        try:
+            res = run.run()
+        finally:
+            sys.setprofile(None)
         assert res.n_done == 16
-        assert calls == []
-        sink = EventSink(str(tmp_path / "p.log"))
-        sink.record(0.0, "Task", "task,1", "Executor", "submit")
-        sink.close()
-        assert "task,1" in calls
+        assert calls.count("call") >= 16 * 5
+        assert regex == []
 
 
 class TestLoadProfile:

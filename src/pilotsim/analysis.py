@@ -198,10 +198,10 @@ _PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "
 _TWO_EQ = re.compile(r"=[^;]*=")  # a piece with two "="
 
 
-def _raise_first_error(log: LogEvents, source: str, slots: bool = False) -> None:
+def _raise_first_error(log: LogEvents, source: str, attrs: bool = False) -> None:
     """Read `log` again to raise the error of its first line that
-    `Event.decode` rejects or, with `slots`, whose Task schedule_ok slot
-    `slot_units` rejects."""
+    `Event.decode` rejects or, with `attrs`, whose Task submit wait is not
+    a finite float or whose Task schedule_ok slot `slot_units` rejects."""
     line_no = 1  # of the next block's first line
     with closing(log.blocks()) as blocks:
         for block in blocks:
@@ -209,8 +209,13 @@ def _raise_first_error(log: LogEvents, source: str, slots: bool = False) -> None
                 if line:
                     try:
                         ev = Event.decode(line)
-                        if slots and (ev.entity_kind, ev.name) == (TASK, EV_SCHEDULE_OK):
-                            slot_units([ev.attrs["slot"]] if "slot" in ev.attrs else [])
+                        if not attrs or ev.entity_kind != TASK:
+                            continue
+                        if ev.name == EV_SUBMIT and not math.isfinite(
+                                float(wait := ev.attrs.get("wait", "0"))):
+                            raise ValueError(f"wait {wait!r} is not finite")
+                        if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
+                            slot_units([ev.attrs["slot"]])
                     except ValueError as exc:
                         raise ProfileParseError(source, no, str(exc)) from exc
             line_no += block.count("\n")
@@ -291,12 +296,12 @@ class TaskTable:
         Of each line only its time and a (kind, name) code are kept, plus
         the id of Task and DvmJob lines and, joined per block, the
         attributes of Task submit and schedule_ok lines. When a block fails
-        a check (a `%` among them) or a slot is off the grammar, the log is
-        read again line by line to raise its first bad line's error. The
-        waits and the slots are each read in one regex pass over all their
-        texts; if one text of a kind has its key missing, repeated or not
-        first, every text of that kind is read line by line in time order,
-        which is slower."""
+        a check (a `%` among them), a wait is not a finite float or a slot
+        is off the grammar, the log is read again line by line to raise its
+        first bad line's error. The waits and the slots are each read in one
+        regex pass over all their texts; if one text of a kind has its key
+        missing, repeated or not first, every text of that kind is read line
+        by line in time order, which is slower."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
         # per block, the attributes of its Task submit and schedule_ok lines,
@@ -366,7 +371,12 @@ class TaskTable:
             return row[hit], _attr_values("".join(texts.pop(c)), order, key, default)
 
         task_rows, waits = values(_SUBMIT, "wait", "0")
-        waits = (task_rows, np.fromiter(map(float, waits), float, len(task_rows)))
+        try:
+            waits = (task_rows, np.fromiter(map(float, waits), float, len(task_rows)))
+            if not np.isfinite(waits[1]).all():
+                raise ValueError
+        except ValueError:  # a wait that is not a finite float
+            _raise_first_error(log, source, attrs=True)
         task_rows, slots = values(_SCHED, "slot")
         if None in slots:  # a schedule_ok without a slot holds no units
             held = [s is not None for s in slots]
@@ -381,7 +391,7 @@ class TaskTable:
         try:
             return cls._build(uids, hits, waits, (task_rows, slots), marks)
         except ValueError:  # a slot off the grammar
-            _raise_first_error(log, source, slots=True)
+            _raise_first_error(log, source, attrs=True)
 
     @classmethod
     def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,

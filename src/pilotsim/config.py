@@ -3,12 +3,12 @@
 Config files are plain text, one dotted key per line::
 
     name=exp3_16k
-    clock=virtual
     workload.n_tasks=16384
     backend.submit_delay_s=0.1
 
-The dataclasses below are the schema. Each flat key is a top-level field
-or `section.field`, typed by its declared default, and `to_flat`,
+The dataclasses below are the schema, slotted so that a config object
+holds only its keys. Each flat key is a top-level field or
+`section.field`, typed by its declared default, and `to_flat`,
 `from_flat` and `validate` all read that one key table. Every number
 must be finite and >= 0; `validate` spells out only the other bounds and
 the rules across fields. The same representation is echoed into each
@@ -35,16 +35,15 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkloadConfig:
     n_tasks: int = 64
     cores_per_task: int = 1
     gpus_per_task: int = 0
     duration_s: float = 900.0
-    bundle_size: int = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolConfig:
     nodes: int = 2
     cores_per_node: int = DEFAULT_CORES_PER_NODE
@@ -53,7 +52,7 @@ class PoolConfig:
     autosize: int = 0  # 1: size worker nodes as ceil(task cores / node cores)
 
 
-@dataclass
+@dataclass(slots=True)
 class BackendConfig:
     kind: str = "sim_dvm"  # sim_dvm | sim_jsm | local_exec
     submit_delay_s: float = 0.1
@@ -62,16 +61,14 @@ class BackendConfig:
     fail_prob_over_rate: float = 0.05
     fd_limit: int = 4096
     fd_reserved: int = 1195
-    fd_per_task: int = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class SubAgentConfig:
-    n_sub_agents: int = 1
-    executors_per_sub_agent: int = 1
+    n_sub_agents: int = 1  # one executor each
 
 
-@dataclass
+@dataclass(slots=True)
 class DvmSimConfig:
     capacity_tasks: int = 20000
     setup_mean_s: float = 0.2
@@ -82,25 +79,23 @@ class DvmSimConfig:
     notify_std_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentConfig:
     startup_s: float = 75.0
     termination_s: float = 10.0
     schedule_cost_s: float = 0.0  # charged once per task, for its placement
     partitions: int = 1
-    poll_interval_s: float = 0.02
     gpu_weight: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepConfig:
     n_tasks: str = ""  # comma-separated scale points; empty means no sweep
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
     name: str = "run"
-    clock: str = "virtual"  # virtual | real
     repetitions: int = 1
     seed: int = 1
     output_dir: str = "runs"
@@ -143,14 +138,10 @@ class ExperimentConfig:
                 val = getattr(getattr(self, section) if section else self, name)
                 if val is not None and not 0 <= val < math.inf:
                     raise ConfigError(f"{key} must be finite and >= 0, got {val}")
-        if self.clock not in ("virtual", "real"):
-            raise ConfigError(f"clock must be virtual|real, got {self.clock!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if wl.n_tasks < 1 or wl.cores_per_task < 1 or wl.duration_s <= 0:
             raise ConfigError("workload needs n_tasks>=1, cores>=1, duration>0")
-        if wl.bundle_size < 1:
-            raise ConfigError("bundle_size must be >= 1")
         self.sweep_points()
         if pl.cores_per_node < 1 or pl.autosize not in (0, 1):
             raise ConfigError("pool needs cores_per_node >= 1 and autosize 0 or 1")
@@ -159,27 +150,21 @@ class ExperimentConfig:
             raise ConfigError("pool needs >=1 agent node and >=1 worker node")
         if be.kind not in ("sim_dvm", "sim_jsm", "local_exec"):
             raise ConfigError(f"unknown backend kind {be.kind!r}")
-        if be.kind == "local_exec" and self.clock != "real":
-            raise ConfigError("local_exec backend requires the real clock")
         if be.kind == "sim_jsm" and be.fd_limit != 4096:
             raise ConfigError("the JSM open-files limit is fixed at 4096")
-        if be.fd_per_task < 1:
-            raise ConfigError("fd_per_task must be >= 1")
         if be.fd_reserved >= be.fd_limit:
             raise ConfigError("fd_reserved must be < fd_limit")
         if be.max_rate_hz == 0:
             raise ConfigError("max_rate_hz must be > 0 (none turns the rate check off)")
         if be.fail_prob_over_rate > 1.0:
             raise ConfigError("fail_prob_over_rate must be in [0, 1]")
-        if sa.n_sub_agents < 1 or sa.executors_per_sub_agent < 1:
-            raise ConfigError("sub-agent counts must be >= 1")
+        if sa.n_sub_agents < 1:
+            raise ConfigError("n_sub_agents must be >= 1")
         if dv.capacity_tasks < 1:
             raise ConfigError("dvm capacity_tasks must be >= 1")
-        if ag.poll_interval_s <= 0:
-            raise ConfigError("agent.poll_interval_s must be > 0")
         if ag.partitions < 1:
             raise ConfigError("partitions must be >= 1")
-        if ag.partitions > sa.n_sub_agents * sa.executors_per_sub_agent:
+        if ag.partitions > sa.n_sub_agents:
             raise ConfigError("need at least one executor per partition")
         workers = nodes - pl.agent_nodes
         if ag.partitions > workers:

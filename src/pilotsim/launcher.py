@@ -9,9 +9,10 @@ Each executor is a sequential worker with two serialized lanes:
 * a drain lane - collects finished payloads one at a time under the same
   pacing, so the drain rate mirrors the submit rate.
 
-Executors read pacing, failure injection and FD costs straight from the
-`backend` section of the experiment config (`config.BackendConfig`),
-which `ExperimentConfig.validate` has already checked.
+Executors read pacing and failure injection straight from the `backend`
+section of the experiment config (`config.BackendConfig`), which
+`ExperimentConfig.validate` has already checked. On every backend a
+launched task costs its three stdio descriptors (`FD_PER_TASK`).
 
 Backends are pluggable: the simulated DVM (dvm module), a simulated JSM
 backend, and a real local-process backend that spawns OS processes with
@@ -35,6 +36,9 @@ import numpy as np
 
 from .config import BackendConfig
 from .core import Clock, FailureReason, TaskRecord
+
+FD_PER_TASK = 3  # stdin, stdout, stderr
+POLL_INTERVAL_S = 0.02  # how often the local backend polls its processes
 
 
 class FdAccountant:
@@ -124,11 +128,11 @@ class Executor:
     def _do_submit(self, waited: float) -> None:
         rec = self._submit_q.popleft()
         now = self.clock.now_s
-        if not self.fd.acquire(self.config.fd_per_task):
+        if not self.fd.acquire(FD_PER_TASK):
             self.host.task_failed(rec, FailureReason.FD_EXHAUSTED, now)
             self._end_submit_op(now)
             return
-        rec.fds_held = self.config.fd_per_task
+        rec.fds_held = FD_PER_TASK
         if self._over_rate(now) and self.rng.random() < self.config.fail_prob_over_rate:
             self.host.task_failed(rec, FailureReason.RATE_REJECTED, now)
             self._end_submit_op(now)
@@ -186,11 +190,10 @@ class LocalExecBackend:
     task are real open files here.
     """
 
-    def __init__(self, clock: Clock, host, stdio_dir: str, poll_interval_s: float = 0.02):
+    def __init__(self, clock: Clock, host, stdio_dir: str):
         self.clock = clock
         self.host = host
         self.stdio_dir = stdio_dir
-        self.poll_interval_s = poll_interval_s
         self._procs: dict[str, tuple[TaskRecord, subprocess.Popen, list, object]] = {}
         self._poller_on = False
         os.makedirs(stdio_dir, exist_ok=True)
@@ -217,7 +220,7 @@ class LocalExecBackend:
     def _ensure_poller(self) -> None:
         if not self._poller_on:
             self._poller_on = True
-            self.clock.schedule_at(self.clock.now_s + self.poll_interval_s, self._poll)
+            self.clock.schedule_at(self.clock.now_s + POLL_INTERVAL_S, self._poll)
 
     def _poll(self) -> None:
         now = self.clock.now_s
@@ -228,7 +231,7 @@ class LocalExecBackend:
                 fh.close()
             executor.enqueue_completion(rec, proc.returncode, now)
         if self._procs:
-            self.clock.schedule_at(now + self.poll_interval_s, self._poll)
+            self.clock.schedule_at(now + POLL_INTERVAL_S, self._poll)
         else:
             self._poller_on = False
 

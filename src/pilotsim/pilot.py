@@ -1,13 +1,16 @@
 """The agent: one pilot run wiring scheduler, executors and backends.
 
 The run is a single logical control loop driven by the clock's event
-queue. t=0 is pilot start; the agent becomes ready after its startup
-cost, pulls the workload (one task shape x `n_tasks`) in bundles into
-one arrival-ordered queue per partition, and places queue heads that
-fit serially onto the pool (first-fit); a task that does not fit waits
-for a release. Placed tasks go round-robin to the executors, which pace
-submissions and drains against the backend. When every task is terminal
-the agent tears down and records the pilot_stop sentinel.
+queue: the wall clock for `local_exec`, which runs real processes, and
+the virtual clock for the simulated backends. t=0 is pilot start; the
+agent becomes ready after its startup cost, pulls the workload (one
+task shape x `n_tasks`) in bundles of `BUNDLE_SIZE` into one
+arrival-ordered queue per partition, and places queue heads that fit
+serially onto the pool (first-fit); a task that does not fit waits for
+a release. Placed tasks go round-robin to the executors, one per
+sub-agent, which pace submissions and drains against the backend. When
+every task is terminal the agent tears down and records the pilot_stop
+sentinel.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from .profiler import (
 )
 from .scheduler import ResourcePool
 
+BUNDLE_SIZE = 1024  # tasks per bundle_received line; no reader uses these lines
+
 
 def build_pool(cfg: ExperimentConfig) -> ResourcePool:
     """The node pool a configuration describes."""
@@ -117,7 +122,8 @@ class PilotRun:
         self.cfg = cfg
         self.run_dir = run_dir
         self.rng = np.random.default_rng(self.seed)
-        self.clock: Clock = RealClock() if cfg.clock == "real" else VirtualClock()
+        self.clock: Clock = (RealClock() if cfg.backend.kind == "local_exec"
+                             else VirtualClock())
         log_path = os.path.join(run_dir, "profile.log") if run_dir else None
         if run_dir:
             os.makedirs(run_dir, exist_ok=True)
@@ -159,7 +165,7 @@ class PilotRun:
         self.sink.record(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
             "nodes": str(self.pool.n_nodes),
             "agent_nodes": str(cfg.pool.agent_nodes),
-            "clock": cfg.clock,
+            "clock": "real" if isinstance(self.clock, RealClock) else "virtual",
             "seed": str(self.seed),
         })
         self._build_backends()
@@ -186,16 +192,11 @@ class PilotRun:
             else:
                 stdio_dir = (os.path.join(self.run_dir, "tasks") if self.run_dir
                              else self._tmp_stdio)
-                group.backend = LocalExecBackend(
-                    self.clock, self, stdio_dir,
-                    poll_interval_s=cfg.agent.poll_interval_s,
-                )
+                group.backend = LocalExecBackend(self.clock, self, stdio_dir)
 
     def _build_executors(self) -> None:
-        sub = self.cfg.subagents
-        k = len(self.groups)
-        for j in range(sub.n_sub_agents * sub.executors_per_sub_agent):
-            group = self.groups[j % k]
+        for j in range(self.cfg.subagents.n_sub_agents):
+            group = self.groups[j % len(self.groups)]
             ex = Executor(
                 uid=f"exec.{j:03d}",
                 config=self.cfg.backend,
@@ -210,7 +211,7 @@ class PilotRun:
     def _agent_ready(self) -> None:
         now = self.clock.now_s
         self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
-        n, size = self.cfg.workload.n_tasks, self.cfg.workload.bundle_size
+        n, size = self.cfg.workload.n_tasks, BUNDLE_SIZE
         self.sink.record(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
                          {"n_tasks": str(n)})
         for b, lo in enumerate(range(0, n, size)):

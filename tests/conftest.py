@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -167,17 +168,23 @@ def reference_table(events) -> TaskTable:
 
 
 def reference_log_table(path: str) -> TaskTable:
-    """`reference_table(load_profile(path))`, but a slot off the grammar
-    raises a `ProfileParseError` naming the first Task schedule_ok line of
-    the file that holds one: the oracle `TaskTable.from_log` is compared
-    against."""
+    """`reference_table(load_profile(path))`, but a Task submit wait that is
+    not a finite float, or a Task schedule_ok slot off the grammar, raises
+    a `ProfileParseError` naming the first line of the file that holds
+    either: the oracle `TaskTable.from_log` is compared against."""
     events = load_profile(path)
     with open(path, encoding="utf-8") as fh:
         for no, line in enumerate(map(str.rstrip, fh, repeat("\n")), start=1):
             ev = Event.decode(line) if line else None
-            if ev and ev.entity_kind == TASK and ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
-                try:
+            if not ev or ev.entity_kind != TASK:
+                continue
+            try:
+                if ev.name == EV_SUBMIT:
+                    wait = ev.attrs.get("wait", "0")
+                    if not math.isfinite(float(wait)):
+                        raise ValueError(f"wait {wait!r} is not finite")
+                elif ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
                     slot_units([ev.attrs["slot"]])
-                except ValueError as exc:
-                    raise ProfileParseError(path, no, str(exc)) from exc
+            except ValueError as exc:
+                raise ProfileParseError(path, no, str(exc)) from exc
     return reference_table(events)

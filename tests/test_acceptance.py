@@ -68,7 +68,6 @@ class TestCriterion1FdCeiling:
         cfg.backend.max_rate_hz = None
         cfg.backend.fd_limit = 4096
         cfg.backend.fd_reserved = 1195
-        cfg.backend.fd_per_task = 3
         cfg.agent.schedule_cost_s = 0.0
         res = run_pilot(cfg, seed=1)
         took = time.monotonic() - t0
@@ -357,7 +356,6 @@ class TestCriterion10RealExecutionSmoke:
     def test_64_real_sleeps_on_8_cores(self, tmp_path):
         t0 = time.monotonic()
         cfg = ExperimentConfig()
-        cfg.clock = "real"
         cfg.backend.kind = "local_exec"
         cfg.backend.submit_delay_s = 0.0
         cfg.backend.submit_cost_s = 0.0

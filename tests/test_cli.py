@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -35,23 +36,33 @@ def write_cfg(path, cfg):
 
 # the meta.txt echo order; the key table must never reorder it
 FLAT_KEYS = [
-    "name", "clock", "repetitions", "seed", "output_dir",
+    "name", "repetitions", "seed", "output_dir",
     "workload.n_tasks", "workload.cores_per_task", "workload.gpus_per_task",
-    "workload.duration_s", "workload.bundle_size",
+    "workload.duration_s",
     "pool.nodes", "pool.cores_per_node", "pool.gpus_per_node", "pool.agent_nodes",
     "pool.autosize",
     "backend.kind", "backend.submit_delay_s", "backend.submit_cost_s",
     "backend.max_rate_hz", "backend.fail_prob_over_rate", "backend.fd_limit",
-    "backend.fd_reserved", "backend.fd_per_task",
-    "subagents.n_sub_agents", "subagents.executors_per_sub_agent",
+    "backend.fd_reserved",
+    "subagents.n_sub_agents",
     "dvm.capacity_tasks", "dvm.setup_mean_s", "dvm.setup_std_s", "dvm.launch_mean_s",
     "dvm.launch_std_s", "dvm.notify_mean_s", "dvm.notify_std_s",
     "agent.startup_s", "agent.termination_s", "agent.schedule_cost_s",
-    "agent.partitions", "agent.poll_interval_s", "agent.gpu_weight",
+    "agent.partitions", "agent.gpu_weight",
     "sweep.n_tasks",
 ]
 NUMERIC_KEYS = [k for k in FLAT_KEYS if k not in (
-    "name", "clock", "output_dir", "backend.kind", "sweep.n_tasks")]
+    "name", "output_dir", "backend.kind", "sweep.n_tasks")]
+# keys of older runs that no longer exist, each with the one value it held:
+# the clock follows backend.kind, there is one executor per sub-agent, and
+# the bundle size, poll interval and descriptors per task are constants
+REMOVED_KEYS = {
+    "clock": "virtual",
+    "subagents.executors_per_sub_agent": "1",
+    "workload.bundle_size": "1024",
+    "agent.poll_interval_s": "0.02",
+    "backend.fd_per_task": "3",
+}
 
 
 class TestConfigParsing:
@@ -77,7 +88,7 @@ class TestConfigParsing:
 
     def test_flat_keys_keep_their_order(self):
         assert list(to_flat(ExperimentConfig())) == FLAT_KEYS
-        assert len(NUMERIC_KEYS) == 34
+        assert len(NUMERIC_KEYS) == 30
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize("key", NUMERIC_KEYS)
@@ -85,13 +96,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(f"{key}={value}\n")
 
+    def test_a_config_object_holds_only_its_keys(self):
+        cfg = ExperimentConfig()
+        sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                    if dataclasses.is_dataclass(getattr(cfg, f.name))]
+        assert len(sections) == 7
+        for obj in (cfg, *sections):
+            with pytest.raises(AttributeError):
+                obj.bogus = 1
+        for key in REMOVED_KEYS:
+            section, _, name = key.rpartition(".")
+            with pytest.raises(AttributeError):
+                setattr(getattr(cfg, section) if section else cfg, name, 1)
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_is_2_naming_it(self, tmp_path, capsys, key):
+        line = f"{key}={REMOVED_KEYS[key]}"
+        cfg_path = tmp_path / "old.cfg"
+        write_cfg(cfg_path, small_cfg(tmp_path / "out"))
+        with open(cfg_path, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # a repetition echoed by an older run that still carries the key
+        run_dir = run_experiment(small_cfg(tmp_path, repetitions=2))
+        with open(os.path.join(run_dir, "rep_001", "meta.txt"), "a") as fh:
+            fh.write(line + "\n")
+        assert main(["analyze", run_dir]) == 2
+        capsys.readouterr()
+        emit_report(run_dir)
+        out = capsys.readouterr().out
+        assert "FLAGGED rep_001: " in out and f"unknown config key {key!r}" in out
+        assert "1 complete repetition(s)" in out
+
     def test_max_rate_none(self):
         cfg = parse_config_text("backend.max_rate_hz=none\n")
         assert cfg.backend.max_rate_hz is None
-
-    def test_local_exec_needs_real_clock(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("backend.kind=local_exec\nclock=virtual\n")
 
 
 class TestRunExperiment:
@@ -305,7 +347,6 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("bad", [
         "backend.submit_delay_s=-1",
         "backend.submit_cost_s=-0.5",
-        "backend.fd_per_task=0",
         "dvm.setup_mean_s=-1",
         "dvm.launch_std_s=-1",
         "workload.gpus_per_task=-1",
@@ -326,7 +367,6 @@ class TestMainExitCodes:
         "agent.schedule_cost_s=-0.1",
         "agent.gpu_weight=-1",
         "seed=-1",  # numpy's generator refuses it, after rep_000 exists
-        "agent.poll_interval_s=0",  # the local poller would spin
         "backend.fd_reserved=-5",  # tasks could hold more than fd_limit
         "pool.autosize=-7",
         "pool.autosize=2",
@@ -391,6 +431,24 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{log}:{line_no}: bad slot encoding: 'n1c-1'" in err and "rep_000" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("wait,reason", [
+        ("x0.100000", "could not convert string to float: 'x0.100000'"),
+        ("nan", "wait 'nan' is not finite"),
+        ("inf", "wait 'inf' is not finite"),
+    ])
+    def test_analyze_bad_wait_is_3_naming_its_line(self, tmp_path, capsys, wait, reason):
+        run_dir = run_experiment(small_cfg(tmp_path))
+        log = os.path.join(run_dir, "rep_000", "profile.log")
+        with open(log) as fh:
+            text = fh.read()
+        with open(log, "w") as fh:
+            fh.write(text.replace("wait=0.100000;", f"wait={wait};", 1))
+        line_no = text[:text.index("wait=0.100000;")].count("\n") + 1
+        capsys.readouterr()
+        assert main(["analyze", run_dir]) == 3
+        err = capsys.readouterr().err
+        assert f"{log}:{line_no}: {reason}" in err and "Traceback" not in err
 
     def test_report_on_missing_dir_is_3(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 3

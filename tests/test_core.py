@@ -22,7 +22,7 @@ from conftest import Slot, zero_overhead
 class TestMakeWorkload:
     """A run makes its workload from the config: one task shape, shared by
     `n_tasks` records with uids task.000000, task.000001, ..., pulled in
-    bundles of `bundle_size`."""
+    bundles of `BUNDLE_SIZE` (1024)."""
 
     @staticmethod
     def _events(quick_cfg, n, **over):
@@ -63,15 +63,15 @@ class TestMakeWorkload:
                 TaskSpec(cores=cores, duration_s=dur)
 
     def test_ids_pairwise_distinct(self, quick_cfg):
-        events = self._events(quick_cfg, 10, workload__bundle_size=3)
+        events = self._events(quick_cfg, 10)
         uids = {e.entity_id for e in events if e.entity_kind == "Task"}
         assert len(uids) == 10
         assert all(re.fullmatch(r"task\.\d{6}", uid) for uid in uids)
 
     def test_bundles_cover_workload(self, quick_cfg):
-        events = self._events(quick_cfg, 10, workload__bundle_size=3)
+        events = self._events(quick_cfg, 2100, pool__autosize=1)
         sizes = [e.attrs["size"] for e in events if e.name == "bundle_received"]
-        assert sizes == ["3", "3", "3", "1"]
+        assert sizes == ["1024", "1024", "52"]
 
 
 class TestAdvanceState:

@@ -20,7 +20,8 @@ import sys
 
 import pytest
 
-from pilotsim import TaskTable, analyze, load_profile, parse_config_text, run_experiment
+from pilotsim import (TaskTable, analyze, load_profile, parse_config_text, run_experiment,
+                      run_pilot)
 from pilotsim.profiler import Event
 
 from conftest import assert_same_table, reference_table
@@ -30,7 +31,6 @@ REPORTS = ("report_overheads.csv", "report_utilization.csv",
            "report_summary.csv", "report_timeline.csv")
 
 _BASE = """
-clock=virtual
 repetitions=1
 seed=7
 workload.n_tasks=48
@@ -148,6 +148,29 @@ def test_every_line_re_encodes_to_itself(golden_runs, name):
     with open(os.path.join(golden_runs[name], "profile.log"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines and [Event.decode(line).encode() for line in lines] == lines
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+# The shipped configs the benchmark reads, as it reads them, at seed 2026:
+# config file -> (appended overrides, sha256 of the profile log). A changed
+# byte in a shipped config or in the run it describes fails here.
+SHIPPED_SHA256 = {
+    "exp4_optimized.cfg": (
+        "", "fe3c94de75c13b4e4c7e4e64d6e48bbea3d329276ffe2e6d05cd6b0fca387fe2"),
+    "exp3_virtual.cfg": (
+        "sweep.n_tasks=\nworkload.n_tasks=1024\n",
+        "2c42d2bc847937e4b1d0b134dfbb60eb4b7a358456e5ed7d0ed2f4732d5dbee6"),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(SHIPPED_SHA256))
+def test_shipped_config_log_hash(tmp_path, fname):
+    overrides, want = SHIPPED_SHA256[fname]
+    with open(os.path.join(CONFIG_DIR, fname), encoding="utf-8") as fh:
+        cfg = parse_config_text(fh.read() + "\n" + overrides, source=fname)
+    run_pilot(cfg, run_dir=str(tmp_path), seed=2026)
+    assert sha256_file(str(tmp_path / "profile.log")) == want
 
 
 def _regenerate(out_dir: str) -> None:

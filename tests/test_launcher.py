@@ -114,8 +114,7 @@ class TestProfileValidation:
             parse_config_text("backend.fail_prob_over_rate=1.5\n")
 
     def test_sub_agent_set(self, quick_cfg):
-        cfg = quick_cfg(subagents__n_sub_agents=4,
-                        subagents__executors_per_sub_agent=2)
+        cfg = quick_cfg(subagents__n_sub_agents=8)
         events = run_pilot(cfg, seed=1).events
         # 16 tasks round-robin: each of the 8 executors submits two
         assert len({e.attrs["executor"] for e in events if e.name == "submit"}) == 8

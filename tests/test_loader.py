@@ -218,6 +218,8 @@ DAMAGE = {
     "nan_time": non_finite("nan"),
     "inf_time": non_finite("inf"),
     "bad_wait": lambda lines: [line.replace("wait=", "wait=x", 1) for line in lines],
+    "nan_wait": lambda lines: [re.sub("wait=[^;\n]*", "wait=nan", line) for line in lines],
+    "inf_wait": lambda lines: [re.sub("wait=[^;\n]*", "wait=inf", line) for line in lines],
     "bad_slot_node": lambda lines: [line.replace("slot=n", "slot=m", 1) for line in lines],
     "seven_fields": lambda lines: lines[:6] + [lines[6].rstrip("\n") + ",x\n"] + lines[7:],
     "five_fields_then_seven": lambda lines: (
@@ -258,6 +260,20 @@ def test_bad_slot_names_its_schedule_ok_line(plain_log, tmp_path):
     with pytest.raises(ProfileParseError) as err:
         TaskTable.from_log(path)
     assert err.value.line_no == i + 1
+
+
+@pytest.mark.parametrize("damage,reason", [
+    ("bad_wait", "could not convert string to float: 'x0.010000'"),
+    ("nan_wait", "wait 'nan' is not finite"),
+    ("inf_wait", "wait 'inf' is not finite"),
+])
+def test_bad_wait_names_the_first_submit_line(plain_log, tmp_path, damage, reason):
+    path = write(tmp_path, "".join(DAMAGE[damage](plain_log)))
+    load_profile(path)  # every line decodes; only the table reads the wait
+    first = next(i for i, line in enumerate(plain_log) if ",submit," in line)
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_log(path)
+    assert (err.value.line_no, err.value.reason) == (first + 1, reason)
 
 
 def test_bare_attr_names_its_line(plain_log, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from pilotsim import (ConfigError, TaskTable, load_profile, parse_config_file, pilot, run_pilot,
                       scheduler)
-from pilotsim.core import TaskRecord
+from pilotsim.core import RealClock, TaskRecord, VirtualClock
 from pilotsim.pilot import PilotRun
 
 from conftest import task_events, zero_overhead
@@ -151,7 +151,6 @@ class TestAbortedRun:
 class TestRealClockSmoke:
     def test_local_exec_single_sleep(self, quick_cfg, tmp_path):
         cfg = quick_cfg(workload__n_tasks=1, workload__duration_s=1.0)
-        cfg.clock = "real"
         cfg.backend.kind = "local_exec"
         cfg.backend.submit_delay_s = 0.0
         cfg.backend.submit_cost_s = 0.0
@@ -165,6 +164,24 @@ class TestRealClockSmoke:
         assert 1.0 <= span <= 1.6  # payload plus poll jitter
         log = load_profile(str(tmp_path / "real" / "profile.log"))
         assert any(e.name == "pilot_stop" for e in log)
+
+
+class TestClockFollowsBackend:
+    @pytest.mark.parametrize("kind,clock,label", [
+        ("local_exec", RealClock, "real"),
+        ("sim_dvm", VirtualClock, "virtual"),
+        ("sim_jsm", VirtualClock, "virtual"),
+    ])
+    def test_clock_is_chosen_by_the_backend(self, quick_cfg, tmp_path, kind, clock, label):
+        cfg = zero_overhead(quick_cfg(workload__n_tasks=1, workload__duration_s=0.05,
+                                      backend__kind=kind, backend__fd_limit=4096))
+        cfg.agent.startup_s = cfg.agent.termination_s = 0.0
+        run = PilotRun(cfg, run_dir=str(tmp_path), seed=1)
+        assert type(run.clock) is clock
+        res = run.run()
+        assert res.n_done == 1
+        assert res.events[0].name == "pilot_start"
+        assert res.events[0].attrs["clock"] == label
 
 
 class TestSetup:
@@ -216,7 +233,6 @@ class TestSetup:
     def test_local_exec_stdio_file_that_cannot_be_opened_fails_its_task(
             self, quick_cfg, tmp_path):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=3, workload__duration_s=0.05))
-        cfg.clock = "real"
         cfg.backend.kind = "local_exec"
         cfg.agent.startup_s = 0.0
         cfg.agent.termination_s = 0.0
@@ -233,7 +249,6 @@ class TestSetup:
             self, quick_cfg, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         cfg = zero_overhead(quick_cfg(workload__n_tasks=2, workload__duration_s=0.05))
-        cfg.clock = "real"
         cfg.backend.kind = "local_exec"
         cfg.agent.startup_s = 0.0
         cfg.agent.termination_s = 0.0

@@ -303,11 +303,11 @@ class TestMetadata:
         # `pilotsim run` echoes the config into meta.txt, which parses back
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
-            "seed=42\nclock=virtual\npool.nodes=392\nworkload.n_tasks=4\n"
+            "seed=42\npool.nodes=392\nworkload.n_tasks=4\n"
             f"workload.duration_s=1.0\nname=meta\noutput_dir={tmp_path}\n"
         )
         assert main(["run", str(cfg_path)]) == 0
         meta_path = tmp_path / "meta" / "rep_000" / "meta.txt"
         flat = to_flat(parse_config_text(meta_path.read_text(), source=str(meta_path)))
-        meta = {"seed": "42", "clock": "virtual", "pool.nodes": "392"}
+        meta = {"seed": "42", "pool.nodes": "392"}
         assert {k: flat[k] for k in meta} == meta

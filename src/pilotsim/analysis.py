@@ -16,36 +16,34 @@ to units that idle through the whole run (unused GPUs, spare cores).
 Every metric derives from one table, and one reader builds it from
 profile text: `TaskTable.from_log` feeds it a saved log in blocks of
 lines, and `TaskTable.from_events` feeds it the recorded lines of a
-run's events (or the encoded lines of any other events). The reader
-splits each block into numpy columns without making an `Event` per line.
-It reads the submission waits in one regex pass over all their texts
-and decodes the slots column by column, so on a plain log no Python
-code runs once per task. The table holds numpy columns with one row per
-task: the timestamp of each lifecycle event, NaN where the event is
-missing. It also holds the run marks, and one row per (task, resource
-unit) pair that expands each task's slot. TTX and the overhead
-intervals are column arithmetic; an interval union is a sort plus a
-running maximum. Utilization and the timeline share one set of weighted
-category segments, which the table keeps for the last pool asked: a
-task's segments count once per unit it held, the warmup and draining
-gaps come from each unit's visits in schedule order, and units that no
-task used are counted in bulk, so the cost grows with the number of
-tasks and not with the pool. The timeline integrates each category's
-coverage at the bucket edges. Every public function accepts either the
-events or a prebuilt table.
+run's events. The reader splits each block into numpy columns without
+making an `Event` per line. It reads the submission waits in one regex
+pass over all their texts and decodes the slots column by column, so on
+a plain log no Python code runs once per task. The table holds numpy
+columns with one row per task: the timestamp of each lifecycle event,
+NaN where the event is missing. It also holds the run marks, and one row
+per (task, resource unit) pair that expands each task's slot. TTX and
+the overhead intervals are column arithmetic; an interval union is a
+sort plus a running maximum. Utilization builds one set of weighted
+category segments and keeps them on its breakdown, and the timeline
+reads them from there: a task's segments count once per unit it held,
+the warmup and draining gaps come from each unit's visits in schedule
+order, and units that no task used are counted in bulk, so the cost
+grows with the number of tasks and not with the pool. The timeline
+integrates each category's coverage at the bucket edges. Every metric
+takes the table, and the timeline takes the utilization breakdown.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from collections import defaultdict
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count, repeat
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -158,6 +156,9 @@ class UtilizationBreakdown:
     resource_seconds: dict[str, float]
     percents: dict[str, float]
     window_s: float
+    # per category, the (start, end, weight) arrays of its non-empty segments
+    segments: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        compare=False, repr=False)
 
 
 # -- the task table -----------------------------------------------------------
@@ -275,12 +276,9 @@ class TaskTable:
     t_stop: Optional[float] = None
 
     @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "TaskTable":
-        """The table of the log text of `events`: a run's events hand over
-        their text, read as `from_log` reads it; any other event is encoded,
-        so hand-built events are taken in time order at microsecond resolution."""
-        if not isinstance(events, LogEvents):
-            events = LogEvents(io.StringIO("".join(e.encode() + "\n" for e in events)))
+    def from_events(cls, events: LogEvents) -> "TaskTable":
+        """The table of a run's events, whose recorded text is read as
+        `from_log` reads a saved log."""
         return cls._read(events, "<events>")
 
     @classmethod
@@ -436,19 +434,11 @@ class TaskTable:
             raise IncompleteRun("profile log has no agent_ready event")
 
 
-EventsOrTable = Union[TaskTable, Iterable[Event]]
-
-
-def _as_table(data: EventsOrTable) -> TaskTable:
-    return data if isinstance(data, TaskTable) else TaskTable.from_events(data)
-
-
 # -- headline metrics ---------------------------------------------------------
 
 
-def compute_ttx(events: EventsOrTable) -> float:
+def compute_ttx(table: TaskTable) -> float:
     """Total execution time: last task completion minus workload arrival."""
-    table = _as_table(events)
     table.require_complete()
     if table.t_received is None:
         raise IncompleteRun("profile log has no workload_received event")
@@ -471,7 +461,7 @@ def ideal_ttx(n_tasks: int, spec: TaskSpec, pool: ResourcePool) -> float:
     return math.ceil(n_tasks / capacity) * spec.duration_s
 
 
-def component_overheads(events: EventsOrTable) -> OverheadReport:
+def component_overheads(t: TaskTable) -> OverheadReport:
     """Per-component overhead intervals and their statistics.
 
     rp: per-task scheduling-to-submission; prrte_wait: the enforced
@@ -481,7 +471,6 @@ def component_overheads(events: EventsOrTable) -> OverheadReport:
     so their joint union is reported too, without claiming a TTX
     decomposition.
     """
-    t = _as_table(events)
     t.require_complete()
     submitted = ~np.isnan(t.t_submit)
     rp = submitted & ~np.isnan(t.t_sched)
@@ -516,12 +505,7 @@ def _or(a: np.ndarray, b) -> np.ndarray:
 def _segments(
     table: TaskTable, pool: ResourcePool, gpu_weight: float
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per category, the (start, end, weight) arrays of its non-empty
-    segments. The table keeps those of the last pool and weight asked, so
-    utilization and the timeline of one analysis build them once."""
-    kept = table.__dict__.get("_segments")
-    if kept and kept[0] is pool and kept[1] == gpu_weight:
-        return kept[2]
+    """Per category, the (start, end, weight) arrays of its non-empty segments."""
     table.require_complete()
     t_ready, t_stop = table.t_ready, table.t_stop
     if t_stop < 0:
@@ -585,12 +569,11 @@ def _segments(
         a, b, w = (np.concatenate(col) for col in zip(*items))
         keep = b > a  # drops empty segments and those with a missing end
         segments[cat] = (a[keep], b[keep], w[keep])
-    table._segments = (pool, gpu_weight, segments)
     return segments
 
 
 def utilization(
-    events: EventsOrTable, pool: ResourcePool, gpu_weight: float = 1.0
+    table: TaskTable, pool: ResourcePool, gpu_weight: float = 1.0
 ) -> UtilizationBreakdown:
     """Partition every unit's share of [pilot_start, pilot_stop].
 
@@ -598,9 +581,9 @@ def utilization(
     agent-node units count as AgentNodes for the whole window. Every
     resource-second is assigned to exactly one category, so percentages
     sum to 100 by construction, except for a run that stops at t=0: its
-    window holds no resource-second, and every percentage reads 0.
+    window holds no resource-second, and every percentage reads 0. The
+    breakdown keeps the segments it sums, for the timeline.
     """
-    table = _as_table(events)
     segments = _segments(table, pool, gpu_weight)
     rs = {cat: float(np.dot(b - a, w)) for cat, (a, b, w) in segments.items()}
     total = sum(rs.values())
@@ -609,6 +592,7 @@ def utilization(
         resource_seconds=rs,
         percents=percents,
         window_s=table.t_stop,
+        segments=segments,
     )
 
 
@@ -628,17 +612,14 @@ def _covered(x: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.n
 
 
 def timeline(
-    events: EventsOrTable, pool: ResourcePool, buckets: int = 120,
-    gpu_weight: float = 1.0,
+    ub: UtilizationBreakdown, buckets: int = 120
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Bucket midpoints and, per category, the average units in each
     bucket; a run that stops at t=0 has every bucket at 0, holding none."""
-    table = _as_table(events)
-    segments = _segments(table, pool, gpu_weight)
-    width = table.t_stop / buckets
+    width = ub.window_s / buckets
     edges = np.arange(buckets + 1) * width
     grid = {}
-    for cat, (a, b, w) in segments.items():
+    for cat, (a, b, w) in ub.segments.items():
         # coverage only grows with x; rounding must not print -0.0000
         grid[cat] = np.maximum(np.diff(_covered(edges, a, b, w)) / (width or 1.0), 0.0)
     return (np.arange(buckets) + 0.5) * width, grid
@@ -677,12 +658,9 @@ def write_summary_csv(metrics: dict[str, object], path: str) -> None:
             w.writerow([k, v])
 
 
-def write_timeline_csv(
-    events: EventsOrTable, pool: ResourcePool, path: str,
-    buckets: int = 120, gpu_weight: float = 1.0,
-) -> None:
+def write_timeline_csv(ub: UtilizationBreakdown, path: str, buckets: int = 120) -> None:
     """Plot-ready long format: average units per category per time bucket."""
-    t_mid, grid = timeline(events, pool, buckets=buckets, gpu_weight=gpu_weight)
+    t_mid, grid = timeline(ub, buckets=buckets)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "category", "units"])

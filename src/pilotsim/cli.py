@@ -19,7 +19,7 @@ import csv
 import os
 import sys
 import traceback
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .config import (
     to_flat,
 )
 from .pilot import PilotRun, build_pool, build_spec
-from .profiler import Event, load_profile  # noqa: F401  perfbench's tracer wraps cli.load_profile
+from .profiler import LogEvents, load_profile  # noqa: F401  perfbench wraps cli.load_profile
 from .scheduler import ResourcePool
 
 
@@ -58,7 +58,7 @@ def _rep_metrics(cfg: ExperimentConfig, table: analysis.TaskTable,
 
 
 def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
-                events: Optional[Iterable[Event]] = None) -> dict[str, float]:
+                events: Optional[LogEvents] = None) -> dict[str, float]:
     """Write the per-repetition report CSVs from its profile.log, or from
     `events` when given; returns the summary metrics."""
     if events is None:
@@ -75,10 +75,7 @@ def analyze_rep(rep_dir: str, cfg: ExperimentConfig,
         {k: f"{v:.6f}" for k, v in metrics.items()},
         os.path.join(rep_dir, "report_summary.csv"),
     )
-    analysis.write_timeline_csv(
-        table, pool, os.path.join(rep_dir, "report_timeline.csv"),
-        gpu_weight=cfg.agent.gpu_weight,
-    )
+    analysis.write_timeline_csv(ub, os.path.join(rep_dir, "report_timeline.csv"))
     return metrics
 
 
@@ -107,17 +104,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     points = cfg.sweep_points()
     if points:
         parent = os.path.join(cfg.output_dir, cfg.name)
-        subs = []
-        for n in points:
+        os.makedirs(parent, exist_ok=True)
+        for n in points:  # `validate` has checked every point
             sub = copy.deepcopy(cfg)
             sub.sweep.n_tasks = ""
             sub.workload.n_tasks = n
             sub.output_dir = parent
             sub.name = f"n{n:06d}"
-            sub.validate()  # every point, before any of them runs
-            subs.append(sub)
-        os.makedirs(parent, exist_ok=True)
-        for sub in subs:
             run_experiment(sub)
         return parent
     run_dir = os.path.join(cfg.output_dir, cfg.name)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional
 
 DEFAULT_CORES_PER_NODE = 42
 DEFAULT_GPUS_PER_NODE = 6
@@ -119,11 +120,13 @@ class ExperimentConfig:
             raise ConfigError("sweep.n_tasks values must be >= 1")
         return points
 
-    def effective_nodes(self) -> int:
-        """Pool size, auto-derived from the workload when autosize is set:
-        enough worker nodes to run every task at once, plus the agent's."""
+    def effective_nodes(self, n_tasks: Optional[int] = None) -> int:
+        """Pool size for `n_tasks` tasks (the workload's by default),
+        auto-derived when autosize is set: enough worker nodes to run every
+        task at once, plus the agent's."""
         if self.pool.autosize:
-            cores = self.workload.n_tasks * self.workload.cores_per_task
+            n = self.workload.n_tasks if n_tasks is None else n_tasks
+            cores = n * self.workload.cores_per_task
             return math.ceil(cores / self.pool.cores_per_node) + self.pool.agent_nodes
         return self.pool.nodes
 
@@ -142,12 +145,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if wl.n_tasks < 1 or wl.cores_per_task < 1 or wl.duration_s <= 0:
             raise ConfigError("workload needs n_tasks>=1, cores>=1, duration>0")
-        self.sweep_points()
         if pl.cores_per_node < 1 or pl.autosize not in (0, 1):
             raise ConfigError("pool needs cores_per_node >= 1 and autosize 0 or 1")
-        nodes = self.effective_nodes()
-        if nodes < 2 or pl.agent_nodes < 1 or pl.agent_nodes >= nodes:
-            raise ConfigError("pool needs >=1 agent node and >=1 worker node")
         if be.kind not in ("sim_dvm", "sim_jsm", "local_exec"):
             raise ConfigError(f"unknown backend kind {be.kind!r}")
         if be.kind == "sim_jsm" and be.fd_limit != 4096:
@@ -166,18 +165,24 @@ class ExperimentConfig:
             raise ConfigError("partitions must be >= 1")
         if ag.partitions > sa.n_sub_agents:
             raise ConfigError("need at least one executor per partition")
-        workers = nodes - pl.agent_nodes
-        if ag.partitions > workers:
-            raise ConfigError("partitions exceed worker node count")
-        # every task must fit one partition, or the run would stall
-        part_cores = (workers // ag.partitions) * pl.cores_per_node
-        if wl.cores_per_task > part_cores:
-            raise ConfigError(
-                f"cores_per_task ({wl.cores_per_task}) exceeds partition "
-                f"capacity ({part_cores} cores)"
-            )
-        if wl.gpus_per_task > (workers // ag.partitions) * pl.gpus_per_node:
-            raise ConfigError("gpus_per_task exceeds partition capacity")
+        # an autosized pool follows the task count: the layout is checked
+        # for the config's own count and for each sweep point's
+        for n_tasks in (wl.n_tasks, *self.sweep_points()):
+            nodes = self.effective_nodes(n_tasks)
+            if nodes < 2 or pl.agent_nodes < 1 or pl.agent_nodes >= nodes:
+                raise ConfigError("pool needs >=1 agent node and >=1 worker node")
+            workers = nodes - pl.agent_nodes
+            if ag.partitions > workers:
+                raise ConfigError("partitions exceed worker node count")
+            # every task must fit one partition, or the run would stall
+            part_cores = (workers // ag.partitions) * pl.cores_per_node
+            if wl.cores_per_task > part_cores:
+                raise ConfigError(
+                    f"cores_per_task ({wl.cores_per_task}) exceeds partition "
+                    f"capacity ({part_cores} cores)"
+                )
+            if wl.gpus_per_task > (workers // ag.partitions) * pl.gpus_per_node:
+                raise ConfigError("gpus_per_task exceeds partition capacity")
 
 
 def _key_table() -> dict[str, tuple[str, str, type]]:

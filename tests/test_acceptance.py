@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from pilotsim import ExperimentConfig, TaskSpec, compute_ttx, run_pilot, utilization
+from pilotsim import ExperimentConfig, TaskSpec, TaskTable, compute_ttx, run_pilot, utilization
 from pilotsim.analysis import OverheadStats
 from pilotsim.config import DvmSimConfig
 from pilotsim.core import TaskRecord, VirtualClock
@@ -195,8 +195,9 @@ class TestCriterion5Experiment3Analog:
         t0 = time.monotonic()
         assert res.n_done == 16384
         # serialized submission floor: payload plus 16384 enforced 0.1s waits
-        assert compute_ttx(res.events) >= 900.0 + 1638.4
-        ub = utilization(res.events, res.pool)
+        table = TaskTable.from_events(res.events)
+        assert compute_ttx(table) >= 900.0 + 1638.4
+        ub = utilization(table, res.pool)
         took = sim_took + (time.monotonic() - t0)
         exec_cmd = ub.percents["exec_cmd"]
         prep = ub.percents["prepare_execution"]
@@ -220,11 +221,11 @@ class TestCriterion6Experiment4Analog:
                           subagents__n_sub_agents=4)
         res = run_pilot(cfg, seed=2026)
         assert res.n_done == 16384
-        ub = utilization(res.events, res.pool)
+        ub = utilization(TaskTable.from_events(res.events), res.pool)
         took = time.monotonic() - t0
         exec_cmd = ub.percents["exec_cmd"]
-        ttx_base = compute_ttx(baseline.events)
-        ttx_opt = compute_ttx(res.events)
+        ttx_base = compute_ttx(TaskTable.from_events(baseline.events))
+        ttx_opt = compute_ttx(TaskTable.from_events(res.events))
         assert 55.0 <= exec_cmd <= 70.0
         assert ttx_base / ttx_opt >= 2.0
         assert took < self.BUDGET
@@ -293,7 +294,7 @@ class TestCriterion8UtilizationConservation:
                 cfg.workload.cores_per_task = cfg.pool.cores_per_node
             res = run_pilot(cfg, seed=int(rng.integers(1 << 30)))
             assert res.n_done == cfg.workload.n_tasks, f"trial {trial}"
-            ub = utilization(res.events, res.pool)
+            ub = utilization(TaskTable.from_events(res.events), res.pool)
             assert abs(sum(ub.percents.values()) - 100.0) <= 0.01
             expected_us = cfg.workload.n_tasks * cfg.workload.cores_per_task * round(
                 cfg.workload.duration_s * 1e6
@@ -374,7 +375,7 @@ class TestCriterion10RealExecutionSmoke:
         res = run_pilot(cfg, run_dir=run_dir, seed=1)
         took = time.monotonic() - t0
         assert res.n_done == 64
-        ttx = compute_ttx(res.events)
+        ttx = compute_ttx(TaskTable.from_events(res.events))
         ideal = math.ceil(64 / 8) * 2.0
         assert ideal <= ttx <= ideal + 5.0
         for i in range(64):

@@ -13,12 +13,12 @@ from pilotsim import (
     run_pilot,
     utilization,
 )
-from pilotsim.analysis import CATEGORIES, OverheadStats, _segments, timeline
+from pilotsim.analysis import CATEGORIES, OverheadStats, timeline
 from pilotsim.cli import analyze_rep
 from pilotsim.profiler import Event
 from pilotsim.scheduler import ResourcePool
 
-from conftest import zero_overhead
+from conftest import reference_table, zero_overhead
 
 RES_MS = 0.001
 
@@ -81,7 +81,7 @@ class TestComputeTtx:
     def test_single_task_zero_overheads(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=1, workload__duration_s=900.0))
         res = run_pilot(cfg, seed=1)
-        assert compute_ttx(res.events) == pytest.approx(900.0, abs=1e-9)
+        assert compute_ttx(TaskTable.from_events(res.events)) == pytest.approx(900.0, abs=1e-9)
 
     def test_two_sequential_tasks_one_core(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=2, workload__duration_s=5.0))
@@ -89,14 +89,14 @@ class TestComputeTtx:
         cfg.pool.gpus_per_node = 0
         res = run_pilot(cfg, seed=1)
         assert res.n_done == 2
-        assert compute_ttx(res.events) == pytest.approx(10.0, abs=1e-9)
+        assert compute_ttx(TaskTable.from_events(res.events)) == pytest.approx(10.0, abs=1e-9)
 
     def test_incomplete_run_rejected(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=1))
         res = run_pilot(cfg, seed=1)
         truncated = [e for e in res.events if e.name != "pilot_stop"]
         with pytest.raises(IncompleteRun):
-            compute_ttx(truncated)
+            compute_ttx(reference_table(truncated))
 
 
 class TestIdealTtx:
@@ -121,7 +121,7 @@ class TestIdealTtx:
         spec = TaskSpec(cores=1, gpus=6, duration_s=100.0)
         res = run_pilot(cfg, seed=1)
         assert ideal_ttx(10, spec, res.pool) == pytest.approx(500.0)
-        assert ideal_ttx(10, spec, res.pool) <= compute_ttx(res.events)
+        assert ideal_ttx(10, spec, res.pool) <= compute_ttx(TaskTable.from_events(res.events))
 
     def test_shape_larger_than_pool_rejected(self):
         with pytest.raises(ValueError, match="do not fit the pool"):
@@ -134,7 +134,7 @@ class TestComponentOverheads:
                         pool__nodes=26)
         cfg.backend.submit_delay_s = 0.1
         res = run_pilot(cfg, seed=1)
-        report = component_overheads(res.events)
+        report = component_overheads(TaskTable.from_events(res.events))
         wait = report.components["prrte_wait"]
         rp = report.components["rp"]
         assert wait.n == 1024
@@ -145,14 +145,14 @@ class TestComponentOverheads:
     def test_zero_latency_single_task_all_zero(self, quick_cfg):
         cfg = zero_overhead(quick_cfg(workload__n_tasks=1))
         res = run_pilot(cfg, seed=1)
-        report = component_overheads(res.events)
+        report = component_overheads(TaskTable.from_events(res.events))
         for stats in report.components.values():
             assert stats.union_s == pytest.approx(0.0, abs=1e-9)
 
     def test_single_task_aggregated_equals_individual(self, quick_cfg):
         cfg = quick_cfg(workload__n_tasks=1)
         res = run_pilot(cfg, seed=1)
-        report = component_overheads(res.events)
+        report = component_overheads(TaskTable.from_events(res.events))
         for stats in report.components.values():
             if stats.n:
                 assert stats.union_s == pytest.approx(stats.mean_s)
@@ -162,7 +162,7 @@ class TestComponentOverheads:
         cfg = quick_cfg(workload__n_tasks=2000, workload__duration_s=900.0,
                         pool__nodes=49)
         res = run_pilot(cfg, seed=2026)
-        report = component_overheads(res.events)
+        report = component_overheads(TaskTable.from_events(res.events))
         launch = report.components["dvm_launch_msg"]
         assert launch.n == 2000
         assert abs(launch.mean_s - 0.034) <= 0.1 * 0.034
@@ -181,7 +181,7 @@ class TestUtilization:
     def test_degenerate_run_without_tasks(self):
         pool = ResourcePool(2, cores_per_node=4, gpus_per_node=1,
                                     agent_nodes=1)
-        ub = utilization(synthetic_events(), pool)
+        ub = utilization(reference_table(synthetic_events()), pool)
         four = (ub.percents["agent_nodes"] + ub.percents["pilot_startup"]
                 + ub.percents["pilot_termination"] + ub.percents["idle"])
         assert four == pytest.approx(100.0, abs=1e-9)
@@ -190,7 +190,7 @@ class TestUtilization:
     def test_percents_sum_to_100(self, quick_cfg):
         cfg = quick_cfg(workload__n_tasks=40, pool__nodes=3)
         res = run_pilot(cfg, seed=5)
-        ub = utilization(res.events, res.pool)
+        ub = utilization(TaskTable.from_events(res.events), res.pool)
         assert sum(ub.percents.values()) == pytest.approx(100.0, abs=0.01)
         assert set(ub.percents) == set(CATEGORIES)
 
@@ -198,7 +198,7 @@ class TestUtilization:
         cfg = quick_cfg(workload__n_tasks=25, workload__duration_s=7.5,
                         pool__nodes=2)
         res = run_pilot(cfg, seed=6)
-        ub = utilization(res.events, res.pool)
+        ub = utilization(TaskTable.from_events(res.events), res.pool)
         expected = 25 * 7.5 * 1  # n x duration x cores
         assert ub.resource_seconds["exec_cmd"] == pytest.approx(expected, abs=1e-6)
 
@@ -207,8 +207,9 @@ class TestUtilization:
             cfg = quick_cfg(workload__n_tasks=24)
             cfg.backend.submit_delay_s = delay
             res = run_pilot(cfg, seed=7)
-            ub = utilization(res.events, res.pool)
-            return compute_ttx(res.events), ub.resource_seconds["prepare_execution"]
+            table = TaskTable.from_events(res.events)
+            ub = utilization(table, res.pool)
+            return compute_ttx(table), ub.resource_seconds["prepare_execution"]
 
         ttx_fast, prep_fast = run_with(0.02)
         ttx_slow, prep_slow = run_with(0.1)
@@ -218,8 +219,9 @@ class TestUtilization:
     def test_gpu_weight_scales_idle(self, quick_cfg):
         cfg = quick_cfg(workload__n_tasks=8)
         res = run_pilot(cfg, seed=8)
-        full = utilization(res.events, res.pool, gpu_weight=1.0)
-        none = utilization(res.events, res.pool, gpu_weight=0.0)
+        table = TaskTable.from_events(res.events)
+        full = utilization(table, res.pool, gpu_weight=1.0)
+        none = utilization(table, res.pool, gpu_weight=0.0)
         assert none.resource_seconds["idle"] < full.resource_seconds["idle"]
         assert sum(none.percents.values()) == pytest.approx(100.0, abs=0.01)
 
@@ -228,7 +230,7 @@ class TestUtilization:
         res = run_pilot(cfg, seed=9)
         truncated = [e for e in res.events if e.name != "pilot_stop"]
         with pytest.raises(IncompleteRun):
-            utilization(truncated, res.pool)
+            utilization(reference_table(truncated), res.pool)
 
 
 class TestTaskTable:
@@ -238,9 +240,10 @@ class TestTaskTable:
         table = TaskTable.from_events(res.events)
         assert table.n_done == res.n_done == 30
         assert table.n_failed == 0
-        assert compute_ttx(table) == compute_ttx(res.events)
-        assert component_overheads(table) == component_overheads(res.events)
-        assert utilization(table, res.pool) == utilization(res.events, res.pool)
+        oracle = reference_table(res.events)
+        assert compute_ttx(table) == compute_ttx(oracle)
+        assert component_overheads(table) == component_overheads(oracle)
+        assert utilization(table, res.pool) == utilization(oracle, res.pool)
 
 
 class TestTimeline:
@@ -260,24 +263,15 @@ class TestTimeline:
             gpu_weight = float(rng.choice([0.0, 0.5, 1.0]))
             buckets = int(rng.integers(1, 200))
             res = run_pilot(cfg, seed=int(rng.integers(1 << 30)))
-            ub = utilization(res.events, res.pool, gpu_weight=gpu_weight)
-            t_mid, grid = timeline(res.events, res.pool, buckets=buckets,
-                                   gpu_weight=gpu_weight)
+            ub = utilization(TaskTable.from_events(res.events), res.pool,
+                             gpu_weight=gpu_weight)
+            t_mid, grid = timeline(ub, buckets=buckets)
             width = ub.window_s / buckets
             assert t_mid == pytest.approx((np.arange(buckets) + 0.5) * width)
             for cat in CATEGORIES:
                 assert grid[cat].min() >= 0.0
                 assert float(grid[cat].sum()) * width == pytest.approx(
                     ub.resource_seconds[cat], rel=1e-6, abs=1e-9), (trial, cat)
-
-    def test_segments_are_kept_on_the_table(self, quick_cfg):
-        res = run_pilot(quick_cfg(workload__n_tasks=24), seed=2)
-        table = TaskTable.from_events(res.events)
-        segments = _segments(table, res.pool, 1.0)
-        utilization(table, res.pool)
-        timeline(table, res.pool)
-        assert _segments(table, res.pool, 1.0) is segments
-        assert _segments(table, res.pool, 0.5) is not segments  # another weight: built anew
 
     def test_one_analysis_builds_the_segments_once(self, quick_cfg, tmp_path, monkeypatch):
         # utilization and the timeline share one build; each build reads

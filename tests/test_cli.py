@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -238,12 +239,12 @@ class TestEmitReport:
     def test_distinct_seeds_mean_within_envelope(self, tmp_path):
         cfg = small_cfg(tmp_path, repetitions=4)
         run_dir = run_experiment(cfg)
-        from pilotsim import compute_ttx, load_profile
+        from pilotsim import TaskTable, compute_ttx
 
         ttxs = []
         for rep in range(4):
-            events = load_profile(os.path.join(run_dir, f"rep_{rep:03d}", "profile.log"))
-            ttxs.append(compute_ttx(events))
+            table = TaskTable.from_log(os.path.join(run_dir, f"rep_{rep:03d}", "profile.log"))
+            ttxs.append(compute_ttx(table))
         out_path = emit_report(run_dir)
         rows = {r[0]: r for r in csv.reader(open(out_path))}
         mean = float(rows["ttx_s"][1])
@@ -279,12 +280,12 @@ class TestSweep:
         points = sorted(os.listdir(run_dir))
         assert points == ["n000004", "n000008", "n000016"]
         # aggregated scheduling/submission overhead grows with scale
-        from pilotsim import component_overheads, load_profile
+        from pilotsim import TaskTable, component_overheads
 
         unions = []
         for p in points:
-            events = load_profile(os.path.join(run_dir, p, "rep_000", "profile.log"))
-            unions.append(component_overheads(events).components["rp"].union_s)
+            table = TaskTable.from_log(os.path.join(run_dir, p, "rep_000", "profile.log"))
+            unions.append(component_overheads(table).components["rp"].union_s)
         assert unions[0] < unions[1] < unions[2]
 
     def test_autosize_tracks_workload(self, tmp_path):
@@ -293,6 +294,13 @@ class TestSweep:
         cfg.pool.cores_per_node = 42
         cfg.workload.n_tasks = 16384
         assert cfg.effective_nodes() == 391 + 1
+
+    def test_validate_checks_every_sweep_point(self):
+        # the config's own 64 tasks autosize to two worker nodes, but the
+        # sweep's first point to one, too few for two partitions
+        with pytest.raises(ConfigError, match="partitions exceed worker node count"):
+            parse_config_text("pool.autosize=1\nagent.partitions=2\n"
+                              "subagents.n_sub_agents=2\nsweep.n_tasks=1,7\n")
 
     def test_bad_sweep_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -321,6 +329,17 @@ class TestShippedConfigs:
         cfg.subagents.n_sub_agents = 4
         run_dir = run_experiment(cfg)
         assert os.path.exists(os.path.join(run_dir, "rep_000", "report_summary.csv"))
+
+    def test_readme_library_use_runs(self, tmp_path, monkeypatch):
+        # the README's "Library use" block, verbatim, beside the saved run it reads
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(here, "README.md"), encoding="utf-8") as fh:
+            block = re.search(r"\n## Library use\n+```python\n(.*?)\n```\n",
+                              fh.read(), re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        cfg_path = os.path.join(here, "configs", "exp4_optimized.cfg")
+        assert main(["run", cfg_path, "--reps", "1", "--out", "runs"]) == 0
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def cut_in_first_slot(lines):

@@ -131,13 +131,10 @@ def _check_rep(rep_dir):
 
 
 def _accepted(text):
-    """Whether `validate` accepts the config and each of its sweep points,
-    as `pilotsim run` checks them; any error but `ConfigError` escapes."""
+    """Whether the config parses, which `validate`s it and each of its sweep
+    points as `pilotsim run` does; any error but `ConfigError` escapes."""
     try:
-        cfg = parse_config_text(text)
-        for n in cfg.sweep_points():
-            cfg.sweep.n_tasks, cfg.workload.n_tasks = "", n
-            cfg.validate()
+        parse_config_text(text)
     except ConfigError:
         return False
     return True

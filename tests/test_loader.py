@@ -390,7 +390,7 @@ def test_run_events_are_read_as_lines(quick_cfg, tmp_path, monkeypatch):
     run_pilot(cfg, run_dir=str(tmp_path / "rep"), seed=6)
     events = count_calls(monkeypatch, Event, "decode")
     table = TaskTable.from_events(res.events)
-    ttx = compute_ttx(res.events)
+    ttx = compute_ttx(table)
     assert events == []
     saved = TaskTable.from_log(str(tmp_path / "rep" / "profile.log"))
     assert_same_table(table, saved)
@@ -406,10 +406,11 @@ def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
     for name in ("__iter__", "__len__", "__getitem__"):  # only `blocks()` is read
         monkeypatch.setattr(LogEvents, name,
                             lambda self, *a, name=name: pytest.fail(f"{name} called"))
-    assert compute_ttx(in_memory.events) == compute_ttx(saved.events)
+    assert compute_ttx(TaskTable.from_events(in_memory.events)) == compute_ttx(
+        TaskTable.from_events(saved.events))
     tracemalloc.start()
     try:
-        compute_ttx(saved.events)
+        compute_ttx(TaskTable.from_events(saved.events))
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -9,13 +9,18 @@ profile events are the task's history.
 Time comes from a Clock: a VirtualClock driven purely by scheduled
 events (deterministic, runs paper-scale workloads in desk wall-time) or
 a RealClock backed by the monotonic OS clock for real process execution.
+The virtual clock keeps two queues: a FIFO of entries appended in time
+order (every payload end of a run's one task shape lands there) and a
+heap for the rest, so the heap stays small while thousands of tasks run.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -117,40 +122,64 @@ class Clock:
 
     Callbacks are dispatched in timestamp order; ties break by insertion
     order, which makes virtual runs fully deterministic. `schedule_at` is
-    the one entry point: every callback enters the heap there, at an
-    absolute time (a delay is `now_s + dt`), as a `(t, seq, fn)` entry; `fn`
-    takes no arguments (a bound method or a `functools.partial` of one).
-    `now_s` is the current time in seconds: a plain attribute on the
-    virtual clock, read from the OS on the real one.
+    the one entry point: every callback is queued there, at an absolute
+    time (a delay is `now_s + dt`), as a `(t, seq, fn)` entry; `fn` takes
+    no arguments (a bound method or a `functools.partial` of one). An
+    entry at or after the FIFO's last time is appended to the FIFO, so the
+    FIFO stays sorted; any other entry goes on the heap. `now_s` is the
+    current time in seconds: a plain attribute on the virtual clock, read
+    from the OS on the real one.
     """
 
     def __init__(self):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._fifo: deque[tuple[float, int, Callable[[], None]]] = deque()
         self._seq = itertools.count()
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         if t < self.now_s:
             t = self.now_s
-        heapq.heappush(self._heap, (t, next(self._seq), fn))
+        fifo = self._fifo
+        if not fifo or t >= fifo[-1][0]:
+            fifo.append((t, next(self._seq), fn))
+        else:
+            heapq.heappush(self._heap, (t, next(self._seq), fn))
 
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._fifo)
 
     def run(self) -> None:
         raise NotImplementedError
 
 
 class VirtualClock(Clock):
-    """Min-heap virtual time: advances only through scheduled events."""
+    """Virtual time: advances only through scheduled events. Each step
+    runs the smaller `(t, seq)` of the two queue heads; seqs are unique,
+    so the order is that of one heap holding every entry.
+
+    The cyclic collector is off during the loop and back in its prior
+    state after it: the loop makes no reference cycles, so a collection
+    would only walk the run's live objects and free nothing."""
 
     now_s = 0.0  # until the loop sets the time of the event it runs
 
     def run(self) -> None:
-        heap, pop = self._heap, heapq.heappop
-        while heap:
-            t, _, fn = pop(heap)
-            self.now_s = t
-            fn()
+        heap, fifo, pop, popleft = self._heap, self._fifo, heapq.heappop, self._fifo.popleft
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                if fifo:
+                    t, _, fn = pop(heap) if heap and heap[0] < fifo[0] else popleft()
+                elif heap:
+                    t, _, fn = pop(heap)
+                else:
+                    break
+                self.now_s = t
+                fn()
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class RealClock(Clock):

@@ -96,10 +96,9 @@ class DvmHandle:
         self.n_daemons = len(pool.workers)
         self._live: dict[str, tuple[TaskRecord, object]] = {}  # uid: (rec, executor)
         self.crashed = False
+        # the log format keeps the topology attribute; only a flat overlay is modelled
         sink.record(clock.now_s, PILOT, uid, COMP_DVM, EV_DVM_START,
-                    {"daemons": str(self.n_daemons),
-                     # the log format keeps this attribute; only a flat overlay is modelled
-                     "topology": "flat"})
+                    f"daemons={self.n_daemons};topology=flat")
 
     @property
     def n_live(self) -> int:
@@ -161,7 +160,7 @@ class DvmHandle:
     def _crash(self, now: float) -> None:
         self.crashed = True
         self.sink.record(now, PILOT, self.uid, COMP_DVM, EV_DVM_CRASH,
-                         {"live": str(len(self._live))})
+                         f"live={len(self._live)}")
         entries = list(self._live.values())
         self._live.clear()
         for rec, _ in entries:

@@ -162,12 +162,10 @@ class PilotRun:
 
     def _pilot_start(self) -> None:
         cfg = self.cfg
-        self.sink.record(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START, {
-            "nodes": str(self.pool.n_nodes),
-            "agent_nodes": str(cfg.pool.agent_nodes),
-            "clock": "real" if isinstance(self.clock, RealClock) else "virtual",
-            "seed": str(self.seed),
-        })
+        clock = "real" if isinstance(self.clock, RealClock) else "virtual"
+        self.sink.record(0.0, PILOT, "pilot", COMP_AGENT, EV_PILOT_START,
+                         f"nodes={self.pool.n_nodes};agent_nodes={cfg.pool.agent_nodes};"
+                         f"clock={clock};seed={self.seed}")
         self._build_backends()
         self._build_executors()
         self.clock.schedule_at(self.clock.now_s + cfg.agent.startup_s, self._agent_ready)
@@ -213,10 +211,10 @@ class PilotRun:
         self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_AGENT_READY)
         n, size = self.cfg.workload.n_tasks, BUNDLE_SIZE
         self.sink.record(now, PILOT, "pilot", COMP_CLIENT, EV_WORKLOAD_RECEIVED,
-                         {"n_tasks": str(n)})
+                         f"n_tasks={n}")
         for b, lo in enumerate(range(0, n, size)):
             self.sink.record(now, PILOT, f"bundle.{b:04d}", COMP_CLIENT,
-                             EV_BUNDLE_RECEIVED, {"size": str(min(size, n - lo))})
+                             EV_BUNDLE_RECEIVED, f"size={min(size, n - lo)}")
         self._t_arrival = now
         self._kick_sched()
 
@@ -249,7 +247,7 @@ class PilotRun:
         now = self.clock.now_s
         advance_state(rec, TaskState.SCHEDULED, now)
         self.sink.record(now, TASK, rec.uid, COMP_SCHEDULER, EV_SCHEDULE_OK,
-                         {"slot": rec.slot[0], "cores": str(self.spec.cores)})
+                         f"slot={rec.slot[0]};cores={self.spec.cores}")
         ex = group.executors[group.rr % len(group.executors)]
         group.rr += 1
         ex.enqueue(rec)
@@ -261,7 +259,7 @@ class PilotRun:
                        waited: float, now: float) -> None:
         advance_state(rec, TaskState.SUBMITTED, now)
         self.sink.record(now, TASK, rec.uid, COMP_EXECUTOR, EV_SUBMIT,
-                         {"wait": f"{waited:.6f}", "executor": executor.uid})
+                         f"wait={waited:.6f};executor={executor.uid}")
 
     def task_running(self, rec: TaskRecord, t: float) -> None:
         advance_state(rec, TaskState.RUNNING, t)
@@ -273,15 +271,13 @@ class PilotRun:
             return
         if exit_status == 0:
             advance_state(rec, TaskState.DONE, t_end)
-            self.sink.record(t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE,
-                             {"exit": "0"})
+            self.sink.record(t_end, TASK, rec.uid, COMP_PAYLOAD, EV_DONE, "exit=0")
             self.n_done += 1
         else:
             advance_state(rec, TaskState.FAILED, t_end)
             self._count_failure(FailureReason.NONZERO_EXIT)
             self.sink.record(t_end, TASK, rec.uid, COMP_PAYLOAD, EV_TASK_FAIL,
-                             {"reason": FailureReason.NONZERO_EXIT.value,
-                              "exit": str(exit_status)})
+                             f"reason={FailureReason.NONZERO_EXIT.value};exit={exit_status}")
         self._release(rec, now)
 
     def task_failed(self, rec: TaskRecord, reason: FailureReason, now: float) -> None:
@@ -290,7 +286,7 @@ class PilotRun:
         advance_state(rec, TaskState.FAILED, now)
         self._count_failure(reason)
         self.sink.record(now, TASK, rec.uid, COMP_EXECUTOR, EV_TASK_FAIL,
-                         {"reason": reason.value})
+                         f"reason={reason.value}")
         self._release(rec, now)
 
     # -- internals -------------------------------------------------------------
@@ -314,10 +310,8 @@ class PilotRun:
 
     def _pilot_stop(self) -> None:
         now = self.clock.now_s
-        self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_PILOT_STOP, {
-            "n_done": str(self.n_done),
-            "n_failed": str(self.n_failed),
-        })
+        self.sink.record(now, PILOT, "pilot", COMP_AGENT, EV_PILOT_STOP,
+                         f"n_done={self.n_done};n_failed={self.n_failed}")
         self.sink.flush()
 
 

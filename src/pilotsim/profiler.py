@@ -180,18 +180,15 @@ class EventSink:
         self._closed = False
 
     def record(self, t: float, kind: str, uid: str, comp: str, name: str,
-               attrs: Mapping[str, str] = NO_ATTRS) -> None:
-        """Append one event as a line, every field verbatim: the caller
-        passes only text of the log's alphabet, which nothing here checks.
-        The log keeps microseconds, and `f"{t:.6f}"` writes the same text
-        as rounding `t` to them first."""
+               pairs: str = "") -> None:
+        """Append one event as a line, every field verbatim: `pairs` is the
+        attribute text already joined as `k=v;k=v` ("" for none), and the
+        caller passes only text of the log's alphabet, which nothing here
+        checks. The log keeps microseconds, and `f"{t:.6f}"` writes the
+        same text as rounding `t` to them first."""
         if self._closed:
             raise SinkClosed("event sink is closed")
-        if attrs:
-            pairs = ";".join(map("=".join, attrs.items()))
-            self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},{pairs}\n")
-        else:  # most events: no pairs to join
-            self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},\n")
+        self._fh.write(f"{t:.6f},{kind},{uid},{comp},{name},{pairs}\n")
 
     @property
     def events(self) -> LogEvents:

@@ -2,12 +2,14 @@
 (perfbench/trace_layers.py). A refactor that renames or moves one of
 them fails here, not in the benchmark."""
 
+import heapq
 import importlib.util
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from pilotsim import parse_config_text, run_pilot
+from pilotsim import core, parse_config_file, parse_config_text, run_pilot
 from pilotsim.pilot import PilotRun
 
 from conftest import zero_overhead
@@ -66,8 +68,8 @@ def traced(cfg):
     {"agent__partitions": 2, "subagents__n_sub_agents": 2, "pool__nodes": 3},
 ], ids=["sim_dvm", "sim_jsm", "partitions=2"])
 def test_every_event_is_counted(quick_cfg, over):
-    # every callback enters the heap through Clock.schedule_at, the method
-    # the tracer counts: each push takes one sequence number
+    # every callback is queued through Clock.schedule_at, the method the
+    # tracer counts: each entry takes one sequence number
     tracer = load_trace_layers().Tracer()
     run = PilotRun(quick_cfg(workload__n_tasks=40, **over), seed=1)
     tracer.install()
@@ -77,6 +79,52 @@ def test_every_event_is_counted(quick_cfg, over):
         tracer.uninstall()
     assert res.n_done == 40
     assert tracer.layer_metrics(log_bytes=0)["core.events_dispatched"] == next(run.clock._seq)
+
+
+@pytest.mark.parametrize("n_tasks", [1024, 4096])
+def test_payload_timers_skip_the_heap(monkeypatch, n_tasks):
+    # counted, not timed: the optimized run appends every payload end to
+    # the clock's FIFO, so its heap holds only the short stage timers while
+    # pending() still counts every queued entry
+    cfg = parse_config_file(os.path.join(ROOT, "configs", "exp4_optimized.cfg"))
+    cfg.workload.n_tasks = n_tasks
+    heap_peak = queued = 0
+
+    def heappush(heap, entry):
+        nonlocal heap_peak
+        heapq.heappush(heap, entry)
+        heap_peak = max(heap_peak, len(heap))
+
+    schedule_at = core.Clock.schedule_at
+
+    def counted_schedule_at(clock, t, fn):
+        def dispatch():
+            nonlocal queued
+            queued -= 1
+            assert clock.pending() == queued
+            fn()
+
+        nonlocal queued
+        schedule_at(clock, t, dispatch)
+        queued += 1
+        assert clock.pending() == queued
+
+    monkeypatch.setattr(core, "heapq", SimpleNamespace(heappush=heappush,
+                                                       heappop=heapq.heappop))
+    monkeypatch.setattr(core.Clock, "schedule_at", counted_schedule_at)
+    run = PilotRun(cfg, seed=1)
+    tracer = load_trace_layers().Tracer()
+    tracer.install()
+    try:
+        res = run.run()
+    finally:
+        tracer.uninstall()
+    assert res.n_done == n_tasks
+    assert heap_peak <= 64, heap_peak
+    assert queued == run.clock.pending() == 0
+    m = tracer.layer_metrics(log_bytes=0)
+    assert m["core.events_dispatched"] == next(run.clock._seq)
+    assert m["core.heap_peak"] >= n_tasks  # every running task's timer is pending
 
 
 def test_multiwave_every_attempt_places(quick_cfg):

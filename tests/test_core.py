@@ -1,11 +1,15 @@
+import gc
+import heapq
 import itertools
+import os
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pilotsim import ConfigError, TaskSpec, run_pilot
+from pilotsim import ConfigError, TaskSpec, parse_config_file, run_pilot
 from pilotsim.core import (
     IllegalTransition,
     TaskRecord,
@@ -196,3 +200,167 @@ class TestVirtualClock:
         clock.schedule_at(5.0, lambda: clock.schedule_at(1.0, lambda: seen.append(clock.now_s)))
         clock.run()
         assert seen == [5.0]  # past events clamp to now
+
+    def test_pending_counts_both_queues(self):
+        # a long constant delay goes to the FIFO, the short ones after it
+        # to the heap; pending() counts every entry not yet dispatched
+        clock = VirtualClock()
+        counts = []
+        for t in (900.0, 1.0, 2.0, 900.0, 0.5):
+            clock.schedule_at(t, lambda: counts.append(clock.pending()))
+        assert clock.pending() == 5
+        assert len(clock._fifo) == 2 and len(clock._heap) == 3
+        clock.run()
+        assert counts == [4, 3, 2, 1, 0]
+
+
+class HeapClock:
+    """The reference clock: one heap holding every `(t, seq, fn)` entry."""
+
+    def __init__(self):
+        self.now_s = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def schedule_at(self, t, fn):
+        heapq.heappush(self._heap, (max(t, self.now_s), next(self._seq), fn))
+
+    def run(self):
+        while self._heap:
+            self.now_s, _, fn = heapq.heappop(self._heap)
+            fn()
+
+
+LONG = 900.0  # the constant payload delay of a run's one task shape
+
+# a delay from the callback that schedules it: past (clamped to now), an
+# exact tie, short, or the long constant one
+delays = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0, LONG]),
+                   st.floats(-2.0, 2 * LONG, allow_nan=False))
+# a schedule program: each entry is (time, the entries its callback schedules)
+nested = st.recursive(st.just([]), lambda kids: st.lists(st.tuples(delays, kids), max_size=4),
+                      max_leaves=60)
+programs = st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0, LONG]) | delays, nested),
+                    max_size=8)
+
+
+def dispatch_order(clock, program):
+    """Run `program` on `clock`; returns the (now_s, label) of each callback
+    as it runs, its label being its path in the program."""
+    seen = []
+
+    def fire(kids, label):
+        seen.append((clock.now_s, label))
+        for i, (dt, sub) in enumerate(kids):
+            clock.schedule_at(clock.now_s + dt, lambda sub=sub, i=i: fire(sub, label + (i,)))
+
+    for i, (t, kids) in enumerate(program):
+        clock.schedule_at(t, lambda kids=kids, i=i: fire(kids, (i,)))
+    clock.run()
+    return seen
+
+
+class TestDispatchOrder:
+    @given(program=programs)
+    # each callback schedules a long timer and short ones, some tied
+    @example(program=[(0.0, [(LONG, []), (0.25, [(LONG, []), (0.0, [])]), (1.0, [])])] * 20)
+    @settings(max_examples=200, deadline=None)
+    def test_two_queues_dispatch_as_one_heap(self, program):
+        assert dispatch_order(VirtualClock(), program) == dispatch_order(HeapClock(), program)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def shipped(name, **keys):
+    cfg = parse_config_file(os.path.join(CONFIGS, name))
+    for key, val in keys.items():
+        section, attr = key.split("__")
+        setattr(getattr(cfg, section), attr, val)
+    return cfg
+
+
+class TestCollector:
+    """The virtual loop runs with the cyclic collector off: it makes no
+    reference cycles, and it leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda q: q(workload__n_tasks=40),
+        lambda q: shipped("exp3_virtual.cfg", workload__n_tasks=1200, backend__kind="sim_jsm",
+                          backend__fd_limit=4096, backend__max_rate_hz=None),
+        lambda q: q(workload__n_tasks=40, backend__kind="sim_jsm", backend__fd_limit=4096,
+                    subagents__n_sub_agents=2),
+        lambda q: q(workload__n_tasks=40, dvm__capacity_tasks=10),
+        lambda q: shipped("exp3_virtual.cfg", workload__n_tasks=1024),
+        lambda q: q(workload__n_tasks=40, agent__partitions=4, subagents__n_sub_agents=4,
+                    pool__nodes=5),
+        lambda q: shipped("exp4_optimized.cfg", workload__n_tasks=512, dvm__capacity_tasks=511),
+    ], ids=["sim_dvm", "sim_jsm_fd_ceiling", "jsm_two_subagents", "dvm_crash", "exp3",
+            "partitions=4", "capacity_below_n_tasks"])
+    def test_a_run_leaves_no_cyclic_garbage(self, quick_cfg, make):
+        # with the collector off around the whole run, a collection after
+        # it finds every cycle the run made: there are none
+        run = PilotRun(make(quick_cfg), seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            res = run.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert res.n_done + res.n_failed == run.cfg.workload.n_tasks
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        clock = VirtualClock()
+        inside = []
+        clock.schedule_at(1.0, lambda: inside.append(gc.isenabled()))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            clock.run()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert inside == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_when_a_callback_raises(self, enabled):
+        clock = VirtualClock()
+        error = RuntimeError("callback failed")
+
+        def fail():
+            raise error
+
+        clock.schedule_at(1.0, fail)
+        clock.schedule_at(2.0, lambda: None)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError) as raised:
+                clock.run()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert raised.value is error
+        assert clock.pending() == 1
+
+    def test_no_collection_inside_the_loop(self):
+        # counted, not timed: every collection that starts while a frame
+        # of the virtual loop is on the stack
+        run = PilotRun(shipped("exp4_optimized.cfg", workload__n_tasks=1024), seed=1)
+        loop, inside = VirtualClock.run.__code__, []
+
+        def count(phase, info):
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_code is loop:
+                    inside.append(info["generation"])
+                    break
+                frame = frame.f_back
+
+        gc.callbacks.append(count)
+        try:
+            res = run.run()
+        finally:
+            gc.callbacks.remove(count)
+        assert res.n_done == 1024
+        assert inside == []

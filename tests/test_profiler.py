@@ -48,7 +48,7 @@ times = st.one_of(
 def recorded(t, kind, uid, comp, name, attrs=NO_ATTRS):
     """The text `EventSink.record` writes for one event."""
     sink = EventSink()
-    sink.record(t, kind, uid, comp, name, attrs)
+    sink.record(t, kind, uid, comp, name, ";".join(map("=".join, attrs.items())))
     return sink._fh.getvalue()
 
 
@@ -103,7 +103,7 @@ class TestRecord:
             p = int(rng.integers(4))
             t[p] += float(rng.uniform(0, 0.01))
             sink.record(t[p], "Executor", f"exec.{p}", "Executor", "op",
-                        {"seq": str(seq[p])})
+                        ";".join(map("=".join, {"seq": str(seq[p])}.items())))
             seq[p] += 1
         sink.close()
         loaded = load_profile(path)
@@ -177,6 +177,29 @@ class TestEncode:
         assert regex == []
 
 
+    def test_plain_run_makes_no_join_call_in_record(self, quick_cfg, tmp_path):
+        # callers pass the attribute text joined: the sink writes one
+        # f-string per event and joins nothing
+        record, calls, joins = EventSink.record.__code__, [], []
+
+        def profile(frame, event, arg):
+            if frame.f_code is record:
+                calls.append(event)
+                if event == "c_call" and arg.__name__ == "join" and isinstance(
+                        getattr(arg, "__self__", None), str):
+                    joins.append(arg.__self__)
+
+        run = PilotRun(quick_cfg(), run_dir=str(tmp_path / "rep"), seed=1)
+        sys.setprofile(profile)
+        try:
+            res = run.run()
+        finally:
+            sys.setprofile(None)
+        assert res.n_done == 16
+        assert calls.count("call") >= 16 * 5
+        assert joins == []
+
+
 class TestLoadProfile:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.log"
@@ -190,7 +213,7 @@ class TestLoadProfile:
         sink = EventSink(path)
         for ev in events:
             sink.record(ev.t_s, ev.entity_kind, ev.entity_id, ev.component, ev.name,
-                        ev.attrs)
+                        ";".join(map("=".join, ev.attrs.items())))
         sink.close()
         assert load_profile(path) == events
         assert list(sink.events) == events  # record order, here time order
@@ -283,7 +306,7 @@ class TestLeanPath:
 
     def test_file_sink_memory_does_not_grow(self, tmp_path):
         sink = EventSink(str(tmp_path / "p.log"))
-        attrs = {"slot": "n000001c7", "cores": "1"}
+        attrs = ";".join(map("=".join, {"slot": "n000001c7", "cores": "1"}.items()))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

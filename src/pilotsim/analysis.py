@@ -17,14 +17,17 @@ Every metric derives from one table, and one reader builds it from
 profile text: `TaskTable.from_log` feeds it a saved log in blocks of
 lines, and `TaskTable.from_events` feeds it the recorded lines of a
 run's events. The reader splits each block into numpy columns without
-making an `Event` per line. It reads the submission waits in one regex
-pass over all their texts and decodes the slots column by column, so on
-a plain log no Python code runs once per task. The table holds numpy
-columns with one row per task: the timestamp of each lifecycle event,
-NaN where the event is missing. It also holds the run marks, and one row
-per (task, resource unit) pair that expands each task's slot. TTX and
-the overhead intervals are column arithmetic; an interval union is a
-sort plus a running maximum. Utilization builds one set of weighted
+making an `Event` per line. Beyond the rules of `Event.decode`, a Task
+submit's attributes start with their one `wait=` and a Task
+schedule_ok's with their one `slot=`, so the reader takes the waits in
+one anchored regex pass and decodes the slots column by column: on a
+plain log no Python code runs once per task. A log that breaks a rule is
+read again line by line to name its first bad line. The table holds
+numpy columns with one row per task: the timestamp of each lifecycle
+event, NaN where the event is missing. It also holds the run marks, and
+one row per (task, resource unit) pair that expands each task's slot.
+TTX and the overhead intervals are column arithmetic; an interval union
+is a sort plus a running maximum. Utilization builds one set of weighted
 category segments and keeps them on its breakdown, and the timeline
 reads them from there: a task's segments count once per unit it held,
 the warmup and draining gaps come from each unit's visits in schedule
@@ -195,53 +198,38 @@ _CODE_FIELD = {_KIND_CODE[kind] * _N_NAMES + _NAME_CODE[name]: col
                for kind, cols in _COLUMNS.items() for name, col in cols.items()}
 _CODE_FIELD.update({2 * _N_NAMES + _NAME_CODE[name]: m for name, m in _MARKS.items()})
 _SCHED, _SUBMIT = _NAME_CODE[EV_SCHEDULE_OK], _NAME_CODE[EV_SUBMIT]  # of Task lines
-_PAIR = re.compile(r"([^;=]*)=([^;]*)")  # in attributes whose pieces all hold "="
 _TWO_EQ = re.compile(r"=[^;]*=")  # a piece with two "="
+_LEAD = {EV_SUBMIT: "wait", EV_SCHEDULE_OK: "slot"}  # the key leading a Task line's attributes
 
 
-def _raise_first_error(log: LogEvents, source: str, attrs: bool = False) -> None:
-    """Read `log` again to raise the error of its first line that
-    `Event.decode` rejects or, with `attrs`, whose Task submit wait is not
-    a finite float or whose Task schedule_ok slot `slot_units` rejects."""
-    line_no = 1  # of the next block's first line
-    with closing(log.blocks()) as blocks:
-        for block in blocks:
-            for no, line in enumerate(block.split("\n"), start=line_no):
-                if line:
-                    try:
-                        ev = Event.decode(line)
-                        if not attrs or ev.entity_kind != TASK:
-                            continue
-                        if ev.name == EV_SUBMIT and not math.isfinite(
-                                float(wait := ev.attrs.get("wait", "0"))):
-                            raise ValueError(f"wait {wait!r} is not finite")
-                        if ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
-                            slot_units([ev.attrs["slot"]])
-                    except ValueError as exc:
-                        raise ProfileParseError(source, no, str(exc)) from exc
-            line_no += block.count("\n")
+def _raise_first_error(log: LogEvents, source: str) -> None:
+    """Read `log` again to raise the error of its first line that breaks a
+    rule: `Event.decode`'s, a wait or slot key that does not lead its Task
+    line's attributes once, a wait not a finite float, or a bad slot."""
+    for no, line in log.numbered():
+        try:
+            ev = Event.decode(line)
+            if ev.entity_kind != TASK or (key := _LEAD.get(ev.name)) is None:
+                continue
+            text = line.rsplit(",", 1)[1]
+            if not text.startswith(f"{key}=") or f";{key}=" in text:
+                raise ValueError(f"{ev.name} attributes do not start with their one {key}=")
+            if key == "slot":
+                slot_units([ev.attrs[key]])
+            elif not math.isfinite(float(wait := ev.attrs[key])):
+                raise ValueError(f"wait {wait!r} is not finite")
+        except ValueError as exc:
+            raise ProfileParseError(source, no, str(exc)) from exc
     raise AssertionError(f"{source}: the log failed a check that no line fails")
 
 
-def _all_pairs(text: str) -> bool:
-    """Whether every piece of the `;`-joined attributes `text` holds "=".
-    One "=" a piece and no piece with two settles most texts by counting."""
-    return (text.count("=") == text.count(";") + 1 and not _TWO_EQ.search(text)
-            or all(map(str.__contains__, text.split(";"), repeat("="))))
-
-
-def _attr_values(text: str, order: list[int], key: str, default: Optional[str] = None) -> list:
-    """The value of `key` in each newline-ended attribute text of `text`,
-    taken in `order`: `default` where it is missing, and as `Event.decode`
-    reads it, the last piece with the key. One regex pass reads them when
-    every text starts with the key and holds it once; if one text does
-    not, every text is read on its own."""
-    head = f"{key}="
-    # n texts with n heads, each at a text's start: one head per text
-    if text.count(head) == len(order) == text.startswith(head) + text.count("\n" + head):
-        return list(map(re.findall(f"{head}([^;\n]*)", text).__getitem__, order))
-    return [dict(_PAIR.findall(line)).get(key, default)
-            for line in map(text.split("\n").__getitem__, order)]
+def _lead_values(text: str, order: list[int], key: str) -> list[str]:
+    """The value of `key` in each newline-ended attribute text of `text`, in
+    `order`; ValueError unless each text starts with its one `key=`."""
+    values = re.findall(f"\n{key}=([^;\n]*)", "\n" + text)
+    if len(values) != len(order) or f";{key}=" in text:
+        raise ValueError
+    return list(map(values.__getitem__, order))
 
 
 @dataclass
@@ -293,13 +281,12 @@ class TaskTable:
 
         Of each line only its time and a (kind, name) code are kept, plus
         the id of Task and DvmJob lines and, joined per block, the
-        attributes of Task submit and schedule_ok lines. When a block fails
-        a check (a `%` among them), a wait is not a finite float or a slot
-        is off the grammar, the log is read again line by line to raise its
-        first bad line's error. The waits and the slots are each read in one
-        regex pass over all their texts; if one text of a kind has its key
-        missing, repeated or not first, every text of that kind is read line
-        by line in time order, which is slower."""
+        attributes of Task submit and schedule_ok lines; the waits and the
+        slots are each read in one regex pass over all their texts. When a
+        block fails a check (a `%` among them, or a piece without exactly
+        one "="), a wait or slot key does not lead its attributes once, a
+        wait is not a finite float or a slot is off the grammar, the log is
+        read again line by line to raise its first bad line's error."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
         # per block, the attributes of its Task submit and schedule_ok lines,
@@ -316,9 +303,11 @@ class TaskTable:
                 attrs = fields[5::7]
                 pairs = ";".join(filter(None, attrs))
                 try:
+                    # one "=" a piece: as many as pieces, and no piece with two
                     if ("%" in block or len(fields) != 7 * n - 1
                             or fields[6::7].count("\n") != n - 1
-                            or pairs and not _all_pairs(pairs)):
+                            or pairs.count("=") != pairs.count(";") + bool(pairs)
+                            or _TWO_EQ.search(pairs)):
                         raise ValueError
                     t = np.fromiter(map(float, fields[0::7]), float, n)
                     if not np.isfinite(t).all():
@@ -361,35 +350,29 @@ class TaskTable:
             if len(hit := lines.pop(mark)):
                 marks[mark] = float(t[hit[-1]])
 
-        def values(c: int, key: str, default: Optional[str] = None) -> tuple:
+        def values(c: int, key: str) -> tuple:
             # the rows and `key` values of the Task lines coded `c`, in time
             # order as `lines` holds them
             hit = lines[_CODE_FIELD[c]]
             order = np.searchsorted(np.flatnonzero(code == c), hit).tolist()
-            return row[hit], _attr_values("".join(texts.pop(c)), order, key, default)
+            return row[hit], _lead_values("".join(texts.pop(c)), order, key)
 
-        task_rows, waits = values(_SUBMIT, "wait", "0")
-        try:
+        try:  # a key off its lead, a wait not a finite float, a slot off the grammar
+            task_rows, waits = values(_SUBMIT, "wait")
             waits = (task_rows, np.fromiter(map(float, waits), float, len(task_rows)))
             if not np.isfinite(waits[1]).all():
                 raise ValueError
-        except ValueError:  # a wait that is not a finite float
-            _raise_first_error(log, source, attrs=True)
-        task_rows, slots = values(_SCHED, "slot")
-        if None in slots:  # a schedule_ok without a slot holds no units
-            held = [s is not None for s in slots]
-            task_rows, slots = task_rows[held], list(compress(slots, held))
-        del code
-        hits = {}
-        for col in list(lines):  # each column's lines are freed as its hit is taken
-            hit = lines.pop(col)
-            hits[col] = (row[hit], t[hit])
-        uids = list(map(keys.__getitem__, by_first.tolist()))
-        del t, row, hit, keys  # before the table's columns are built
-        try:
-            return cls._build(uids, hits, waits, (task_rows, slots), marks)
-        except ValueError:  # a slot off the grammar
-            _raise_first_error(log, source, attrs=True)
+            slots = values(_SCHED, "slot")
+            del code
+            hits = {}
+            for col in list(lines):  # each column's lines are freed as its hit is taken
+                hit = lines.pop(col)
+                hits[col] = (row[hit], t[hit])
+            uids = list(map(keys.__getitem__, by_first.tolist()))
+            del t, row, hit, keys  # before the table's columns are built
+            return cls._build(uids, hits, waits, slots, marks)
+        except ValueError:
+            _raise_first_error(log, source)
 
     @classmethod
     def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,

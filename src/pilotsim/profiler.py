@@ -5,12 +5,12 @@ One event per line, UTF-8, comma separated:
     t_s,entity_kind,entity_id,component,name,attrs
 
 `t_s` is fixed-point with microsecond precision; `attrs` is a
-semicolon-separated list of key=value pairs. Every field is written
-verbatim, so the log has one alphabet: printable ASCII without `,` `;`
-`=` `%`. The runtime passes only such text (module constants, ids
-formatted from ints, formatted numbers, enum values, slot texts), and
-`Event.encode` rejects any other. There is no escape: a line holding a
-`%` is an error. Producers append in call order; readers sort by
+semicolon-separated list of key=value pieces with one `=` each. Every
+field is written verbatim, so the log has one alphabet: printable ASCII
+without `,` `;` `=` `%`. The runtime passes only such text (module
+constants, ids formatted from ints, formatted numbers, enum values, slot
+texts), and `Event.encode` rejects any other. There is no escape: a line
+holding a `%` is an error. Producers append in call order; readers sort by
 timestamp (stable, so per-producer order survives for equal timestamps).
 
 The text is the only copy of a run's events: the sink formats each event
@@ -24,7 +24,8 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, count, islice, starmap
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
@@ -119,7 +120,7 @@ class Event:
         if parts[5]:
             for pair in parts[5].split(";"):
                 k, eq, v = pair.partition("=")
-                if not eq:
+                if not eq or "=" in v:  # a piece holds exactly one "="
                     raise ValueError(f"bad attr {pair!r}")
                 attrs[k] = v
         return cls(t_s, parts[1], parts[2], parts[3], parts[4], attrs or NO_ATTRS)
@@ -129,10 +130,13 @@ class LogEvents(Sequence):
     """A profile log's events in record order, read afresh from the text
     on every use: no line is kept, and a line is decoded only when it is
     read, so `len()` decodes none and `[-1]` decodes one. The log's
-    alphabet holds no line break, so a newline is the only one."""
+    alphabet holds no line break, so a newline is the only one. A bad line
+    raises a `ProfileParseError` naming it and the log: its path, or
+    "<events>" for a sink's in-memory text."""
 
     def __init__(self, source: Union[str, io.StringIO]):
         self._source = source  # a log path, or a sink's in-memory text
+        self._name = source if isinstance(source, str) else "<events>"
 
     def blocks(self) -> Iterator[str]:
         """The log text in blocks of whole lines, about 64 KiB each, read
@@ -147,23 +151,33 @@ class LogEvents(Sequence):
             yield text[start:end]
             start = end
 
-    def _lines(self) -> Iterator[str]:
-        """The log's lines as `load_profile` reads them: split at a newline
-        alone, blank lines skipped; none is cached or decoded."""
+    def numbered(self) -> Iterator[tuple[int, str]]:
+        """(line number, line) of each line that is not blank, split at a
+        newline alone and counted from 1 with the blank lines; none is
+        cached or decoded."""
+        start = 1
         for block in self.blocks():
-            yield from filter(None, block.split("\n"))
+            lines = block.split("\n")
+            yield from compress(zip(count(start), lines), lines)
+            start += len(lines) - 1
+
+    def _decode(self, line_no: int, line: str) -> Event:
+        try:
+            return Event.decode(line)
+        except ValueError as exc:
+            raise ProfileParseError(self._name, line_no, str(exc)) from exc
 
     def __iter__(self) -> Iterator[Event]:
-        return map(Event.decode, self._lines())
+        return starmap(self._decode, self.numbered())
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._lines())
+        return sum(1 for _ in self.numbered())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
         i = range(len(self))[i]  # from the front; IndexError when out of range
-        return Event.decode(next(islice(self._lines(), i, None)))
+        return self._decode(*next(islice(self.numbered(), i, None)))
 
 
 class EventSink:
@@ -209,16 +223,6 @@ class EventSink:
 
 
 def load_profile(path: str) -> list[Event]:
-    """Parse a profile log; returns events sorted by timestamp (stable)."""
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                events.append(Event.decode(line))
-            except ValueError as exc:
-                raise ProfileParseError(path, line_no, str(exc)) from exc
-    events.sort(key=lambda e: e.t_s)
-    return events
+    """A saved profile log's events sorted by timestamp (stable); its first
+    bad line raises a `ProfileParseError` naming it."""
+    return sorted(LogEvents(path), key=attrgetter("t_s"))

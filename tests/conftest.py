@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pilotsim import ExperimentConfig, ProfileParseError, TaskTable, load_profile
+from pilotsim import ExperimentConfig, ProfileParseError, TaskTable
 from pilotsim.analysis import _COLUMNS, _MARKS
 from pilotsim.profiler import EV_SCHEDULE_OK, EV_SUBMIT, TASK, Event
 from pilotsim.scheduler import slot_units
@@ -167,24 +167,35 @@ def reference_table(events) -> TaskTable:
     return TaskTable._build(list(rows), hits, waits, slots, marks)
 
 
+# the key that leads the attributes of a Task line, once, by its name
+LEAD = {EV_SUBMIT: "wait", EV_SCHEDULE_OK: "slot"}
+
+
 def reference_log_table(path: str) -> TaskTable:
-    """`reference_table(load_profile(path))`, but a Task submit wait that is
-    not a finite float, or a Task schedule_ok slot off the grammar, raises
-    a `ProfileParseError` naming the first line of the file that holds
-    either: the oracle `TaskTable.from_log` is compared against."""
-    events = load_profile(path)
+    """`reference_table(load_profile(path))`, with the table's rules applied
+    in one pass in file order: the first line that `Event.decode` rejects,
+    that is a Task submit or schedule_ok whose first attribute key is not
+    its one `wait` or `slot`, or that holds a wait that is not a finite
+    float or a slot off the grammar, raises a `ProfileParseError` naming
+    it. The oracle `TaskTable.from_log` is compared against."""
+    events = []
     with open(path, encoding="utf-8") as fh:
         for no, line in enumerate(map(str.rstrip, fh, repeat("\n")), start=1):
-            ev = Event.decode(line) if line else None
-            if not ev or ev.entity_kind != TASK:
+            if not line:
                 continue
             try:
-                if ev.name == EV_SUBMIT:
-                    wait = ev.attrs.get("wait", "0")
-                    if not math.isfinite(float(wait)):
-                        raise ValueError(f"wait {wait!r} is not finite")
-                elif ev.name == EV_SCHEDULE_OK and "slot" in ev.attrs:
-                    slot_units([ev.attrs["slot"]])
+                ev = Event.decode(line)
+                events.append(ev)
+                key = LEAD.get(ev.name) if ev.entity_kind == TASK else None
+                if key is None:
+                    continue
+                keys = [piece.partition("=")[0] for piece in line.split(",")[5].split(";")]
+                if keys[0] != key or keys.count(key) != 1:
+                    raise ValueError(f"{ev.name} attributes do not start with their one {key}=")
+                if key == "wait" and not math.isfinite(float(ev.attrs[key])):
+                    raise ValueError(f"wait {ev.attrs[key]!r} is not finite")
+                if key == "slot":
+                    slot_units([ev.attrs[key]])
             except ValueError as exc:
                 raise ProfileParseError(path, no, str(exc)) from exc
-    return reference_table(events)
+    return reference_table(sorted(events, key=lambda e: e.t_s))

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from pilotsim import ConfigError, parse_config_text, run_pilot
+from pilotsim.config import BackendConfig
 from pilotsim.core import FailureReason, TaskRecord, TaskSpec, VirtualClock
 from pilotsim.dvm import LatencySpec
-from pilotsim.launcher import FdAccountant, SimJsmBackend
+from pilotsim.launcher import Executor, FdAccountant, SimJsmBackend
 from pilotsim.scheduler import ResourcePool
 
 from conftest import task_events, zero_overhead
@@ -62,6 +65,15 @@ class TestRateGate:
         assert wait[:4] == (0.1,) * 4
         assert t[4] - t[3] > 5.0 and wait[4] == 0.0
         assert all(b - a >= 0.1 - 1e-9 for a, b in zip(t, t[1:]))
+
+    def test_over_rate_boundary(self):
+        # a submission exactly one period after the last one is within the
+        # rate; one a float step earlier is over it
+        ex = Executor("ex", BackendConfig(max_rate_hz=4.0), VirtualClock(), FdAccountant(64),
+                      backend=None, host=None, rng=np.random.default_rng(0))
+        ex._last_submit_t = 0.0
+        assert not ex._over_rate(0.25)
+        assert ex._over_rate(math.nextafter(0.25, 0))
 
 
 class TestFdAccountant:

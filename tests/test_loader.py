@@ -4,12 +4,15 @@ fails on a damaged log with exactly the oracle's error, which is
 `load_profile`'s for a line it rejects; `TaskTable.from_events` reads a
 run's events through the same reader."""
 
+import io
 import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotsim import ProfileParseError, TaskTable, compute_ttx, load_profile, run_pilot
 from pilotsim.profiler import Event, LogEvents
@@ -135,7 +138,8 @@ def edit_first(marker, edit):
     return apply
 
 
-# attributes that the one-pass reader leaves to the per-line reader
+# a wait or slot key that does not lead its Task line's attributes once:
+# off the table's grammar, an error naming the line
 ATTR_EDITS = {
     "attrs_reordered": edit_first(",schedule_ok,", lambda line: re.sub(
         r"(slot=[^;\n]*);(cores=[^;\n]*)", r"\2;\1", line)),
@@ -153,7 +157,7 @@ slot_only_decode_reads = edit_first(",schedule_ok,", lambda line: line.replace(
 
 # EDITS that both readers reject, naming the first line the edit changes
 ERROR_EDITS = {"percent_escaped_ids", "percent_escaped_attrs", "percent_escaped_values",
-               "slot_only_decode_reads"}
+               "slot_only_decode_reads", "attr_value_holds_eq", *ATTR_EDITS}
 
 
 EDITS = {
@@ -166,7 +170,7 @@ EDITS = {
     "percent_escaped_ids": escaped_ids,
     "percent_escaped_attrs": escaped_attrs,
     "percent_escaped_values": escaped_values,
-    # a piece with two "=": its value holds the second one
+    # a piece with two "=": off the log's grammar
     "attr_value_holds_eq": edit_first(",schedule_ok,", lambda line: line.replace(
         "cores=", "cores=1=")),
     **ATTR_EDITS,
@@ -189,6 +193,56 @@ def test_same_table_as_reference(plain_log, tmp_path, edit, newline):
         with pytest.raises(ProfileParseError) as err:
             TaskTable.from_log(path)
         assert err.value.line_no == first_changed(plain_log, lines)
+
+
+# edits of a line's attribute pieces: each reorders, repeats, drops or
+# prefixes a wait or slot key, or adds a piece with no "=" or two
+PIECE_EDITS = {
+    "rotated": lambda p: p[1:] + p[:1],
+    "wait_first": lambda p: ["wait=1.5"] + p,
+    "wait_last": lambda p: p + ["wait=1.5"],
+    "slot_first": lambda p: ["slot=n0c0"] + p,
+    "slot_last": lambda p: p + ["slot=n0c0"],
+    "keys_dropped": lambda p: [x for x in p if x.partition("=")[0] not in ("wait", "slot")],
+    "first_key_prefixed": lambda p: ["x" + x for x in p[:1]] + p[1:],
+    "bare_piece": lambda p: p + ["bare"],
+    "two_eq_piece": lambda p: p[:1] + ["x=1=2"] + p[1:],
+}
+
+
+def edit_pieces(line: str, edit: str) -> str:
+    head, attrs = line.rstrip("\n").rsplit(",", 1)
+    pieces = PIECE_EDITS[edit](attrs.split(";") if attrs else [])
+    return f"{head},{';'.join(pieces)}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(
+    st.sampled_from([",Task,", ",submit,", ",schedule_ok,", ""]),
+    st.integers(0, 1000), st.sampled_from(sorted(PIECE_EDITS))), min_size=1, max_size=3))
+def test_attribute_edits_give_the_reference_outcome(plain_log, tmp_path_factory, edits):
+    # Task submit and schedule_ok lines, other Task lines and any line
+    lines = list(plain_log)
+    for marker, k, edit in edits:
+        hits = [i for i, line in enumerate(lines) if marker in line]
+        i = hits[k % len(hits)]
+        lines[i] = edit_pieces(lines[i], edit)
+    assert_same_outcome(write(tmp_path_factory.mktemp("edits"), "".join(lines)))
+
+
+def test_the_first_of_two_kinds_of_damage_is_named(plain_log, tmp_path):
+    # a bad wait, then a "%" on a later line: the wait's line is named,
+    # though the "%" fails its block first
+    i = next(i for i, line in enumerate(plain_log) if ",submit," in line)
+    lines = replaced(plain_log, i, plain_log[i].replace("wait=", "wait=x", 1))
+    j = len(lines) - 2
+    lines = replaced(lines, j, lines[j].replace(",", "%,", 1))
+    path = write(tmp_path, "".join(lines))
+    assert_same_outcome(path)
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_log(path)
+    assert err.value.line_no == i + 1 < j + 1
+    assert err.value.reason.startswith("could not convert string to float")
 
 
 def test_spilled_gpu_slots_are_read(plain_log, tmp_path):
@@ -326,7 +380,7 @@ CROSS_BLOCK = {
     "escape_then_garbage": lambda lines, i: (
         escaped_ids(lines[:i]) + ["not an event\n"] + lines[i:]),
     "slot_only_decode_reads": slot_only_decode_reads,
-    **ATTR_EDITS,  # read, not raised as a ProfileParseError
+    **ATTR_EDITS,
 }
 
 
@@ -337,13 +391,12 @@ def test_edit_past_the_second_block(big_log, tmp_path, edit, newline):
     lines = CROSS_BLOCK[edit](big_log, i)
     path = write(tmp_path, "".join(lines), newline=newline)
     assert_same_outcome(path)
-    if edit not in ATTR_EDITS:
-        with pytest.raises(ProfileParseError) as err:
-            TaskTable.from_log(path)
-        # counted across the blocks: line i + 1, or past it, but for the
-        # escape in block 1
-        assert err.value.line_no == first_changed(big_log, lines)
-        assert (err.value.line_no > i) == (edit != "escape_then_garbage")
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_log(path)
+    # counted across the blocks: line i + 1, or past it, but for the
+    # escape in block 1
+    assert err.value.line_no == first_changed(big_log, lines)
+    assert (err.value.line_no > i) == (edit != "escape_then_garbage")
 
 
 def count_calls(monkeypatch, cls, name):
@@ -476,6 +529,37 @@ def test_log_events_split_lines_as_load_profile(plain_log, tmp_path, newline):
     assert any("\x0c" in e.attrs.get("cores", "") for e in want)
     assert list(events) == want and len(events) == len(want) == len(plain_log)
     assert [events[i] for i in range(-len(want), len(want))] == want + want
+
+
+LINE_DAMAGE = {
+    "percent": lambda line: line.replace(",", "%,", 1),
+    "garbage": lambda line: "not an event\n",
+    "bare_attr": lambda line: line.rstrip("\n") + ";bare\n",
+    "two_eq_attr": lambda line: line.rstrip("\n") + ";x=1=2\n",
+    "nan_time": lambda line: with_time(line, "nan"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(LINE_DAMAGE))
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_log_events_errors_name_their_line(plain_log, tmp_path, damage, newline):
+    # a blank line before the damaged line: it is counted, not yielded
+    k = 6  # the damaged line's index among the lines that are not blank
+    lines = plain_log[:3] + ["\n"] + replaced(plain_log, k, LINE_DAMAGE[damage](
+        plain_log[k]))[3:]
+    path = write(tmp_path, "".join(lines), newline=newline)
+    with pytest.raises(ProfileParseError) as err:
+        load_profile(path)
+    want = (err.value.line_no, err.value.reason)
+    assert want[0] == k + 2
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    for read, name in ((lambda: list(LogEvents(path)), path),
+                       (lambda: LogEvents(path)[k], path),
+                       (lambda: list(LogEvents(io.StringIO(text, newline=None))), "<events>")):
+        with pytest.raises(ProfileParseError) as err:
+            read()
+        assert (err.value.path, err.value.line_no, err.value.reason) == (name, *want)
 
 
 @pytest.mark.parametrize("saved", [False, True], ids=["in memory", "saved"])

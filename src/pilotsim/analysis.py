@@ -15,9 +15,15 @@ to units that idle through the whole run (unused GPUs, spare cores).
 
 Every metric derives from one table, and one reader builds it from
 profile text: `TaskTable.from_log` feeds it a saved log in blocks of
-lines, and `TaskTable.from_events` feeds it the recorded lines of a
-run's events. The reader splits each block into numpy columns without
-making an `Event` per line. Beyond the rules of `Event.decode`, a Task
+whole lines of about `profiler.BLOCK_CHARS` characters, and
+`TaskTable.from_events` feeds it the recorded lines of a run's events.
+The reader reads each block as its UTF-8 bytes in numpy passes, making
+no Python object per line: one scan finds the commas, newlines and
+attribute marks that check the fields; a time of up to 8 integer digits
+and 6 decimals is parsed eight digits at a time as exact integer
+microseconds; the kind and name are coded by comparing 8-byte words and
+lengths; and the ids are numbered per block through a hash of their
+words, checked word for word. Beyond the rules of `Event.decode`, a Task
 submit's attributes start with their one `wait=` and a Task
 schedule_ok's with their one `slot=`, so the reader takes the waits in
 one anchored regex pass and decodes the slots column by column: on a
@@ -45,7 +51,7 @@ import re
 from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -198,11 +204,205 @@ _CODE_FIELD = {_KIND_CODE[kind] * _N_NAMES + _NAME_CODE[name]: col
                for kind, cols in _COLUMNS.items() for name, col in cols.items()}
 _CODE_FIELD.update({2 * _N_NAMES + _NAME_CODE[name]: m for name, m in _MARKS.items()})
 _SCHED, _SUBMIT = _NAME_CODE[EV_SCHEDULE_OK], _NAME_CODE[EV_SUBMIT]  # of Task lines
-_TWO_EQ = re.compile(r"=[^;]*=")  # a piece with two "="
 _LEAD = {EV_SUBMIT: "wait", EV_SCHEDULE_OK: "slot"}  # the key leading a Task line's attributes
 
+# `_read_block` reads a block's UTF-8 bytes as little-endian 8-byte words
+# (numpy 1.x promotes uint64 with a Python int to float64, so every operand
+# of a word is a uint64)
+_U = np.uint64
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_U)  # a word's first k bytes
+_ZEROS = _U(0x3030303030303030)  # eight ASCII "0"
+_PAD = 32  # bytes around a block: a word read at a field's start stays in the buffer
+_FRONT, _BACK = "\n" * _PAD, "\0" * _PAD
+_MIX = _U(0x9E3779B97F4A7C15)  # an odd multiplier that spreads an id's words over its hash
+_HASHED = 4  # words of an id that its hash reads; a longer id is looked up alone
 
-def _raise_first_error(log: LogEvents, source: str) -> None:
+
+def _word(text: str, at: int = 0) -> np.uint64:
+    """The word of bytes at..at+7 of `text`, zero past its end."""
+    return np.frombuffer(text.encode()[at:at + 8].ljust(8, b"\0"), "<u8")[0]
+
+
+# the names `_NAME_CODE` reads, in order of their first words, which differ
+_NAMES = sorted(_NAME_CODE, key=_word)
+_NAME_WORDS = np.array([[_word(name, 8 * j) for name in _NAMES] for j in range(3)], dtype=_U)
+_NAME_SIZE = np.array(list(map(len, _NAMES)))
+_NAME_CODES = np.array([_NAME_CODE[name] for name in _NAMES], dtype=np.int8)
+
+
+def _eight_digits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each word holds eight ASCII digits, and their value with
+    its first byte as the leading digit: the SWAR parse of Langdale and
+    Lemire (Parsing Gigabytes of JSON per Second, VLDB J. 2019)."""
+    high = _U(0xF0F0F0F0F0F0F0F0)
+    ok = ((w & high) == _ZEROS) & (((w + _U(0x0606060606060606)) & high) == _ZEROS)
+    w = w - _ZEROS
+    w = w * _U(10) + (w >> _U(8))  # two-digit values in bytes 0, 2, 4 and 6
+    pairs = _U(0x000000FF000000FF)
+    w = ((w & pairs) * _U(100 + (1000000 << 32))
+         + ((w >> _U(16)) & pairs) * _U(1 + (10000 << 32))) >> _U(32)
+    return ok, w
+
+
+def _gather(a: np.ndarray, start: np.ndarray, stop: np.ndarray) -> bytes:
+    """The bytes of `a` in [start, stop) of each range, none of them empty,
+    joined in order."""
+    at = np.ones(int((stop - start).sum()), dtype=np.intp)
+    at[np.cumsum(stop[:-1] - start[:-1])] = start[1:] - stop[:-1] + 1  # the jump to a range
+    at[:1] = start[:1]
+    return a[np.cumsum(at, out=at)].tobytes()
+
+
+def _numbers(index: defaultdict, a: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The number `index` gives the id text of each range of `a`; a comma,
+    which an id never holds, follows each range."""
+    ids = _gather(a, start, start + size + 1).decode().split(",")
+    return np.fromiter(map(index.__getitem__, ids[:-1]), np.intp, len(start))
+
+
+def _id_hash(words: np.ndarray, start: np.ndarray, size: np.ndarray) -> tuple:
+    """A hash of the length and the first `_HASHED` words of the id in each
+    range that starts at `start`, with the words read (zero past an id)."""
+    hashed = size.astype(_U) * _MIX
+    kept = []
+    for j in range(min(_HASHED, -(-int(size.max(initial=0)) // 8))):
+        w = words[start + 8 * j] & _LOW[np.clip(size - 8 * j, 0, 8)]
+        hashed = (hashed ^ w) * _MIX
+        kept.append(w)
+    return hashed, kept
+
+
+def _id_numbers(index: defaultdict, a: np.ndarray, words: np.ndarray, start: np.ndarray,
+                size: np.ndarray) -> np.ndarray:
+    """The number `index` gives the id of each range of `a`, which `words`
+    views: one row of each distinct hash of the length and words of an id
+    is looked up for the rows that hold the same id. A row whose id differs
+    from that row's, or is longer than the words hashed, is looked up alone,
+    so the numbers are exact."""
+    hashed, kept = _id_hash(words, start, size)
+    order = np.argsort(hashed)
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(hashed[order[1:]], hashed[order[:-1]], out=first[1:])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    first = order[first]
+    head = first[group]
+    alone = (size > 8 * _HASHED) | (size != size[head])
+    for w in kept:
+        alone |= w != w[head]
+    number = _numbers(index, a, start[first], size[first])[group]
+    alone = np.flatnonzero(alone)
+    number[alone] = _numbers(index, a, start[alone], size[alone])
+    return number
+
+
+def _padded(block: str) -> bytes:
+    """The UTF-8 bytes of `block` and a newline, after `_PAD` newlines and
+    before `_PAD` NUL bytes."""
+    return f"{_FRONT}{block}\n{_BACK}".encode()
+
+
+def _lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start, the five commas and the newline of each line that is not
+    blank of the `_padded` bytes `a`, and where each "=" or ";" lies;
+    ValueError unless each such line holds six fields. One scan of the
+    text, and the newline before it, finds the commas and newlines and the
+    "=" and ";" that attributes hold."""
+    text = a[_PAD - 1:len(a) - _PAD]
+    hit = text == ord(",")
+    for c in b"\n=;":
+        hit |= text == c
+    mark = np.flatnonzero(hit) + (_PAD - 1)
+    del hit
+    byte = a[mark]
+    sep = (byte == ord(",")) | (byte == ord("\n"))
+    eq, mark, nl = mark[~sep], mark[sep], byte[sep] == ord("\n")
+    del byte, sep
+    # a newline right after a newline ends a blank line; each line that is
+    # not blank holds five commas, then its newline
+    kept = np.flatnonzero(~nl | (a[mark - 1] != ord("\n")))
+    n, nl = len(kept) // 6, nl[kept]
+    if len(kept) != 6 * n or np.count_nonzero(nl) != n or not nl[5::6].all():
+        raise ValueError
+    return mark[kept[0::6] - 1] + 1, mark[kept].reshape(n, 6).T, eq
+
+
+def _times(buf: bytes, words: np.ndarray, start: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """The time of each line: a text of 1 to 8 digits, ".", 6 digits is read
+    as exact integer microseconds, which rounds as `float` does; `float`
+    reads any other. ValueError for a text `float` rejects, or a time that
+    is not finite."""
+    int_size = c0 - 7 - start
+    low = _LOW[np.clip(8 - int_size, 0, 8)]  # bytes before the time read as "0"
+    fixed, whole = _eight_digits(words[c0 - 15] & ~low | _ZEROS & low)
+    ok_frac, frac = _eight_digits(words[c0 - 8] & ~_LOW[2] | _ZEROS & _LOW[2])
+    fixed &= ok_frac & ((words[c0 - 7] & _LOW[1]) == _U(ord(".")))
+    fixed &= (int_size >= 1) & (int_size <= 8)
+    t = (whole * _U(10 ** 6) + frac).astype(float) / 1e6
+    for i in np.flatnonzero(~fixed).tolist():
+        t[i] = float(buf[start[i]:c0[i]].decode())
+        if not math.isfinite(t[i]):
+            raise ValueError
+    return t
+
+
+def _check_attributes(a: np.ndarray, eq: np.ndarray, c4: np.ndarray, end: np.ndarray) -> None:
+    """ValueError unless each attribute piece holds one "=": in each line's
+    attributes "=" and ";" alternate from an "=" to an "=", and attributes
+    that are not empty hold one. `eq` is where each "=" or ";" lies."""
+    line = np.searchsorted(end, eq)
+    inside = eq > c4[line]
+    line, eq = line[inside], a[eq[inside]] == ord("=")
+    edge = np.ones(len(line) + 1, dtype=bool)  # before a line's first mark, after its last
+    np.not_equal(line[1:], line[:-1], out=edge[1:-1])
+    if (not (eq[edge[:-1]].all() and eq[edge[1:]].all())
+            or (eq[1:] == eq[:-1])[~edge[1:-1]].any()
+            or np.count_nonzero(edge[:-1]) != np.count_nonzero(end - c4 > 1)):
+        raise ValueError
+
+
+def _codes(words: np.ndarray, c0: np.ndarray, c1: np.ndarray, c3: np.ndarray,
+           c4: np.ndarray) -> np.ndarray:
+    """The (kind, name) code of each line, by the words and lengths of its
+    kind and name fields."""
+    size = c1 - c0 - 1
+    word = words[c0 + 1] & _LOW[np.minimum(size, 8)]
+    kind = np.full(len(c0), 2, dtype=np.int8)
+    for name, k in _KIND_CODE.items():
+        kind[(size == len(name)) & (word == _word(name))] = k
+    size = c4 - c3 - 1
+    name = [words[c3 + 1 + 8 * j] & _LOW[np.clip(size - 8 * j, 0, 8)] for j in range(3)]
+    at = np.minimum(_NAME_WORDS[0].searchsorted(name[0]), len(_NAMES) - 1)
+    found = _NAME_SIZE[at] == size
+    for j, word in enumerate(name):
+        found &= _NAME_WORDS[j][at] == word
+    return kind * _N_NAMES + np.where(found, _NAME_CODES[at], 0).astype(np.int8)
+
+
+def _read_block(buf: bytes, index: defaultdict) -> tuple:
+    """Of each line that is not blank of a `_padded` block: its time and
+    (kind, name) code, and the number `index` gives the id of a Task or
+    DvmJob line; with the newline-ended attribute texts of its Task submit
+    lines and of its Task schedule_ok lines. ValueError when a line breaks
+    a rule of `Event.decode`."""
+    if b"%" in buf:
+        raise ValueError
+    a = np.frombuffer(buf, np.uint8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # word i: bytes i..i+7
+    start, (c0, c1, c2, c3, c4, end), eq = _lines(a)
+    t = _times(buf, words, start, c0)
+    _check_attributes(a, eq, c4, end)
+    code = _codes(words, c0, c1, c3, c4)
+    entity = np.flatnonzero(code < 2 * _N_NAMES)
+    number = _id_numbers(index, a, words, c1[entity] + 1, c2[entity] - c1[entity] - 1)
+    texts = {}
+    for c in (_SUBMIT, _SCHED):
+        hit = np.flatnonzero(code == c)
+        texts[c] = _gather(a, c4[hit] + 1, end[hit] + 1).decode()
+    return t, code, number, texts
+
+
+def _raise_first_error(log: LogEvents) -> None:
     """Read `log` again to raise the error of its first line that breaks a
     rule: `Event.decode`'s, a wait or slot key that does not lead its Task
     line's attributes once, a wait not a finite float, or a bad slot."""
@@ -219,8 +419,8 @@ def _raise_first_error(log: LogEvents, source: str) -> None:
             elif not math.isfinite(float(wait := ev.attrs[key])):
                 raise ValueError(f"wait {wait!r} is not finite")
         except ValueError as exc:
-            raise ProfileParseError(source, no, str(exc)) from exc
-    raise AssertionError(f"{source}: the log failed a check that no line fails")
+            raise ProfileParseError(log.name, no, str(exc)) from exc
+    raise AssertionError(f"{log.name}: the log failed a check that no line fails")
 
 
 def _lead_values(text: str, order: list[int], key: str) -> list[str]:
@@ -266,63 +466,45 @@ class TaskTable:
     @classmethod
     def from_events(cls, events: LogEvents) -> "TaskTable":
         """The table of a run's events, whose recorded text is read as
-        `from_log` reads a saved log."""
-        return cls._read(events, "<events>")
+        `from_log` reads a saved log; an error names the events' log."""
+        return cls._read(events)
 
     @classmethod
     def from_log(cls, path: str) -> "TaskTable":
-        """The table of a saved profile log, read in blocks of about 64 KiB;
-        the first damaged line raises a `ProfileParseError` naming it."""
-        return cls._read(LogEvents(path), path)
+        """The table of a saved profile log, read as UTF-8 bytes in blocks
+        of about `profiler.BLOCK_CHARS` characters; the first damaged line
+        raises a `ProfileParseError` naming it."""
+        return cls._read(LogEvents(path))
 
     @classmethod
-    def _read(cls, log: LogEvents, source: str) -> "TaskTable":
-        """The table of profile text, read in blocks of whole lines.
+    def _read(cls, log: LogEvents) -> "TaskTable":
+        """The table of profile text, read in blocks of whole lines, each
+        as its UTF-8 bytes in numpy passes that make no object per line.
 
         Of each line only its time and a (kind, name) code are kept, plus
-        the id of Task and DvmJob lines and, joined per block, the
-        attributes of Task submit and schedule_ok lines; the waits and the
-        slots are each read in one regex pass over all their texts. When a
-        block fails a check (a `%` among them, or a piece without exactly
-        one "="), a wait or slot key does not lead its attributes once, a
-        wait is not a finite float or a slot is off the grammar, the log is
-        read again line by line to raise its first bad line's error."""
+        the number of the id of a Task or DvmJob line and, joined per
+        block, the attributes of Task submit and schedule_ok lines; the
+        waits and the slots are each read in one regex pass over all their
+        texts. When a line breaks a rule of `Event.decode`, a wait or slot
+        key does not lead its attributes once, a wait is not a finite float
+        or a slot is off the grammar, the log is read again line by line to
+        raise its first bad line's error, naming the log."""
         times, codes, ids = [], [], []
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
         # per block, the attributes of its Task submit and schedule_ok lines,
         # each ending in a newline
         texts: dict[int, list[str]] = {_SUBMIT: [], _SCHED: []}
         with closing(log.blocks()) as blocks:  # closes a file on a raise
-            for block in blocks:
-                rows = list(filter(None, block.split("\n")))
-                if not (n := len(rows)):
-                    continue
-                # with a "\n" field between lines, lines of six fields put
-                # every "\n" at a position 6 mod 7
-                fields = ",\n,".join(rows).split(",")
-                attrs = fields[5::7]
-                pairs = ";".join(filter(None, attrs))
+            for buf in map(_padded, blocks):  # each text block freed once encoded
                 try:
-                    # one "=" a piece: as many as pieces, and no piece with two
-                    if ("%" in block or len(fields) != 7 * n - 1
-                            or fields[6::7].count("\n") != n - 1
-                            or pairs.count("=") != pairs.count(";") + bool(pairs)
-                            or _TWO_EQ.search(pairs)):
-                        raise ValueError
-                    t = np.fromiter(map(float, fields[0::7]), float, n)
-                    if not np.isfinite(t).all():
-                        raise ValueError
+                    t, code, uid, attrs = _read_block(buf, index)
                 except ValueError:
-                    _raise_first_error(log, source)
-                kind = np.fromiter(map(_KIND_CODE.get, fields[1::7], repeat(2)), np.int8, n)
-                code = kind * _N_NAMES + np.fromiter(
-                    map(_NAME_CODE.get, fields[4::7], repeat(0)), np.int8, n)
-                entity = compress(fields[2::7], (kind < 2).tolist())
-                ids.append(np.fromiter(map(index.__getitem__, entity), np.intp))
-                for c, kept in texts.items():
-                    kept.append("\n".join([*compress(attrs, (code == c).tolist()), ""]))
+                    _raise_first_error(log)
                 times.append(t)
                 codes.append(code)
+                ids.append(uid)
+                for c, kept in texts.items():
+                    kept.append(attrs[c])
         t = np.concatenate(times or [np.empty(0)])
         code = np.concatenate(codes or [np.empty(0, np.int8)])
         uid = np.concatenate(ids or [np.empty(0, np.intp)])
@@ -372,7 +554,7 @@ class TaskTable:
             del t, row, hit, keys  # before the table's columns are built
             return cls._build(uids, hits, waits, slots, marks)
         except ValueError:
-            _raise_first_error(log, source)
+            _raise_first_error(log)
 
     @classmethod
     def _build(cls, uids: list[str], hits: dict[str, tuple], waits: tuple,

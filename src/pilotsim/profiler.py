@@ -66,6 +66,8 @@ EV_NOTIFY_COMPLETE = "notify_complete"
 # a character off the log's alphabet: all but printable ASCII, and , ; = %
 _RESERVED = re.compile(r"[^\x20-\x24\x26-\x2b\x2d-\x3a\x3c\x3e-\x7e]")
 NO_ATTRS: Mapping[str, str] = MappingProxyType({})
+# characters of log text a reader takes at a time before ending the line
+BLOCK_CHARS = 1 << 18
 
 
 class SinkClosed(RuntimeError):
@@ -136,18 +138,18 @@ class LogEvents(Sequence):
 
     def __init__(self, source: Union[str, io.StringIO]):
         self._source = source  # a log path, or a sink's in-memory text
-        self._name = source if isinstance(source, str) else "<events>"
+        self.name = source if isinstance(source, str) else "<events>"  # what errors name
 
     def blocks(self) -> Iterator[str]:
-        """The log text in blocks of whole lines, about 64 KiB each, read
-        afresh: no line is cached or decoded."""
+        """The log text in blocks of whole lines, of about `BLOCK_CHARS`
+        characters each, read afresh: no line is cached or decoded."""
         if isinstance(self._source, str):
             with open(self._source, "r", encoding="utf-8") as fh:
-                yield from iter(lambda: fh.read(1 << 16) + fh.readline(), "")
+                yield from iter(lambda: fh.read(BLOCK_CHARS) + fh.readline(), "")
             return
         text, start = self._source.getvalue(), 0
         while start < len(text):
-            end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+            end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
             yield text[start:end]
             start = end
 
@@ -165,7 +167,7 @@ class LogEvents(Sequence):
         try:
             return Event.decode(line)
         except ValueError as exc:
-            raise ProfileParseError(self._name, line_no, str(exc)) from exc
+            raise ProfileParseError(self.name, line_no, str(exc)) from exc
 
     def __iter__(self) -> Iterator[Event]:
         return starmap(self._decode, self.numbered())

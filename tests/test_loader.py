@@ -11,11 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotsim import ProfileParseError, TaskTable, compute_ttx, load_profile, run_pilot
-from pilotsim.profiler import Event, LogEvents
+from pilotsim.profiler import BLOCK_CHARS, Event, LogEvents
 from pilotsim.cli import main, run_experiment
 
 from conftest import assert_same_table, reference_log_table, reference_table, zero_overhead
@@ -338,18 +338,149 @@ def test_bare_attr_names_its_line(plain_log, tmp_path):
     assert err.value.reason == "bad attr 'bare'"
 
 
-BLOCK = 1 << 16  # characters `from_log` reads at a time, before ending the line
+def first_schedule_ok(lines) -> int:
+    return next(i for i, line in enumerate(lines) if ",schedule_ok," in line)
+
+
+def with_examples(**texts):
+    """Hypothesis examples of the argument named by each keyword, one per text."""
+    def apply(test):
+        for name, values in texts.items():
+            for value in values:
+                test = example(**{name: value})(test)
+        return test
+    return apply
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(
+    st.from_regex(r"[+-]?[0-9]{0,17}(\.[0-9]{0,8})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+# integer parts of 1, 8, 9 and 16 digits, and texts that `float` reads in
+# other forms or rejects
+@with_examples(text=["7.250000", "12345678.000001", "123456789.000001",
+                     "1234567890123456.000000", "-0.000000", "+1.000000", "1e2",
+                     " 75.000000", "1_0.5", ".5", "", "nan", "inf", "75:012000"])
+def test_time_text_gives_the_reference_outcome(plain_log, tmp_path_factory, text):
+    # the time of a task's first line: a table column and the task's row
+    i = first_schedule_ok(plain_log)
+    lines = replaced(plain_log, i, with_time(plain_log[i], text))
+    assert_same_outcome(write(tmp_path_factory.mktemp("time"), "".join(lines)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.floats(0, 1e8, exclude_max=True))
+def test_fixed_point_time_reads_as_float(plain_log, tmp_path_factory, t):
+    i = first_schedule_ok(plain_log)
+    text = f"{t:.6f}"
+    path = write(tmp_path_factory.mktemp("exact"), "".join(
+        replaced(plain_log, i, with_time(plain_log[i], text))))
+    table = TaskTable.from_log(path)
+    assert table.t_sched[table.uids.index(plain_log[i].split(",")[2])] == float(text)
+
+
+def renamed(name):
+    """lines -> lines with the id of task i named `name(i)`."""
+    return lambda lines: [re.sub(r"task\.(\d+)", lambda m: name(int(m[1])), line)
+                          for line in lines]
+
+
+def done_attrs(text):
+    """lines -> lines with the attributes of the first done line `text`."""
+    return edit_first(",done,", lambda line: f"{line.rsplit(',', 1)[0]},{text}\n")
+
+
+# ids of each length, of several UTF-8 widths, equal in their first 8, 16
+# or 32 bytes or but for trailing NULs, or holding the attribute marks;
+# kinds and names near those the table reads; and attribute texts on and
+# off the grammar
+SHAPES = {
+    **{f"ids_of_{k}_bytes": renamed(lambda i, k=k: (f"{i:x}" * k)[:k]) for k in range(1, 41)},
+    "ids_non_ascii": renamed(lambda i: f"tâche·{i}·\U0001f642"),
+    "ids_differ_past_byte_8": renamed(lambda i: f"abcdefgh{i:x}"),
+    "ids_differ_past_byte_16": renamed(lambda i: f"abcdefghijklmnop{i:x}"),
+    "ids_differ_past_byte_32": renamed(lambda i: f"{'abcdefgh' * 4}{i:x}"),
+    "ids_differ_by_trailing_nuls": renamed(lambda i: "a" + "\0" * i),
+    "ids_hold_eq": renamed(lambda i: f"task={i}"),
+    "ids_hold_semicolon": renamed(lambda i: f"task;{i}"),
+    # kinds and names one byte off those the table reads, in their first,
+    # second or third word, or one byte shorter
+    **{f"field_{old}_{new}": lambda lines, old=old, new=new: [
+        line.replace(f",{old},", f",{new},") for line in lines] for old, new in (
+            ("Task", "Tasj"), ("Task", "Task\0"), ("DvmJob", "DvmJoc"), ("done", "Done"),
+            ("done", "done\0"), ("schedule_ok", "schedule_oj"),
+            ("sending_launch_msg", "sending_launch_msh"), ("sending_launch_msg", "sending_launch_ms"),
+            ("workload_received", "workload_receivee"))},
+    **{f"attrs_{name}": done_attrs(text) for name, text in {
+        "trailing_semicolon": "a=b;", "leading_semicolon": ";a=b", "two_eq": "a=b=c",
+        "no_eq": "ab", "empty_values": "a=;b=", "lone_eq": "="}.items()},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_id_and_attribute_shapes_give_the_reference_outcome(plain_log, tmp_path, shape):
+    assert_same_outcome(write(tmp_path, "".join(SHAPES[shape](plain_log))))
+
+
+def colliding_ids() -> tuple[str, str]:
+    """Two ids of 16 printable bytes that the reader's id hash gives one
+    value. The hash of first and second words (f, s) is ((16m ^ f) m ^ s) m
+    modulo 2**64, so (f, s) and (g, s ^ (16m ^ f) m ^ (16m ^ g) m) collide:
+    search pairs of first words for a second word that is printable."""
+    from pilotsim.analysis import _MIX, _id_hash
+
+    m, full = int(_MIX), (1 << 64) - 1
+    alphabet = bytes(c for c in range(0x20, 0x7f) if chr(c) not in ",;=%")
+    rng = np.random.default_rng(0)
+    firsts = [bytes(rng.choice(np.frombuffer(alphabet, np.uint8), 8)) for _ in range(200)]
+    mixed = [((16 * m & full) ^ int.from_bytes(f, "little")) * m & full for f in firsts]
+    second = int.from_bytes(b"abcdefgh", "little")
+    pair = next((f + b"abcdefgh", g + other)
+                for f, x in zip(firsts, mixed) for g, y in zip(firsts, mixed)
+                for other in [(second ^ x ^ y).to_bytes(8, "little")]
+                if f != g and all(c in alphabet for c in other))
+    buf = b"".join(pair) + bytes(16)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    hashed, _ = _id_hash(words, np.array([0, 16]), np.array([16, 16]))
+    assert hashed[0] == hashed[1] and pair[0] != pair[1]
+    return pair[0].decode(), pair[1].decode()
+
+
+def test_ids_of_one_hash_are_told_apart(plain_log, tmp_path):
+    # two tasks whose ids share the hash that groups a block's ids: each
+    # keeps its own row
+    ids = colliding_ids()
+    lines = renamed(lambda i: ids[i] if i < 2 else f"task.{i:06d}")(plain_log)
+    assert_same_outcome(write(tmp_path, "".join(lines)))
+    assert set(ids) <= set(TaskTable.from_log(str(tmp_path / "profile.log")).uids)
+
+
+def test_run_events_error_names_the_saved_log(quick_cfg, tmp_path):
+    rep = str(tmp_path / "rep")
+    res = run_pilot(quick_cfg(), run_dir=rep, seed=1)
+    path = os.path.join(rep, "profile.log")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    i = next(i for i, line in enumerate(lines) if ",submit," in line)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(replaced(lines, i, lines[i].replace("wait=", "wait=x", 1)))
+    with pytest.raises(ProfileParseError) as err:
+        TaskTable.from_events(res.events)
+    assert (err.value.path, err.value.line_no) == (path, i + 1)
+    assert err.value.reason.startswith("could not convert string to float")
 
 
 @pytest.fixture(scope="module")
 def big_log(tmp_path_factory):
-    """Lines of a 1024-task run's log: over four reading blocks."""
+    """Lines of a 2048-task run's log: over four reading blocks. The tasks
+    run in waves on 13 nodes, so schedule_ok and submit lines lie past the
+    second block too."""
     from pilotsim import ExperimentConfig
 
     cfg = zero_overhead(ExperimentConfig())
-    cfg.workload.n_tasks = 1024
+    cfg.workload.n_tasks = 2048
     cfg.workload.duration_s = 5.0
-    cfg.pool.autosize = 1
+    cfg.pool.nodes = 13
     cfg.backend.max_rate_hz = None
     cfg.backend.fd_limit = 65536
     cfg.backend.fd_reserved = 0
@@ -357,14 +488,15 @@ def big_log(tmp_path_factory):
     run_pilot(cfg, run_dir=rep, seed=5)
     with open(os.path.join(rep, "profile.log"), encoding="utf-8") as fh:
         lines = fh.read().splitlines(keepends=True)
-    assert sum(map(len, lines)) > 4 * BLOCK
+    assert sum(map(len, lines)) > 4 * BLOCK_CHARS
     return lines
 
 
 def in_block_3(lines) -> int:
     """Index of a line that starts past the second block boundary: a block
-    ends within one line of a multiple of BLOCK, and lines are far shorter."""
-    return int(np.searchsorted(np.cumsum([len(line) for line in lines]), 2.5 * BLOCK))
+    ends within one line of a multiple of BLOCK_CHARS, and lines are far
+    shorter."""
+    return int(np.searchsorted(np.cumsum([len(line) for line in lines]), 2.5 * BLOCK_CHARS))
 
 
 # (lines, index in block 3) -> lines edited at that index

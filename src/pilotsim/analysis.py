@@ -17,18 +17,17 @@ Every metric derives from one table, and one reader builds it from
 profile text: `TaskTable.from_log` feeds it a saved log in blocks of
 whole lines of about `profiler.BLOCK_CHARS` characters, and
 `TaskTable.from_events` feeds it the recorded lines of a run's events.
-The reader reads each block as its UTF-8 bytes in numpy passes, making
-no Python object per line: one scan finds the commas, newlines and
-attribute marks that check the fields; a time of up to 8 integer digits
-and 6 decimals is parsed eight digits at a time as exact integer
-microseconds; the kind and name are coded by comparing 8-byte words and
-lengths; and the ids are numbered per block through a hash of their
-words, checked word for word. Beyond the rules of `Event.decode`, a Task
-submit's attributes start with their one `wait=` and a Task
-schedule_ok's with their one `slot=`, so the reader takes the waits in
-one anchored regex pass and decodes the slots column by column: on a
-plain log no Python code runs once per task. A log that breaks a rule is
-read again line by line to name its first bad line. The table holds
+Beyond the rules of `Event.decode`, a Task submit's attributes start
+with their one `wait=` and a Task schedule_ok's with their one `slot=`.
+The reader makes one scan of each block's UTF-8 bytes, in numpy passes
+that make no Python object per line: the scan finds the commas, newlines
+and attribute marks that check the fields and end each wait and slot; a
+time or wait of up to 8 integer digits and 6 decimals is parsed eight
+digits at a time as exact integer microseconds; the kind and name are
+coded by comparing 8-byte words and lengths; and the ids of a block are
+sorted by a hash of their words and numbered once per run of equal
+words. The slots are decoded column by column. A log that breaks a rule
+is read again line by line to name its first bad line. The table holds
 numpy columns with one row per task: the timestamp of each lifecycle
 event, NaN where the event is missing. It also holds the run marks, and
 one row per (task, resource unit) pair that expands each task's slot.
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -215,7 +213,6 @@ _ZEROS = _U(0x3030303030303030)  # eight ASCII "0"
 _PAD = 32  # bytes around a block: a word read at a field's start stays in the buffer
 _FRONT, _BACK = "\n" * _PAD, "\0" * _PAD
 _MIX = _U(0x9E3779B97F4A7C15)  # an odd multiplier that spreads an id's words over its hash
-_HASHED = 4  # words of an id that its hash reads; a longer id is looked up alone
 
 
 def _word(text: str, at: int = 0) -> np.uint64:
@@ -253,52 +250,37 @@ def _gather(a: np.ndarray, start: np.ndarray, stop: np.ndarray) -> bytes:
     return a[np.cumsum(at, out=at)].tobytes()
 
 
-def _numbers(index: defaultdict, a: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The number `index` gives the id text of each range of `a`; a comma,
-    which an id never holds, follows each range."""
-    ids = _gather(a, start, start + size + 1).decode().split(",")
-    return np.fromiter(map(index.__getitem__, ids[:-1]), np.intp, len(start))
-
-
-def _id_hash(words: np.ndarray, start: np.ndarray, size: np.ndarray) -> tuple:
-    """A hash of the length and the first `_HASHED` words of the id in each
-    range that starts at `start`, with the words read (zero past an id)."""
-    hashed = size.astype(_U) * _MIX
-    kept = []
-    for j in range(min(_HASHED, -(-int(size.max(initial=0)) // 8))):
-        w = words[start + 8 * j] & _LOW[np.clip(size - 8 * j, 0, 8)]
-        hashed = (hashed ^ w) * _MIX
-        kept.append(w)
-    return hashed, kept
-
-
 def _id_numbers(index: defaultdict, a: np.ndarray, words: np.ndarray, start: np.ndarray,
                 size: np.ndarray) -> np.ndarray:
-    """The number `index` gives the id of each range of `a`, which `words`
-    views: one row of each distinct hash of the length and words of an id
-    is looked up for the rows that hold the same id. A row whose id differs
-    from that row's, or is longer than the words hashed, is looked up alone,
-    so the numbers are exact."""
-    hashed, kept = _id_hash(words, start, size)
+    """The number `index` gives the id in each range of `a`, which `words`
+    views and a comma, which an id never holds, follows. The rows are
+    sorted by a hash of each id's length and words, and each run of rows
+    whose ids have the same length and words is looked up once: ids of one
+    hash whose rows interleave make more runs, so the numbers are exact.
+    An id's words are read and kept only within it."""
+    hashed, cols = size.astype(_U) * _MIX, []  # cols: word j of the ids reaching it, their rows
+    for j in range(-(-int(size.max(initial=0)) // 8)):
+        rows = np.flatnonzero(size > 8 * j)
+        col = words[start[rows] + 8 * j] & _LOW[np.minimum(size[rows] - 8 * j, 8)]
+        hashed[rows] = (hashed[rows] ^ col) * _MIX
+        cols.append((rows, col))
     order = np.argsort(hashed)
-    first = np.ones(len(order), dtype=bool)
-    np.not_equal(hashed[order[1:]], hashed[order[:-1]], out=first[1:])
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    first = order[first]
-    head = first[group]
-    alone = (size > 8 * _HASHED) | (size != size[head])
-    for w in kept:
-        alone |= w != w[head]
-    number = _numbers(index, a, start[first], size[first])[group]
-    alone = np.flatnonzero(alone)
-    number[alone] = _numbers(index, a, start[alone], size[alone])
+    first = np.diff(size[order], prepend=-1) != 0  # where a run of equal ids starts
+    for rows, col in cols:  # word j of each id in sorted order, zero past the id
+        full = np.zeros(len(order), _U)
+        full[rows] = col
+        first[1:] |= (full := full[order])[1:] != full[:-1]
+    start, size = start[order][first], size[order][first]
+    ids = _gather(a, start, start + size + 1).decode().split(",")[:-1]
+    number = np.empty_like(order)
+    number[order] = np.fromiter(map(index.__getitem__, ids), np.intp)[np.cumsum(first) - 1]
     return number
 
 
 def _padded(block: str) -> bytes:
     """The UTF-8 bytes of `block` and a newline, after `_PAD` newlines and
-    before `_PAD` NUL bytes."""
+    before `_PAD` NUL bytes; UnicodeEncodeError, a ValueError, when `block`
+    holds a byte that is not UTF-8, read as a lone surrogate."""
     return f"{_FRONT}{block}\n{_BACK}".encode()
 
 
@@ -327,20 +309,20 @@ def _lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mark[kept[0::6] - 1] + 1, mark[kept].reshape(n, 6).T, eq
 
 
-def _times(buf: bytes, words: np.ndarray, start: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """The time of each line: a text of 1 to 8 digits, ".", 6 digits is read
-    as exact integer microseconds, which rounds as `float` does; `float`
-    reads any other. ValueError for a text `float` rejects, or a time that
-    is not finite."""
-    int_size = c0 - 7 - start
-    low = _LOW[np.clip(8 - int_size, 0, 8)]  # bytes before the time read as "0"
-    fixed, whole = _eight_digits(words[c0 - 15] & ~low | _ZEROS & low)
-    ok_frac, frac = _eight_digits(words[c0 - 8] & ~_LOW[2] | _ZEROS & _LOW[2])
-    fixed &= ok_frac & ((words[c0 - 7] & _LOW[1]) == _U(ord(".")))
+def _times(buf: bytes, words: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The number in each range [start, stop) of `buf`: a text of 1 to 8
+    digits, ".", 6 digits is read as exact integer microseconds, which
+    rounds as `float` does; `float` reads any other. ValueError for a text
+    `float` rejects, or a number that is not finite."""
+    int_size = stop - 7 - start
+    low = _LOW[np.clip(8 - int_size, 0, 8)]  # bytes before the number read as "0"
+    fixed, whole = _eight_digits(words[stop - 15] & ~low | _ZEROS & low)
+    ok_frac, frac = _eight_digits(words[stop - 8] & ~_LOW[2] | _ZEROS & _LOW[2])
+    fixed &= ok_frac & ((words[stop - 7] & _LOW[1]) == _U(ord(".")))
     fixed &= (int_size >= 1) & (int_size <= 8)
     t = (whole * _U(10 ** 6) + frac).astype(float) / 1e6
     for i in np.flatnonzero(~fixed).tolist():
-        t[i] = float(buf[start[i]:c0[i]].decode())
+        t[i] = float(buf[start[i]:stop[i]].decode())
         if not math.isfinite(t[i]):
             raise ValueError
     return t
@@ -379,33 +361,52 @@ def _codes(words: np.ndarray, c0: np.ndarray, c1: np.ndarray, c3: np.ndarray,
     return kind * _N_NAMES + np.where(found, _NAME_CODES[at], 0).astype(np.int8)
 
 
+def _lead(a: np.ndarray, words: np.ndarray, eq: np.ndarray, c4: np.ndarray, end: np.ndarray,
+          key: str) -> tuple[np.ndarray, np.ndarray]:
+    """Where the value of `key` starts and ends in the attributes of each
+    line, which lie between its last comma `c4` and its newline `end`:
+    ValueError unless they start with their one `key=`. A value ends at the
+    first ";" past its "=", or at the newline; `eq` is where each "=" or
+    ";" lies, and `_check_attributes` has checked that they alternate."""
+    lead = f"{key}="
+    if (((words[c4 + 1] & _LOW[len(lead)]) != _word(lead)).any()
+            or f";{lead}".encode() in _gather(a, c4 + 1, end + 1)):
+        raise ValueError
+    start = c4 + 1 + len(lead)
+    return start, np.minimum(np.append(eq, len(a))[np.searchsorted(eq, start)], end)
+
+
 def _read_block(buf: bytes, index: defaultdict) -> tuple:
     """Of each line that is not blank of a `_padded` block: its time and
     (kind, name) code, and the number `index` gives the id of a Task or
-    DvmJob line; with the newline-ended attribute texts of its Task submit
-    lines and of its Task schedule_ok lines. ValueError when a line breaks
-    a rule of `Event.decode`."""
+    DvmJob line; with the wait of each Task submit line, and the slots of
+    the Task schedule_ok lines as one text, each slot ending in a newline.
+    ValueError when a line breaks a rule that `_raise_first_error` names,
+    but for a slot off the grammar."""
     if b"%" in buf:
         raise ValueError
     a = np.frombuffer(buf, np.uint8)
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # word i: bytes i..i+7
     start, (c0, c1, c2, c3, c4, end), eq = _lines(a)
-    t = _times(buf, words, start, c0)
     _check_attributes(a, eq, c4, end)
     code = _codes(words, c0, c1, c3, c4)
     entity = np.flatnonzero(code < 2 * _N_NAMES)
     number = _id_numbers(index, a, words, c1[entity] + 1, c2[entity] - c1[entity] - 1)
-    texts = {}
-    for c in (_SUBMIT, _SCHED):
-        hit = np.flatnonzero(code == c)
-        texts[c] = _gather(a, c4[hit] + 1, end[hit] + 1).decode()
-    return t, code, number, texts
+    hit = code == _SUBMIT
+    w_start, w_stop = _lead(a, words, eq, c4[hit], end[hit], _LEAD[EV_SUBMIT])
+    t = _times(buf, words, np.concatenate((start, w_start)), np.concatenate((c0, w_stop)))
+    t, waits = t[:len(c0)], t[len(c0):]
+    hit = code == _SCHED
+    start, stop = _lead(a, words, eq, c4[hit], end[hit], _LEAD[EV_SCHEDULE_OK])
+    slots = _gather(a, start, stop + 1).replace(b";", b"\n").decode()
+    return t, code, number, waits, slots
 
 
 def _raise_first_error(log: LogEvents) -> None:
     """Read `log` again to raise the error of its first line that breaks a
-    rule: `Event.decode`'s, a wait or slot key that does not lead its Task
-    line's attributes once, a wait not a finite float, or a bad slot."""
+    rule: a byte not UTF-8, `Event.decode`'s, a wait or slot key that does
+    not lead its Task line's attributes once, a wait not a finite float, or
+    a bad slot."""
     for no, line in log.numbered():
         try:
             ev = Event.decode(line)
@@ -421,15 +422,6 @@ def _raise_first_error(log: LogEvents) -> None:
         except ValueError as exc:
             raise ProfileParseError(log.name, no, str(exc)) from exc
     raise AssertionError(f"{log.name}: the log failed a check that no line fails")
-
-
-def _lead_values(text: str, order: list[int], key: str) -> list[str]:
-    """The value of `key` in each newline-ended attribute text of `text`, in
-    `order`; ValueError unless each text starts with its one `key=`."""
-    values = re.findall(f"\n{key}=([^;\n]*)", "\n" + text)
-    if len(values) != len(order) or f";{key}=" in text:
-        raise ValueError
-    return list(map(values.__getitem__, order))
 
 
 @dataclass
@@ -478,74 +470,51 @@ class TaskTable:
 
     @classmethod
     def _read(cls, log: LogEvents) -> "TaskTable":
-        """The table of profile text, read in blocks of whole lines, each
-        as its UTF-8 bytes in numpy passes that make no object per line.
-
-        Of each line only its time and a (kind, name) code are kept, plus
-        the number of the id of a Task or DvmJob line and, joined per
-        block, the attributes of Task submit and schedule_ok lines; the
-        waits and the slots are each read in one regex pass over all their
-        texts. When a line breaks a rule of `Event.decode`, a wait or slot
-        key does not lead its attributes once, a wait is not a finite float
-        or a slot is off the grammar, the log is read again line by line to
-        raise its first bad line's error, naming the log."""
-        times, codes, ids = [], [], []
+        """The table of profile text, read in one scan of blocks of whole
+        lines, each as its UTF-8 bytes in numpy passes that make no object
+        per line. Of each line only its time and (kind, name) code are
+        kept, and the number of the id of a Task or DvmJob line, the wait
+        of a Task submit line, parsed as the times are, and the slot text
+        of a Task schedule_ok line. When a line breaks a rule (see
+        `_raise_first_error`), the log is read again line by line to raise
+        its first bad line's error, naming the log."""
         index: defaultdict[str, int] = defaultdict(count().__next__)  # id -> its number
-        # per block, the attributes of its Task submit and schedule_ok lines,
-        # each ending in a newline
-        texts: dict[int, list[str]] = {_SUBMIT: [], _SCHED: []}
-        with closing(log.blocks()) as blocks:  # closes a file on a raise
-            for buf in map(_padded, blocks):  # each text block freed once encoded
-                try:
-                    t, code, uid, attrs = _read_block(buf, index)
-                except ValueError:
-                    _raise_first_error(log)
-                times.append(t)
-                codes.append(code)
-                ids.append(uid)
-                for c, kept in texts.items():
-                    kept.append(attrs[c])
-        t = np.concatenate(times or [np.empty(0)])
-        code = np.concatenate(codes or [np.empty(0, np.int8)])
-        uid = np.concatenate(ids or [np.empty(0, np.intp)])
-        keys = list(index)
-        del times, codes, ids, index
+        # per block: times, codes, id numbers, waits and slot texts
+        blocks = [(np.empty(0), np.empty(0, np.int8), np.empty(0, np.intp), np.empty(0), "")]
+        try:  # a line off the grammar fails its block, a slot off it `_build`
+            with closing(log.blocks()) as texts:  # closes a file on a raise
+                for buf in map(_padded, texts):  # each text block freed once encoded
+                    blocks.append(_read_block(buf, index))
+            *columns, slots = zip(*blocks)
+            t, code, uid, waits = map(np.concatenate, columns)
+            slots, keys = "".join(slots), list(index)
+            del blocks, columns, index
 
-        # rows in order of each id's first event in time order: its least
-        # time, and of its lines at that time the one read first
-        entity = np.flatnonzero(code < 2 * _N_NAMES)
-        t_first = np.full(len(keys), np.inf)
-        np.minimum.at(t_first, uid, t[entity])
-        at_first = t[entity] == t_first[uid]
-        line_first = np.full(len(keys), len(t))
-        np.minimum.at(line_first, uid[at_first], entity[at_first])
-        by_first = np.lexsort((line_first, t_first))
-        row = np.full(len(t), -1, dtype=np.intp)
-        row[entity] = np.argsort(by_first)[uid]
-        del entity, uid, at_first
+            # rows in order of each id's first event in time order: its least
+            # time, and of its lines at that time the one read first
+            entity = np.flatnonzero(code < 2 * _N_NAMES)
+            t_first = np.full(len(keys), np.inf)
+            np.minimum.at(t_first, uid, t[entity])
+            at_first = t[entity] == t_first[uid]
+            line_first = np.full(len(keys), len(t))
+            np.minimum.at(line_first, uid[at_first], entity[at_first])
+            by_first = np.lexsort((line_first, t_first))
+            row = np.full(len(t), -1, dtype=np.intp)
+            row[entity] = np.argsort(by_first)[uid]
+            del entity, uid, at_first
 
-        # each column's lines, stably sorted by time
-        lines = {field: np.flatnonzero(code == c) for c, field in _CODE_FIELD.items()}
-        lines = {field: hit[np.argsort(t[hit], kind="stable")] for field, hit in lines.items()}
-        marks = {}
-        for mark in _MARKS.values():
-            if len(hit := lines.pop(mark)):
-                marks[mark] = float(t[hit[-1]])
-
-        def values(c: int, key: str) -> tuple:
-            # the rows and `key` values of the Task lines coded `c`, in time
-            # order as `lines` holds them
-            hit = lines[_CODE_FIELD[c]]
-            order = np.searchsorted(np.flatnonzero(code == c), hit).tolist()
-            return row[hit], _lead_values("".join(texts.pop(c)), order, key)
-
-        try:  # a key off its lead, a wait not a finite float, a slot off the grammar
-            task_rows, waits = values(_SUBMIT, "wait")
-            waits = (task_rows, np.fromiter(map(float, waits), float, len(task_rows)))
-            if not np.isfinite(waits[1]).all():
-                raise ValueError
-            slots = values(_SCHED, "slot")
-            del code
+            # each column's lines, stably sorted by time
+            lines = {field: np.flatnonzero(code == c) for c, field in _CODE_FIELD.items()}
+            lines = {field: hit[np.argsort(t[hit], kind="stable")] for field, hit in lines.items()}
+            marks = {m: float(t[hit[-1]]) for m in _MARKS.values() if len(hit := lines.pop(m))}
+            # the Task submit and schedule_ok lines in time order, as `lines`
+            # holds them, index their waits and slots, which are in file order
+            hit = lines[_CODE_FIELD[_SUBMIT]]
+            waits = (row[hit], waits[np.searchsorted(np.flatnonzero(code == _SUBMIT), hit)])
+            hit = lines[_CODE_FIELD[_SCHED]]
+            order = np.searchsorted(np.flatnonzero(code == _SCHED), hit).tolist()
+            slots = (row[hit], list(map(slots.split("\n").__getitem__, order)))
+            del code, order
             hits = {}
             for col in list(lines):  # each column's lines are freed as its hit is taken
                 hit = lines.pop(col)

@@ -65,6 +65,8 @@ EV_NOTIFY_COMPLETE = "notify_complete"
 
 # a character off the log's alphabet: all but printable ASCII, and , ; = %
 _RESERVED = re.compile(r"[^\x20-\x24\x26-\x2b\x2d-\x3a\x3c\x3e-\x7e]")
+# a lone surrogate: how `LogEvents.blocks` reads a byte that is not UTF-8
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 # characters of log text a reader takes at a time before ending the line
 BLOCK_CHARS = 1 << 18
@@ -142,9 +144,10 @@ class LogEvents(Sequence):
 
     def blocks(self) -> Iterator[str]:
         """The log text in blocks of whole lines, of about `BLOCK_CHARS`
-        characters each, read afresh: no line is cached or decoded."""
+        characters each, read afresh: no line is cached or decoded. A byte
+        that is not UTF-8 is read as the lone surrogate that escapes it."""
         if isinstance(self._source, str):
-            with open(self._source, "r", encoding="utf-8") as fh:
+            with open(self._source, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 yield from iter(lambda: fh.read(BLOCK_CHARS) + fh.readline(), "")
             return
         text, start = self._source.getvalue(), 0
@@ -156,10 +159,18 @@ class LogEvents(Sequence):
     def numbered(self) -> Iterator[tuple[int, str]]:
         """(line number, line) of each line that is not blank, split at a
         newline alone and counted from 1 with the blank lines; none is
-        cached or decoded."""
+        cached or decoded. A line that is not UTF-8 raises a
+        `ProfileParseError` naming it, after the lines before it."""
         start = 1
         for block in self.blocks():
             lines = block.split("\n")
+            if not block.isascii() and (bad := _NOT_UTF8.search(block)):
+                k = block.count("\n", 0, bad.start())  # the bad line's index in the block
+                yield from compress(zip(count(start), lines[:k]), lines[:k])
+                try:
+                    lines[k].encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ProfileParseError(self.name, start + k, str(exc)) from exc
             yield from compress(zip(count(start), lines), lines)
             start += len(lines) - 1
 

@@ -67,29 +67,31 @@ class Slot:
         return cls(assignments=tuple(assignments))
 
 
+def quick_config(**over) -> ExperimentConfig:
+    """Small virtual config with inert failure injection and big FD budget;
+    `section__field=value` overrides a field."""
+    cfg = ExperimentConfig()
+    cfg.workload.n_tasks = 16
+    cfg.workload.duration_s = 5.0
+    cfg.pool.nodes = 2
+    cfg.backend.fd_limit = 65536
+    cfg.backend.fd_reserved = 0
+    cfg.backend.max_rate_hz = None
+    cfg.agent.startup_s = 10.0
+    cfg.agent.termination_s = 2.0
+    for key, val in over.items():
+        obj = cfg
+        parts = key.split("__")
+        for part in parts[:-1]:
+            obj = getattr(obj, part)
+        setattr(obj, parts[-1], val)
+    return cfg
+
+
 @pytest.fixture
 def quick_cfg():
-    """Small virtual config with inert failure injection and big FD budget."""
-
-    def _make(**over) -> ExperimentConfig:
-        cfg = ExperimentConfig()
-        cfg.workload.n_tasks = 16
-        cfg.workload.duration_s = 5.0
-        cfg.pool.nodes = 2
-        cfg.backend.fd_limit = 65536
-        cfg.backend.fd_reserved = 0
-        cfg.backend.max_rate_hz = None
-        cfg.agent.startup_s = 10.0
-        cfg.agent.termination_s = 2.0
-        for key, val in over.items():
-            obj = cfg
-            parts = key.split("__")
-            for part in parts[:-1]:
-                obj = getattr(obj, part)
-            setattr(obj, parts[-1], val)
-        return cfg
-
-    return _make
+    """`quick_config`, for tests that build their own config."""
+    return quick_config
 
 
 def zero_overhead(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -173,17 +175,19 @@ LEAD = {EV_SUBMIT: "wait", EV_SCHEDULE_OK: "slot"}
 
 def reference_log_table(path: str) -> TaskTable:
     """`reference_table(load_profile(path))`, with the table's rules applied
-    in one pass in file order: the first line that `Event.decode` rejects,
-    that is a Task submit or schedule_ok whose first attribute key is not
-    its one `wait` or `slot`, or that holds a wait that is not a finite
-    float or a slot off the grammar, raises a `ProfileParseError` naming
-    it. The oracle `TaskTable.from_log` is compared against."""
+    in one pass in file order: the first line that is not UTF-8, that
+    `Event.decode` rejects, that is a Task submit or schedule_ok whose first
+    attribute key is not its one `wait` or `slot`, or that holds a wait
+    that is not a finite float or a slot off the grammar, raises a
+    `ProfileParseError` naming it. The oracle `TaskTable.from_log` is
+    compared against."""
     events = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for no, line in enumerate(map(str.rstrip, fh, repeat("\n")), start=1):
             if not line:
                 continue
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")  # not UTF-8: an error
                 ev = Event.decode(line)
                 events.append(ev)
                 key = LEAD.get(ev.name) if ev.entity_kind == TASK else None

@@ -7,6 +7,7 @@ run's events through the same reader."""
 import io
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from pilotsim import ProfileParseError, TaskTable, compute_ttx, load_profile, ru
 from pilotsim.profiler import BLOCK_CHARS, Event, LogEvents
 from pilotsim.cli import main, run_experiment
 
-from conftest import assert_same_table, reference_log_table, reference_table, zero_overhead
+from conftest import (assert_same_table, quick_config, reference_log_table, reference_table,
+                      zero_overhead)
 
 
 def outcome(build):
@@ -63,8 +65,9 @@ def plain_log(tmp_path_factory):
 
 
 def write(tmp_path, text: str, newline: str = "") -> str:
+    # a lone surrogate in `text` is written as the byte it escapes
     path = str(tmp_path / "profile.log")
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         fh.write(text)
     return path
 
@@ -127,6 +130,11 @@ def non_finite(t):
 
 def replaced(lines, i, line):
     return lines[:i] + [line] + lines[i + 1:]
+
+
+def not_utf8(line: str) -> str:
+    # a 0xff byte, which UTF-8 never holds, in the line's id
+    return line[:15] + "\udcff" + line[15:]
 
 
 def edit_first(marker, edit):
@@ -281,6 +289,7 @@ DAMAGE = {
     # four fields, then eight that start with two valid attribute fields
     "four_fields_then_eight": lambda lines: (
         lines[:6] + [lines[6].rsplit(",", 2)[0] + "\n", "a=b,a=b," + lines[7]] + lines[8:]),
+    "not_utf8": lambda lines: replaced(lines, 6, not_utf8(lines[6])),
 }
 
 
@@ -352,20 +361,36 @@ def with_examples(**texts):
     return apply
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=st.one_of(
+# texts of numbers, as times and waits are read: integer parts of 1, 8, 9
+# and 16 digits, and texts that `float` reads in other forms or rejects
+NUMBER_TEXTS = st.one_of(
     st.from_regex(r"[+-]?[0-9]{0,17}(\.[0-9]{0,8})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
-# integer parts of 1, 8, 9 and 16 digits, and texts that `float` reads in
-# other forms or rejects
-@with_examples(text=["7.250000", "12345678.000001", "123456789.000001",
-                     "1234567890123456.000000", "-0.000000", "+1.000000", "1e2",
-                     " 75.000000", "1_0.5", ".5", "", "nan", "inf", "75:012000"])
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+number_examples = with_examples(text=[
+    "7.250000", "12345678.000001", "123456789.000001", "1234567890123456.000000",
+    "-0.000000", "+1.000000", "1e2", " 75.000000", "1_0.5", ".5", "", "nan", "inf",
+    "75:012000"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=NUMBER_TEXTS)
+@number_examples
 def test_time_text_gives_the_reference_outcome(plain_log, tmp_path_factory, text):
     # the time of a task's first line: a table column and the task's row
     i = first_schedule_ok(plain_log)
     lines = replaced(plain_log, i, with_time(plain_log[i], text))
     assert_same_outcome(write(tmp_path_factory.mktemp("time"), "".join(lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=NUMBER_TEXTS)
+@number_examples
+def test_wait_text_gives_the_reference_outcome(plain_log, tmp_path_factory, text):
+    # the wait of the first submit line, read as the times are
+    i = next(i for i, line in enumerate(plain_log) if ",submit," in line)
+    line = re.sub(r"wait=[^;\n]*", lambda m: f"wait={text}", plain_log[i], count=1)
+    assert_same_outcome(write(tmp_path_factory.mktemp("wait"), "".join(
+        replaced(plain_log, i, line))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,17 +415,30 @@ def done_attrs(text):
     return edit_first(",done,", lambda line: f"{line.rsplit(',', 1)[0]},{text}\n")
 
 
-# ids of each length, of several UTF-8 widths, equal in their first 8, 16
-# or 32 bytes or but for trailing NULs, or holding the attribute marks;
-# kinds and names near those the table reads; and attribute texts on and
-# off the grammar
+def only_lead(lines):
+    """lines -> lines whose Task submit and schedule_ok attributes are only
+    their wait or slot, so that the value ends at the newline."""
+    return [re.sub(r",((?:wait|slot)=[^;\n]*);[^\n]*", r",\1", line) for line in lines]
+
+
+# ids of each length and of mixed lengths, of several UTF-8 widths, equal
+# in their first 8, 16, 32 or 64 bytes or but for trailing NULs, or holding
+# the attribute marks; kinds and names near those the table reads; and
+# attribute texts on and off the grammar
 SHAPES = {
-    **{f"ids_of_{k}_bytes": renamed(lambda i, k=k: (f"{i:x}" * k)[:k]) for k in range(1, 41)},
+    **{f"ids_of_{k}_bytes": renamed(lambda i, k=k: (f"{i:x}" * k)[:k]) for k in range(1, 73)},
     "ids_non_ascii": renamed(lambda i: f"tâche·{i}·\U0001f642"),
     "ids_differ_past_byte_8": renamed(lambda i: f"abcdefgh{i:x}"),
     "ids_differ_past_byte_16": renamed(lambda i: f"abcdefghijklmnop{i:x}"),
     "ids_differ_past_byte_32": renamed(lambda i: f"{'abcdefgh' * 4}{i:x}"),
+    "ids_differ_past_byte_64": renamed(lambda i: f"{'abcdefgh' * 8}{i:x}"),
     "ids_differ_by_trailing_nuls": renamed(lambda i: "a" + "\0" * i),
+    "ids_of_mixed_lengths": renamed(lambda i: f"{i:x}" * (1 + 7 * i)),
+    # an 80-byte id among short ones, and last a Task line whose id and
+    # component are short: each id's words are read inside the id
+    "long_id_then_short_last_line": lambda lines: renamed(
+        lambda i: "x" * 80 if i == 0 else f"t{i}")(lines) + [
+        f"{lines[-1].split(',', 1)[0]},Task,t1,,done,\n"],
     "ids_hold_eq": renamed(lambda i: f"task={i}"),
     "ids_hold_semicolon": renamed(lambda i: f"task;{i}"),
     # kinds and names one byte off those the table reads, in their first,
@@ -414,6 +452,9 @@ SHAPES = {
     **{f"attrs_{name}": done_attrs(text) for name, text in {
         "trailing_semicolon": "a=b;", "leading_semicolon": ";a=b", "two_eq": "a=b=c",
         "no_eq": "ab", "empty_values": "a=;b=", "lone_eq": "="}.items()},
+    "waits_and_slots_alone": only_lead,
+    "waits_and_slots_alone_and_empty": lambda lines: [
+        re.sub(r"(wait|slot)=[^\n]*", r"\1=", line) for line in only_lead(lines)],
 }
 
 
@@ -424,12 +465,21 @@ def test_id_and_attribute_shapes_give_the_reference_outcome(plain_log, tmp_path,
 
 def colliding_ids() -> tuple[str, str]:
     """Two ids of 16 printable bytes that the reader's id hash gives one
-    value. The hash of first and second words (f, s) is ((16m ^ f) m ^ s) m
-    modulo 2**64, so (f, s) and (g, s ^ (16m ^ f) m ^ (16m ^ g) m) collide:
-    search pairs of first words for a second word that is printable."""
-    from pilotsim.analysis import _MIX, _id_hash
+    value. The hash of an id of n bytes, read as little-endian 8-byte words
+    w1..wk (zero past the id), is (..((n m ^ w1) m ^ w2) m .. ^ wk) m modulo
+    2**64; of 16 bytes (f, s) it is ((16m ^ f) m ^ s) m, so (f, s) and
+    (g, s ^ (16m ^ f) m ^ (16m ^ g) m) collide: search pairs of first words
+    for a second word that is printable."""
+    from pilotsim.analysis import _MIX
 
     m, full = int(_MIX), (1 << 64) - 1
+
+    def hashed(text: bytes) -> int:
+        h = len(text) * m & full
+        for j in range(0, len(text), 8):
+            h = (h ^ int.from_bytes(text[j:j + 8], "little")) * m & full
+        return h
+
     alphabet = bytes(c for c in range(0x20, 0x7f) if chr(c) not in ",;=%")
     rng = np.random.default_rng(0)
     firsts = [bytes(rng.choice(np.frombuffer(alphabet, np.uint8), 8)) for _ in range(200)]
@@ -439,10 +489,7 @@ def colliding_ids() -> tuple[str, str]:
                 for f, x in zip(firsts, mixed) for g, y in zip(firsts, mixed)
                 for other in [(second ^ x ^ y).to_bytes(8, "little")]
                 if f != g and all(c in alphabet for c in other))
-    buf = b"".join(pair) + bytes(16)
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    hashed, _ = _id_hash(words, np.array([0, 16]), np.array([16, 16]))
-    assert hashed[0] == hashed[1] and pair[0] != pair[1]
+    assert hashed(pair[0]) == hashed(pair[1]) and pair[0] != pair[1]
     return pair[0].decode(), pair[1].decode()
 
 
@@ -512,6 +559,11 @@ CROSS_BLOCK = {
     "escape_then_garbage": lambda lines, i: (
         escaped_ids(lines[:i]) + ["not an event\n"] + lines[i:]),
     "slot_only_decode_reads": slot_only_decode_reads,
+    "not_utf8": lambda lines, i: replaced(lines, i, not_utf8(lines[i])),
+    # a garbage line before a line that is not UTF-8, in the same block: the
+    # garbage is the error
+    "garbage_then_not_utf8": lambda lines, i: (
+        lines[:i] + ["not an event\n"] + replaced(lines, i + 5, not_utf8(lines[i + 5]))[i:]),
     **ATTR_EDITS,
 }
 
@@ -602,16 +654,39 @@ def test_run_events_are_read_in_blocks(quick_cfg, tmp_path, monkeypatch):
     assert kept < os.path.getsize(os.path.join(rep, "profile.log")) / 20
 
 
-def test_reader_heap_peak_is_bounded_by_the_log(quick_cfg, tmp_path):
-    # of each line the reader keeps its time, code and id, and of a Task
-    # submit or schedule_ok line its attributes; each whole-log list is
-    # dropped once it is concatenated or read
-    cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
-    rep = str(tmp_path / "rep")
-    run_pilot(cfg, run_dir=rep, seed=1)
-    path = os.path.join(rep, "profile.log")
-    ratio = traced_peak(lambda: TaskTable.from_log(path)) / os.path.getsize(path)
+@pytest.fixture(scope="module")
+def guard_log(tmp_path_factory) -> str:
+    """The path of a 4096-task run's log, which the reader's guards read."""
+    rep = str(tmp_path_factory.mktemp("guard") / "rep")
+    run_pilot(quick_config(workload__n_tasks=4096, pool__autosize=1), run_dir=rep, seed=1)
+    return os.path.join(rep, "profile.log")
+
+
+def test_reader_heap_peak_is_bounded_by_the_log(guard_log):
+    # of each line the reader keeps its time, code and id, of a Task submit
+    # line its wait and of a schedule_ok line its slot text; each whole-log
+    # list is dropped once it is concatenated or read
+    ratio = traced_peak(lambda: TaskTable.from_log(guard_log)) / os.path.getsize(guard_log)
     assert ratio <= 1.3, ratio
+
+
+def test_reader_makes_no_python_call_per_line(guard_log):
+    # the reader's passes run in numpy: Python-level calls (numpy's own
+    # wrappers among them) come per block and per column, not per line
+    with open(guard_log, encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)
+    calls = 0
+
+    def count_call(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count_call)
+    try:
+        TaskTable.from_log(guard_log)
+    finally:
+        sys.setprofile(None)
+    assert calls < n_lines / 10, (calls, n_lines)
 
 
 def test_patterns_compile_on_python_3_10():
@@ -664,6 +739,7 @@ def test_log_events_split_lines_as_load_profile(plain_log, tmp_path, newline):
 
 
 LINE_DAMAGE = {
+    "not_utf8": not_utf8,
     "percent": lambda line: line.replace(",", "%,", 1),
     "garbage": lambda line: "not an event\n",
     "bare_attr": lambda line: line.rstrip("\n") + ";bare\n",
@@ -684,11 +760,17 @@ def test_log_events_errors_name_their_line(plain_log, tmp_path, damage, newline)
         load_profile(path)
     want = (err.value.line_no, err.value.reason)
     assert want[0] == k + 2
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    for read, name in ((lambda: list(LogEvents(path)), path),
-                       (lambda: LogEvents(path)[k], path),
-                       (lambda: list(LogEvents(io.StringIO(text, newline=None))), "<events>")):
+    reads = [(lambda: list(LogEvents(path)), path), (lambda: LogEvents(path)[k], path),
+             (lambda: TaskTable.from_log(path), path)]
+    if damage == "not_utf8":
+        # `len` decodes no line but reads every byte; a run's in-memory
+        # events are text, so there is no such damage to them
+        reads.append((lambda: len(LogEvents(path)), path))
+    else:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        reads.append((lambda: list(LogEvents(io.StringIO(text, newline=None))), "<events>"))
+    for read, name in reads:
         with pytest.raises(ProfileParseError) as err:
             read()
         assert (err.value.path, err.value.line_no, err.value.reason) == (name, *want)
@@ -723,11 +805,7 @@ def traced_peak(build) -> int:
         tracemalloc.stop()
 
 
-def test_reader_memory_is_a_fraction_of_the_events(quick_cfg, tmp_path):
-    cfg = quick_cfg(workload__n_tasks=4096, pool__autosize=1)
-    rep = str(tmp_path / "rep")
-    run_pilot(cfg, run_dir=rep, seed=1)
-    path = os.path.join(rep, "profile.log")
-    lean = traced_peak(lambda: TaskTable.from_log(path))
-    full = traced_peak(lambda: reference_table(load_profile(path)))
+def test_reader_memory_is_a_fraction_of_the_events(guard_log):
+    lean = traced_peak(lambda: TaskTable.from_log(guard_log))
+    full = traced_peak(lambda: reference_table(load_profile(guard_log)))
     assert lean < full / 2
